@@ -263,9 +263,12 @@ def _parse_sample_csv(text, path):
                     meta[k] = v
         elif line != "volume":
             try:
-                volumes.append(float(line))
+                volume = float(line)
             except ValueError as exc:
                 raise InputError(f"{path}: bad volume line {line!r}") from exc
+            if not math.isfinite(volume):
+                raise InputError(f"{path}: bad volume line {line!r}")
+            volumes.append(volume)
     if "n" not in meta or "vmax" not in meta:
         raise InputError(f"{path}: missing '# ... n=... vmax=...' header")
     return stats.VolumeSample(

@@ -134,7 +134,7 @@ def _beta_mle(x, alpha0, beta0):
 def _ks_statistic(x, a, b):
     xs = np.sort(x)
     n = len(xs)
-    cdf = np.array([specfun.regularized_incomplete_beta(a, b, v) for v in xs])
+    cdf = specfun.regularized_incomplete_beta(a, b, xs)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -155,6 +155,10 @@ def fit_beta(sample):
     if np.any(x <= 0.0):
         raise FitDiverged("normalized volumes must be positive")
 
+    # Compare the values, not np.var: the variance of identical values can
+    # round to a positive number, which would start the fit at alpha ~ 1e31.
+    if np.all(x == x[0]):
+        raise FitDiverged("sample variance is zero")
     mean = float(np.mean(x))
     var = float(np.var(x))
     common = mean * (1.0 - mean) / var - 1.0

@@ -87,6 +87,32 @@ def test_missing_input_file(capsys):
     assert json.loads(err)["code"] == "INPUT_NOT_FOUND"
 
 
+def test_fit_zero_variance_sample(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("# idealpoly-sample n=4 count=20 seed=0 vmax=1\nvolume\n" + "0.5\n" * 20)
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "FIT_DIVERGED"
+    assert payload["message"] == "sample variance is zero"
+    check_schema(payload, "error.schema.json")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_fit_rejects_non_finite_volume(tmp_path, capsys, bad):
+    lines = ["0.2", "0.4", bad, "0.6"] + ["0.3"] * 10
+    path = tmp_path / "bad.csv"
+    path.write_text("# idealpoly-sample n=4 count=14 seed=0 vmax=1\nvolume\n" + "\n".join(lines) + "\n")
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert payload["message"] == f"{path}: bad volume line {bad!r}"
+    check_schema(payload, "error.schema.json")
+
+
 def test_optimize_octahedron(tmp_path, capsys):
     path = write(tmp_path, "octa.json", OCTA)
     code, out, _ = run_cli(["optimize", path], capsys)

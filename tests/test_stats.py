@@ -84,6 +84,17 @@ def test_fit_beta_needs_enough_samples():
         )
 
 
+@pytest.mark.parametrize("value", [0.5, 0.1, 0.3, 1.0])
+def test_fit_beta_zero_variance(value):
+    # 0.5 gives np.var == 0; 0.1 and 0.3 give a rounded variance of ~1e-33;
+    # 1.0 is clamped to 1 - 1e-12 for every point
+    sample = stats.VolumeSample(
+        n=4, volumes=np.full(20, value), seed=0, vmax=1.0, vmax_mode="given"
+    )
+    with pytest.raises(FitDiverged, match="sample variance is zero"):
+        stats.fit_beta(sample)
+
+
 def test_fit_beta_clamps_at_one():
     rng = np.random.default_rng(20)
     x = np.concatenate([rng.beta(2, 3, 1000), [1.0, 1.0000001]])
