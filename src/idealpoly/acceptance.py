@@ -161,7 +161,7 @@ def c05_apex_invariance():
             res = rivin.is_realizable(t, apex=apex)
             answers.append(res.realizable)
             if res.realizable:
-                vols.append(optvol.maximize_volume(res.link).volume)
+                vols.append(optvol.maximize_volume(res.link, start=res.witness).volume)
         bool_ok = bool_ok and len(set(answers)) == 1
         if vols:
             worst = max(worst, max(vols) - min(vols))
@@ -243,7 +243,7 @@ def c08_layout_round_trip():
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
-        out = optvol.maximize_volume(res.link)
+        out = optvol.maximize_volume(res.link, start=res.witness)
         lay = geom.layout(res.link, out.angles)
         again = geom.euclidean_angles(lay.triangulation)
         worst_angle = max(

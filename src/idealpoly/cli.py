@@ -198,7 +198,7 @@ def cmd_optimize(run):
         )
         sys.stderr.write("\n")
         return 2
-    result = optvol.maximize_volume(res.link, epsilon=run.args.eps)
+    result = optvol.maximize_volume(res.link, start=res.witness)
     payload = optimize_payload(
         t, res.apex, result, run.args.max_denominator, run.args.tol
     )

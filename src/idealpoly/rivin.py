@@ -10,10 +10,12 @@ triangles must satisfy:
     edge above it),
   * every corner is positive.
 
-Strict inequalities are relaxed by a tolerance epsilon.  Feasibility is
-decided by phase-1 simplex; a feasible witness is re-centered by a second LP
-that maximizes the minimum slack, so downstream barrier methods get a
-strictly interior start.
+Strict inequalities are relaxed by a tolerance epsilon.  One LP decides
+feasibility and centers the witness: it maximizes the minimum slack t over
+the shifted corners y = theta - epsilon = z + t with z, t >= 0, so the corner
+lower bounds need no rows of their own.  Its phase 1 decides feasibility
+(t = 0 is the plain system), and its optimum is a strictly interior start
+for the downstream barrier method.
 """
 
 import math
@@ -118,14 +120,22 @@ def _standard_form(system):
 
 
 def check_feasible(system):
-    """Phase-1 feasibility plus one slack-centering pass.
+    """Feasibility and a slack-centered witness from one LP.
 
-    The centering LP maximizes t subject to every inequality slack and every
-    corner lower-bound slack being >= t; its optimum is the witness.
+    In the variables (z, t) >= 0 with y = z + t, maximize t subject to
+    A_eq y = b_eq and A_ub y + t <= b_ub: every inequality slack and every
+    corner lower-bound slack is then >= t.  The witness is z + t + epsilon
+    and ``min_slack`` is the optimal t.  When the system is infeasible, the
+    LP's phase-1 optimum is the certificate; it equals the plain system's,
+    because t = 0 recovers that system and t > 0 only tightens it.
     """
     A_eq, b_eq, A_ub, b_ub = _standard_form(system)
     n = system.n_vars
-    res = simplex.solve(np.zeros(n), A_eq, b_eq, A_ub, b_ub)
+    A_eq2 = np.hstack([A_eq, A_eq.sum(axis=1, keepdims=True)])
+    A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = simplex.solve(c, A_eq2, b_eq, A_ub2, b_ub, maximize=True)
     if res.status == "infeasible":
         return FeasibilityResult(
             feasible=False,
@@ -134,29 +144,9 @@ def check_feasible(system):
             min_slack=float("nan"),
         )
     if res.status != "optimal":
-        raise NumericalFailure(f"unexpected LP status {res.status}")
-
-    # centering: variables (y, t); maximize t
-    m_ub = A_ub.shape[0]
-    A_eq2 = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-    rows = []
-    rhs = []
-    if m_ub:
-        rows.append(np.hstack([A_ub, np.ones((m_ub, 1))]))  # a.y + t <= b
-        rhs.append(b_ub)
-    lb = np.hstack([-np.eye(n), np.ones((n, 1))])  # t - y_c <= 0
-    rows.append(lb)
-    rhs.append(np.zeros(n))
-    A_ub2 = np.vstack(rows)
-    b_ub2 = np.concatenate(rhs)
-    c2 = np.zeros(n + 1)
-    c2[-1] = 1.0
-    res2 = simplex.solve(c2, A_eq2, b_eq, A_ub2, b_ub2, maximize=True)
-    if res2.status != "optimal":
-        raise NumericalFailure(f"centering LP status {res2.status}")
-    y = res2.x[:n]
-    t = float(res2.x[-1])
-    witness = y + system.epsilon
+        raise NumericalFailure(f"centering LP status {res.status}")
+    t = float(res.x[-1])
+    witness = res.x[:n] + t + system.epsilon
     return FeasibilityResult(
         feasible=True, witness=witness, certificate=0.0, min_slack=t
     )

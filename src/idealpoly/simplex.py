@@ -24,9 +24,9 @@ class LPResult:
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])  # rank-1: clears col in every other row
     basis[row] = col
 
 
@@ -34,24 +34,20 @@ def _simplex_iterate(T, basis, ncols):
     """Minimize the objective in the last tableau row over columns < ncols."""
     pivots = 0
     while True:
-        col = -1
-        for j in range(ncols):  # Bland: first improving column
-            if T[-1, j] < -_TOL:
-                col = j
-                break
-        if col < 0:
+        improving = np.flatnonzero(T[-1, :ncols] < -_TOL)
+        if improving.size == 0:
             return
+        col = int(improving[0])  # Bland: first improving column
+        rows = np.flatnonzero(T[:-1, col] > _PIVOT_TOL)
+        ratios = T[rows, -1] / T[rows, col]
         row = -1
         best = np.inf
-        for r in range(T.shape[0] - 1):
-            a = T[r, col]
-            if a > _PIVOT_TOL:
-                ratio = T[r, -1] / a
-                if ratio < best - 1e-12 or (
-                    ratio < best + 1e-12 and (row < 0 or basis[r] < basis[row])
-                ):
-                    best = ratio
-                    row = r
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-12 or (
+                ratio < best + 1e-12 and (row < 0 or basis[r] < basis[row])
+            ):
+                best = ratio
+                row = r
         if row < 0:
             raise _Unbounded()
         _pivot(T, basis, row, col)
@@ -132,13 +128,9 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=False):
     # drive leftover artificials out of the basis (or drop redundant rows)
     for r in range(m):
         if basis[r] >= ncols:
-            piv = -1
-            for j in range(ncols):
-                if abs(T[r, j]) > _PIVOT_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(T, basis, r, piv)
+            piv = np.flatnonzero(np.abs(T[r, :ncols]) > _PIVOT_TOL)
+            if piv.size:
+                _pivot(T, basis, r, int(piv[0]))
             # else: redundant row; its artificial stays basic at value ~0
 
     # phase 2

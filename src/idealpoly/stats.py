@@ -5,6 +5,7 @@ independent and order-insensitive; moments are reduced with numpy's pairwise
 summation.  Everything here is bit-reproducible for a fixed seed.
 """
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -170,7 +171,14 @@ def fit_beta(sample):
     except FitDiverged:
         a, b = alpha0, beta0
         method = "moments"
-    ks = _ks_statistic(x, a, b)
+    try:
+        ks = _ks_statistic(x, a, b)
+    except (ValueError, OverflowError) as exc:
+        # A near-constant sample starts the fit at alpha ~ 1e13 or more, where
+        # the incomplete beta's prefactor overflows or its fraction diverges.
+        raise FitDiverged(
+            f"KS statistic failed at alpha={a:g}, beta={b:g}: {exc}"
+        ) from exc
     p = specfun.kolmogorov_tail(math.sqrt(len(x)) * ks)
     return BetaFit(
         alpha=float(a),
@@ -232,8 +240,17 @@ class SearchResult:
     best_triangulation: object
     best_angles: object  # AngleAssignment at the best type's optimum
     best_result: object  # full OptResult
-    per_trial: tuple  # (trial, volume, type key digest) per trial
+    per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
+
+
+def type_hash(key):
+    """First 32 bits of the sha256 of a canonical form's repr, as an int.
+
+    Stable across processes and Python versions, unlike the built-in
+    ``hash`` of a tuple.
+    """
+    return int.from_bytes(hashlib.sha256(repr(key).encode()).digest()[:4], "big")
 
 
 def search_max_volume(n, trials, seed=0):
@@ -258,12 +275,12 @@ def search_max_volume(n, trials, seed=0):
         if key not in memo:
             start = geom.euclidean_angles(pt).reshape(-1)
             result = optvol.maximize_volume(link, start=start)
-            memo[key] = (t, result)
-        t_stored, result = memo[key]
-        per_trial.append((trial, result.volume, hash(key) & 0xFFFFFFFF))
+            memo[key] = (t, result, type_hash(key))
+        _, result, key_hash = memo[key]
+        per_trial.append((trial, result.volume, key_hash))
         if best_key is None or result.volume > memo[best_key][1].volume:
             best_key = key
-    best_t, best_res = memo[best_key]
+    best_t, best_res, _ = memo[best_key]
     return SearchResult(
         n=n,
         trials=trials,

@@ -99,6 +99,23 @@ def test_fit_zero_variance_sample(tmp_path, capsys):
     check_schema(payload, "error.schema.json")
 
 
+@pytest.mark.parametrize(
+    "values", [["0.1"] * 19 + ["0.1000001"], ["0.5"] * 19 + ["0.5000000001"]]
+)
+def test_fit_near_constant_sample(tmp_path, capsys, values):
+    path = tmp_path / "near.csv"
+    path.write_text(
+        "# idealpoly-sample n=4 count=20 seed=0 vmax=1\nvolume\n" + "\n".join(values) + "\n"
+    )
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "FIT_DIVERGED"
+    assert payload["message"].startswith("KS statistic failed")
+    check_schema(payload, "error.schema.json")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_fit_rejects_non_finite_volume(tmp_path, capsys, bad):
     lines = ["0.2", "0.4", bad, "0.6"] + ["0.3"] * 10

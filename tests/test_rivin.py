@@ -152,10 +152,10 @@ def test_grid_oracle_agreement_low_dimension():
     assert checked >= 9
 
 
-def test_simplex_against_scipy():
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def random_lps():
+    """60 small random LPs as (c, A_eq, b_eq, A_ub, b_ub)."""
     rng = np.random.default_rng(8)
-    agreements = 0
+    lps = []
     for _ in range(60):
         n = int(rng.integers(2, 6))
         m_ub = int(rng.integers(1, 5))
@@ -165,6 +165,14 @@ def test_simplex_against_scipy():
         b_ub = rng.uniform(0.5, 2.0, m_ub)
         A_eq = rng.standard_normal((m_eq, n)) if m_eq else None
         b_eq = rng.uniform(0.1, 1.0, m_eq) if m_eq else None
+        lps.append((c, A_eq, b_eq, A_ub, b_ub))
+    return lps
+
+
+def test_simplex_against_scipy():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    agreements = 0
+    for c, A_eq, b_eq, A_ub, b_ub in random_lps():
         ours = simplex.solve(c, A_eq, b_eq, A_ub, b_ub)
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
@@ -189,3 +197,156 @@ def test_random_interior_points_are_interior():
             min_slack, eq_res = rivin.witness_slacks(res.system, theta)
             assert min_slack > 0
             assert eq_res < 1e-8
+
+
+# -- the scalar simplex loops, kept as the bitwise reference -----------------
+
+
+def _scalar_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def _scalar_simplex_iterate(T, basis, ncols):
+    pivots = 0
+    while True:
+        col = -1
+        for j in range(ncols):  # Bland: first improving column
+            if T[-1, j] < -simplex._TOL:
+                col = j
+                break
+        if col < 0:
+            return
+        row = -1
+        best = np.inf
+        for r in range(T.shape[0] - 1):
+            a = T[r, col]
+            if a > simplex._PIVOT_TOL:
+                ratio = T[r, -1] / a
+                if ratio < best - 1e-12 or (
+                    ratio < best + 1e-12 and (row < 0 or basis[r] < basis[row])
+                ):
+                    best = ratio
+                    row = r
+        if row < 0:
+            raise simplex._Unbounded()
+        simplex._pivot(T, basis, row, col)
+        pivots += 1
+        if pivots > simplex.MAX_PIVOTS:
+            raise simplex.NumericalFailure("simplex pivot cap exceeded")
+
+
+ARRAY_SIMPLEX = (simplex._pivot, simplex._simplex_iterate)
+SCALAR_SIMPLEX = (_scalar_pivot, _scalar_simplex_iterate)
+
+
+def solve_counting(loops, args, kwargs):
+    """simplex.solve run with the given (pivot, iterate) pair, and its pivot count."""
+    pivot, iterate = loops
+    count = 0
+
+    def counted(T, basis, row, col):
+        nonlocal count
+        count += 1
+        pivot(T, basis, row, col)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", counted)
+        mp.setattr(simplex, "_simplex_iterate", iterate)
+        res = simplex.solve(*args, **kwargs)
+    return res, count
+
+
+def recorded_lps(run):
+    """The (args, kwargs) of every simplex.solve call that run() makes."""
+    lps = []
+    solve = simplex.solve
+
+    def record(*args, **kwargs):
+        lps.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "solve", record)
+        run()
+    return lps
+
+
+def corpus_systems(epsilons):
+    for n in (4, 5, 6, 7, 8):
+        for t in corpus.all_types(n):
+            link = triang.build_link(t, triang.choose_apex(t))
+            for eps in epsilons:
+                yield rivin.assemble_constraints(link, eps)
+
+
+def test_array_simplex_matches_scalar_loops_bitwise():
+    def check_feasible_everywhere():
+        for system in corpus_systems((1e-6, 0.3, 1.1)):
+            rivin.check_feasible(system)
+
+    lps = [(lp, {}) for lp in random_lps()] + recorded_lps(check_feasible_everywhere)
+    statuses = set()
+    for args, kwargs in lps:
+        ref, ref_pivots = solve_counting(SCALAR_SIMPLEX, args, kwargs)
+        res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
+        assert res.status == ref.status
+        assert pivots == ref_pivots
+        assert res.phase1_objective == ref.phase1_objective
+        assert res.objective == ref.objective
+        if ref.x is None:
+            assert res.x is None
+        else:
+            assert res.x.tobytes() == ref.x.tobytes()
+        statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# -- the two-LP check_feasible, kept as the reference for the compact LP -----
+
+
+def two_lp_check_feasible(system):
+    """Zero-objective feasibility LP, then a centering LP with explicit
+    lower-bound rows t - y_c <= 0."""
+    A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system)
+    n = system.n_vars
+    res = simplex.solve(np.zeros(n), A_eq, b_eq, A_ub, b_ub)
+    if res.status == "infeasible":
+        return rivin.FeasibilityResult(False, None, float(res.phase1_objective), float("nan"))
+    assert res.status == "optimal"
+    m_ub = A_ub.shape[0]
+    A_eq2 = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
+    rows = []
+    rhs = []
+    if m_ub:
+        rows.append(np.hstack([A_ub, np.ones((m_ub, 1))]))
+        rhs.append(b_ub)
+    rows.append(np.hstack([-np.eye(n), np.ones((n, 1))]))
+    rhs.append(np.zeros(n))
+    c2 = np.zeros(n + 1)
+    c2[-1] = 1.0
+    res2 = simplex.solve(c2, A_eq2, b_eq, np.vstack(rows), np.concatenate(rhs), maximize=True)
+    assert res2.status == "optimal"
+    t = float(res2.x[-1])
+    return rivin.FeasibilityResult(True, res2.x[:n] + system.epsilon, 0.0, t)
+
+
+def test_compact_check_feasible_matches_two_lp_version():
+    verdicts = set()
+    for system in corpus_systems((1e-6, 0.3, 1.1)):
+        ref = two_lp_check_feasible(system)
+        res = rivin.check_feasible(system)
+        assert res.feasible == ref.feasible
+        verdicts.add(res.feasible)
+        if res.feasible:
+            assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
+            min_slack, eq_res = rivin.witness_slacks(system, res.witness)
+            assert min_slack >= res.min_slack - 1e-12
+            assert eq_res < 1e-9
+        else:
+            assert res.witness is None
+            assert res.certificate == pytest.approx(ref.certificate, rel=1e-12)
+    assert verdicts == {True, False}

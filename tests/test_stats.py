@@ -95,6 +95,20 @@ def test_fit_beta_zero_variance(value):
         stats.fit_beta(sample)
 
 
+# Near-constant samples that are not all equal: the moment start is
+# alpha ~ 1e13 (first) or ~ 1e20 (second), where the KS CDF fails.
+NEAR_CONSTANT = [[0.1] * 19 + [0.1000001], [0.5] * 19 + [0.5000000001]]
+
+
+@pytest.mark.parametrize("values", NEAR_CONSTANT)
+def test_fit_beta_near_constant_sample_diverges(values):
+    sample = stats.VolumeSample(
+        n=4, volumes=np.array(values), seed=0, vmax=1.0, vmax_mode="given"
+    )
+    with pytest.raises(FitDiverged, match="KS statistic failed"):
+        stats.fit_beta(sample)
+
+
 def test_fit_beta_clamps_at_one():
     rng = np.random.default_rng(20)
     x = np.concatenate([rng.beta(2, 3, 1000), [1.0, 1.0000001]])
@@ -175,6 +189,14 @@ def test_search_n6_hits_octahedron():
     vols = sorted({round(v, 9) for _, v, _ in r.per_trial})
     if len(vols) == 2:
         assert vols[0] == pytest.approx(3 * 1.0149416064096537, abs=1e-6)
+
+
+def test_type_hash_is_pinned_and_reported_per_trial():
+    key = triang.canonical_form(triang.octahedron())
+    assert f"{stats.type_hash(key):08x}" == "871cfe39"
+    r = stats.search_max_volume(6, 3, seed=0)
+    best = stats.type_hash(triang.canonical_form(r.best_triangulation))
+    assert best in {h for _, _, h in r.per_trial}
 
 
 def test_normalized_volumes_bounded_with_search_vmax():
