@@ -6,5 +6,3 @@ random configuration volumes.
 """
 
 __version__ = "0.1.0"
-
-from ._kernels import BACKEND as kernel_backend  # noqa: F401

@@ -1,31 +1,14 @@
-"""Kernel backend selection.
+"""Numerical kernels: Lobachevsky sums, planar Delaunay, corner angles and
+configuration volumes, implemented in ``_pure``."""
 
-The compiled extension (``_core``, built from Cython) is preferred when
-importable; otherwise the pure-Python twin (``_pure``) is used.  Set
-``IDEALPOLY_PURE_KERNELS=1`` to force the fallback.  Both backends implement
-identical algorithms and produce bit-identical results.
-"""
+from ._pure import (  # noqa: F401
+    config_volume,
+    delaunay_triangles,
+    incircle_det,
+    lobachevsky,
+    lobachevsky_sum,
+    orient2d,
+    triangle_angles,
+)
 
-import os
-
-if os.environ.get("IDEALPOLY_PURE_KERNELS") == "1":
-    from . import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pure as _impl
-
-        BACKEND = "pure"
-
-lobachevsky = _impl.lobachevsky
-lobachevsky_sum = _impl.lobachevsky_sum
-orient2d = _impl.orient2d
-incircle_det = _impl.incircle_det
-delaunay_triangles = _impl.delaunay_triangles
-triangle_angles = _impl.triangle_angles
-config_volume = _impl.config_volume
+BACKEND = "pure"

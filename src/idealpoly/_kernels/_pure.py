@@ -1,9 +1,12 @@
-"""Pure-Python kernels: Lobachevsky function, planar Delaunay, angle/volume.
+"""Kernels: Lobachevsky function, planar Delaunay, angle/volume.
 
-This module is the reference implementation of the hot loops.  A compiled
-twin (``_core``) implements the same algorithms step for step; the two are
-kept bit-identical (same operation order, same libm calls), which the test
-suite checks whenever the extension is available.
+The hot loops of the package, written in plain Python over floats and lists.
+The Lobachevsky function is evaluated from the logarithmic singularity
+extraction
+
+    L(x) = x*(1 - log(2x)) + x * sum_{k>=1} c_k * (x/pi)^(2k),   0 < x <= pi/2
+
+with c_k = zeta(2k) / (k*(2k+1)), truncated at ``N_TERMS`` terms.
 
 Geometric tolerances are absolute and intended for coordinates of order
 1..1e3 in generic position (which is what stereographic projection of
@@ -12,7 +15,25 @@ non-degenerate sphere samples produces).
 
 import math
 
-from ._lobtable import LOB_COEFFS
+N_TERMS = 48
+
+
+def _zeta_even(s):
+    # Direct sum plus Euler-Maclaurin tail; s >= 2 gives ~1e-16 accuracy.
+    total = 0.0
+    for k in range(1, 100):
+        total += float(k) ** (-s)
+    big = 100.0
+    total += big ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * big ** (-s)
+    total += s * big ** (-s - 1.0) / 12.0
+    total -= s * (s + 1.0) * (s + 2.0) * big ** (-s - 3.0) / 720.0
+    return total
+
+
+LOB_COEFFS = tuple(
+    _zeta_even(2.0 * k) / (k * (2.0 * k + 1.0)) for k in range(1, N_TERMS + 1)
+)
 
 PI = math.pi
 HALF_PI = 0.5 * math.pi

@@ -122,8 +122,8 @@ class PlanarTriangulation:
 def delaunay(config):
     """Delaunay triangulation of the finite points.
 
-    Incremental insertion with Lawson flips (in the selected kernel backend);
-    cocircular ties are resolved deterministically by insertion order.
+    Incremental insertion with Lawson flips; cocircular ties are resolved
+    deterministically by insertion order.
     """
     xs = [w.real for w in config.finite]
     ys = [w.imag for w in config.finite]

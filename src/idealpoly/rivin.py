@@ -105,7 +105,7 @@ def assemble_constraints(link, epsilon=DEFAULT_EPSILON):
 class FeasibilityResult:
     feasible: bool
     witness: object  # flat ndarray of corner angles, or None
-    certificate: float  # phase-1 objective when infeasible
+    certificate: float  # phase-1 objective (or -t > 0) when infeasible
     min_slack: float  # centered minimum slack when feasible
 
 
@@ -128,6 +128,11 @@ def check_feasible(system):
     and ``min_slack`` is the optimal t.  When the system is infeasible, the
     LP's phase-1 optimum is the certificate; it equals the plain system's,
     because t = 0 recovers that system and t > 0 only tightens it.
+
+    Phase 1 accepts a residual up to the simplex tolerance, so a system that
+    is empty only by rounding can reach phase 2 with an optimal t < 0: no
+    point makes every slack non-negative.  That is reported infeasible, with
+    certificate -t > 0 and ``min_slack`` nan.
     """
     A_eq, b_eq, A_ub, b_ub = _standard_form(system)
     n = system.n_vars
@@ -146,6 +151,10 @@ def check_feasible(system):
     if res.status != "optimal":
         raise NumericalFailure(f"centering LP status {res.status}")
     t = float(res.x[-1])
+    if t < 0.0:
+        return FeasibilityResult(
+            feasible=False, witness=None, certificate=-t, min_slack=float("nan")
+        )
     witness = res.x[:n] + t + system.epsilon
     return FeasibilityResult(
         feasible=True, witness=witness, certificate=0.0, min_slack=t

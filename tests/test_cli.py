@@ -72,6 +72,21 @@ def test_check_not_realizable_exit_code(tmp_path, capsys):
     check_schema(data, "check.schema.json")
 
 
+def test_check_and_optimize_empty_by_rounding(tmp_path, capsys):
+    # two ulps above pi/3: 3 * eps > pi, so the relaxed system is empty
+    path = write(tmp_path, "tetra.json", TETRA)
+    code, out, _ = run_cli(["check", "--eps", "1.047197551196598", path], capsys)
+    assert code == 2
+    data = json.loads(out)
+    assert data["realizable"] is False
+    assert data["certificate"] > 0
+    check_schema(data, "check.schema.json")
+    code, out, err = run_cli(["optimize", "--eps", "1.047197551196598", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "NOT_REALIZABLE"
+
+
 def test_check_invalid_input(tmp_path, capsys):
     path = write(tmp_path, "broken.json", {"n": 4, "faces": [[0, 1, 2]]})
     code, out, err = run_cli(["check", path], capsys)

@@ -80,6 +80,30 @@ def test_huge_epsilon_infeasible():
     assert res.certificate > 0.1
 
 
+def _ulps_from_pi_over_3(k):
+    eps = math.pi / 3
+    for _ in range(abs(k)):
+        eps = math.nextafter(eps, math.inf if k > 0 else -math.inf)
+    return eps
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
+@pytest.mark.parametrize("make", [triang.tetrahedron, triang.bipyramid])
+def test_empty_by_rounding_is_infeasible(make, k):
+    # for k > 0, 3 * epsilon > pi: no corner assignment meets a triangle row
+    # with every corner >= epsilon.  Phase 1 passes the system within its
+    # tolerance, and the optimal t comes out negative.
+    res = rivin.is_realizable(make(), epsilon=_ulps_from_pi_over_3(k))
+    feas = rivin.check_feasible(res.system)
+    assert res.realizable == feas.feasible == (k <= 0)
+    if k <= 0:
+        assert feas.min_slack >= 0.0
+    else:
+        assert res.witness is None
+        assert feas.certificate > 0.0
+        assert math.isnan(feas.min_slack)
+
+
 def test_epsilon_monotonicity():
     for t in corpus.all_types(6) + corpus.all_types(7):
         link = triang.build_link(t, triang.choose_apex(t))
