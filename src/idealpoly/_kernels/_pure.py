@@ -13,6 +13,7 @@ Geometric tolerances are absolute and intended for coordinates of order
 non-degenerate sphere samples produces).
 """
 
+import itertools
 import math
 
 N_TERMS = 48
@@ -96,16 +97,6 @@ def incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
     )
 
 
-def _edge_map(tris):
-    # undirected edge -> list of triangle indices
-    emap = {}
-    for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            emap.setdefault(key, []).append(t)
-    return emap
-
-
 def delaunay_triangles(xs, ys):
     """Delaunay triangulation by incremental insertion with Lawson flips.
 
@@ -117,7 +108,14 @@ def delaunay_triangles(xs, ys):
     treated as legal, so the diagonal chosen is the one produced by insertion
     in index order: deterministic for a fixed input.
 
-    Raises ValueError("duplicate points") / ValueError("collinear points").
+    Triangles are kept in creation order, and every directed edge u -> v maps
+    to the triangle that holds it (Guibas & Stolfi 1985), so a flip finds its
+    neighbour and the hull its unpaired edges without rebuilding anything.
+
+    Raises ValueError for fewer than 3, duplicate or collinear points, and
+    for degenerate geometry: a point that lies in no triangle and sees no
+    hull edge, overlapping triangles, a hull that is not a simple cycle, or
+    more than 8 m^2 + 64 flips.
     """
     m = len(xs)
     if m < 3:
@@ -137,129 +135,110 @@ def delaunay_triangles(xs, ys):
     if first < 0:
         raise ValueError("collinear points")
 
+    tris = {}  # id -> (a, b, c); ids increase, so iteration is creation order
+    owner = {}  # directed edge u * m + v -> id of the triangle holding it
+    ids = itertools.count()
+
+    def add(a, b, c):
+        t = next(ids)
+        tris[t] = (a, b, c)
+        owner[a * m + b] = owner[b * m + c] = owner[c * m + a] = t
+        if len(owner) != 3 * len(tris):  # a directed edge held twice
+            raise ValueError("overlapping triangles (degenerate geometry)")
+
+    def remove(t):
+        a, b, c = tris.pop(t)
+        del owner[a * m + b], owner[b * m + c], owner[c * m + a]
+
+    def rotated(t, u):
+        # triangle t rotated to start at its vertex u
+        a, b, c = tris[t]
+        return (a, b, c) if a == u else (b, c, a) if b == u else (c, a, b)
+
+    def hull_cycle():
+        # successor along every unpaired directed edge, read in creation order
+        succ = {}
+        for a, b, c in tris.values():
+            for u, v in ((a, b), (b, c), (c, a)):
+                if v * m + u not in owner:
+                    succ[u] = v
+        cyc = [min(succ)]
+        while succ[cyc[-1]] != cyc[0]:
+            if len(cyc) == len(succ):
+                raise ValueError("hull is not a simple cycle (degenerate geometry)")
+            cyc.append(succ[cyc[-1]])
+        return cyc
+
     if orient2d(xs[0], ys[0], xs[1], ys[1], xs[first], ys[first]) > 0.0:
-        tris = [(0, 1, first)]
+        add(0, 1, first)
     else:
-        tris = [(1, 0, first)]
+        add(1, 0, first)
 
     max_flips = 8 * m * m + 64
     flips = 0
-
-    def legalize(stack):
-        nonlocal flips
+    for p in (j for j in range(2, m) if j != first):
+        px = xs[p]
+        py = ys[p]
+        hit = None
+        # first triangle, in creation order, with no orientation below -GEOM_TOL
+        for t, (a, b, c) in tris.items():
+            o1 = orient2d(xs[a], ys[a], xs[b], ys[b], px, py)
+            if o1 >= -GEOM_TOL:
+                o2 = orient2d(xs[b], ys[b], xs[c], ys[c], px, py)
+                if o2 >= -GEOM_TOL:
+                    o3 = orient2d(xs[c], ys[c], xs[a], ys[a], px, py)
+                    if o3 >= -GEOM_TOL:
+                        hit = t
+                        break
+        stack = []
+        if hit is None:
+            # outside the hull: attach to every strictly visible hull edge
+            cyc = hull_cycle()
+            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                if orient2d(xs[u], ys[u], xs[v], ys[v], px, py) < -GEOM_TOL:
+                    add(v, u, p)
+                    stack.append((u, v))
+            if not stack:
+                raise ValueError("point insertion failed (degenerate geometry)")
+        elif o1 > GEOM_TOL and o2 > GEOM_TOL and o3 > GEOM_TOL:
+            remove(hit)
+            add(a, b, p)
+            add(b, c, p)
+            add(c, a, p)
+            stack = [(a, b), (b, c), (c, a)]
+        else:
+            # on (or numerically on) an edge (u, v): split its owners, newer first
+            u, v = (a, b) if abs(o1) <= GEOM_TOL else (b, c) if abs(o2) <= GEOM_TOL else (c, a)
+            owners = [(owner.get(u * m + v), u), (owner.get(v * m + u), v)]
+            for t, w in sorted((o for o in owners if o[0] is not None), reverse=True):
+                ta, tb, tc = rotated(t, w)
+                remove(t)
+                add(ta, p, tc)
+                add(p, tb, tc)
+                stack.extend([(ta, tc), (tb, tc)])
+        # Lawson flips; the older owner of a popped edge plays abc, (a, b) shared
         while stack:
             u, v = stack.pop()
-            key = (u, v) if u < v else (v, u)
-            emap = _edge_map(tris)
-            owners = emap.get(key)
-            if owners is None or len(owners) != 2:
+            t1 = owner.get(u * m + v)
+            t2 = owner.get(v * m + u)
+            if t1 is None or t2 is None:
                 continue
-            t1, t2 = owners
-            a, b, c = tris[t1]
-            # rotate t1 so the shared edge is (a, b)
-            for _ in range(3):
-                if {a, b} == set(key):
-                    break
-                a, b, c = b, c, a
-            d = [w for w in tris[t2] if w not in key][0]
+            if t1 > t2:
+                t1, t2, u = t2, t1, v
+            a, b, c = rotated(t1, u)
+            d = rotated(t2, b)[2]
             if incircle_det(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d]) > GEOM_TOL:
                 flips += 1
                 if flips > max_flips:
                     raise ValueError("flip limit exceeded")
-                for t in sorted(owners, reverse=True):
-                    del tris[t]
-                tris.append((a, d, c))
-                tris.append((d, b, c))
+                remove(t1)
+                remove(t2)
+                add(a, d, c)
+                add(d, b, c)
                 stack.extend([(a, d), (d, b), (b, c), (c, a)])
 
-    def hull_cycle():
-        emap = _edge_map(tris)
-        succ = {}
-        for a, b, c in tris:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                if len(emap[key]) == 1:
-                    succ[u] = v
-        start = min(succ)
-        cyc = [start]
-        w = succ[start]
-        while w != start:
-            cyc.append(w)
-            w = succ[w]
-        return cyc
-
-    order = [j for j in range(2, m) if j != first]
-    for p in order:
-        px = xs[p]
-        py = ys[p]
-        placed = False
-        on_edge = None
-        for t, (a, b, c) in enumerate(tris):
-            o1 = orient2d(xs[a], ys[a], xs[b], ys[b], px, py)
-            o2 = orient2d(xs[b], ys[b], xs[c], ys[c], px, py)
-            o3 = orient2d(xs[c], ys[c], xs[a], ys[a], px, py)
-            if o1 > GEOM_TOL and o2 > GEOM_TOL and o3 > GEOM_TOL:
-                del tris[t]
-                tris.append((a, b, p))
-                tris.append((b, c, p))
-                tris.append((c, a, p))
-                legalize([(a, b), (b, c), (c, a)])
-                placed = True
-                break
-            if o1 >= -GEOM_TOL and o2 >= -GEOM_TOL and o3 >= -GEOM_TOL:
-                # on (or numerically on) one edge of this triangle
-                if abs(o1) <= GEOM_TOL:
-                    on_edge = (a, b, c)
-                elif abs(o2) <= GEOM_TOL:
-                    on_edge = (b, c, a)
-                else:
-                    on_edge = (c, a, b)
-                break
-        if placed:
-            continue
-        if on_edge is not None:
-            a, b, c = on_edge  # p sits on edge (a, b); c is the far corner
-            key = (a, b) if a < b else (b, a)
-            emap = _edge_map(tris)
-            owners = emap[key]
-            stack = []
-            for t in sorted(owners, reverse=True):
-                ta, tb, tc = tris[t]
-                for _ in range(3):
-                    if {ta, tb} == set(key):
-                        break
-                    ta, tb, tc = tb, tc, ta
-                del tris[t]
-                tris.append((ta, p, tc))
-                tris.append((p, tb, tc))
-                stack.extend([(ta, tc), (tb, tc)])
-            legalize(stack)
-            continue
-        # outside the hull: attach to every strictly visible hull edge
-        cyc = hull_cycle()
-        k = len(cyc)
-        stack = []
-        added = False
-        for i in range(k):
-            u = cyc[i]
-            v = cyc[(i + 1) % k]
-            if orient2d(xs[u], ys[u], xs[v], ys[v], px, py) < -GEOM_TOL:
-                tris.append((v, u, p))
-                stack.append((u, v))
-                added = True
-        if not added:
-            raise ValueError("point insertion failed (degenerate geometry)")
-        legalize(stack)
-
-    canon = []
-    for a, b, c in tris:
-        if a < b and a < c:
-            canon.append((a, b, c))
-        elif b < c and b < a:
-            canon.append((b, c, a))
-        else:
-            canon.append((c, a, b))
-    canon.sort()
+    # each triangle rotated to start at its smallest vertex
+    canon = sorted(min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in tris.values())
     return canon, hull_cycle()
 
 

@@ -7,7 +7,6 @@ summation.  Everything here is bit-reproducible for a fixed seed.
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +71,9 @@ def sample_volumes(n, count, seed=0, vmax=None, vmax_mode="table", threads=1):
         vmax_mode = "given"
     args = [(n, seed, i) for i in range(count)]
     if threads > 1:
+        # imported here: it pulls in multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             volumes = np.fromiter(
                 pool.map(_volume_for_trial, args, chunksize=64),

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import idealpoly
 from idealpoly import oracles, stats, triang
 from idealpoly.errors import FitDiverged
 
@@ -23,6 +28,20 @@ def test_sample_volumes_deterministic_and_thread_invariant():
     assert np.array_equal(a.volumes, b.volumes)
     c = stats.sample_volumes(6, 64, seed=9, threads=2)
     assert np.array_equal(a.volumes, c.volumes)
+
+
+def test_import_leaves_out_multiprocessing():
+    # The process pool of sample_volumes(threads > 1) is imported on use, so
+    # every other command skips multiprocessing, socket and logging. The child
+    # gets the directory holding the imported package first on its path, so it
+    # imports the same package from a checkout or an install.
+    pkg_parent = os.path.dirname(os.path.dirname(idealpoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    code = "import sys, idealpoly.stats; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_fit_beta_uniform():
