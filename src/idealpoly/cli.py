@@ -21,11 +21,6 @@ from . import __version__, _kernels, geom, optvol, rivin, stats, svgplot, triang
 from .errors import IdealPolyError, InputError, InputNotFound
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 class Run:
     def __init__(self, args, argv):
         self.args = args
@@ -89,15 +84,21 @@ def load_triangulation(run, path):
 
 def load_configuration(run, path):
     data = run.read_json(path)
-    if not isinstance(data, dict) or "points" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise InputError(f'{path}: expected {{"points": [...]}}')
     finite = []
     inf_seen = 0
     for item in data["points"]:
         if item == "inf":
             inf_seen += 1
-        else:
+        elif (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(c, (int, float)) for c in item)
+        ):
             finite.append(complex(item[0], item[1]))
+        else:
+            raise InputError(f'{path}: point {item!r} is neither [x, y] nor "inf"')
     if inf_seen != 1:
         raise InputError(f'{path}: exactly one point must be "inf"')
     return geom.make_configuration(finite)
@@ -304,21 +305,23 @@ def cmd_fit(run):
     return 0
 
 
+_FIT_FIELDS = (
+    "alpha", "beta", "mean", "std", "ks_stat", "p_value", "n", "count", "vmax"
+)
+
+
 def cmd_scaling(run):
     fits = []
     for path in run.args.fits:
         data = run.read_json(path)
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: expected fit output JSON")
+        missing = [k for k in _FIT_FIELDS if k not in data]
+        if missing:
+            raise InputError(f"{path}: fit JSON lacks {', '.join(missing)}")
         fits.append(
             stats.BetaFit(
-                alpha=data["alpha"],
-                beta=data["beta"],
-                mean=data["mean"],
-                std=data["std"],
-                ks_stat=data["ks_stat"],
-                p_value=data["p_value"],
-                n=data["n"],
-                count=data["count"],
-                vmax=data["vmax"],
+                **{k: data[k] for k in _FIT_FIELDS},
                 clamped=data.get("clamped", 0),
                 method=data.get("method", "mle"),
             )

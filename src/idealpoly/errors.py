@@ -32,10 +32,6 @@ class InvalidVertex(IdealPolyError):
     code = "INVALID_VERTEX"
 
 
-class PoleAtMultipleOfPi(IdealPolyError):
-    code = "POLE_AT_MULTIPLE_OF_PI"
-
-
 class InputError(IdealPolyError):
     code = "INPUT_ERROR"
 

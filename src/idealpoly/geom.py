@@ -178,13 +178,6 @@ def config_volume(config):
         raise DegenerateSample(str(exc)) from exc
 
 
-def angle_assignment(pt, link):
-    """AngleAssignment view of a planar triangulation's Euclidean angles."""
-    from .optvol import AngleAssignment
-
-    return AngleAssignment(link=link, values=euclidean_angles(pt))
-
-
 @dataclass(frozen=True)
 class LayoutResult:
     positions: dict  # parent vertex id -> complex position

@@ -36,9 +36,6 @@ class AngleAssignment:
     def flat(self):
         return np.asarray(self.values, dtype=float).reshape(-1)
 
-    def corner(self, f, s):
-        return float(self.values[f][s])
-
 
 def volume(angles):
     """Hyperbolic volume: the Lobachevsky sum over all corners."""
@@ -48,9 +45,33 @@ def volume(angles):
     return _kernels.lobachevsky_sum(flat.tolist())
 
 
+# Degenerate optima may pin corners to 0 (a collapsing link triangle, which
+# contributes zero volume in the limit).  The null basis of the pinned system
+# has no component along such coordinates, so the derivatives of corners
+# within _PINNED of 0 or pi are masked to 0 rather than evaluated.
+_PINNED = 1e-12
+
+
 def volume_gradient(flat_angles):
-    """d(volume)/d(corner) = -log|2 sin theta| per corner."""
-    return np.array([specfun.lobachevsky_deriv(t) for t in flat_angles])
+    """d(volume)/d(corner) = -log|2 sin theta| per corner, 0 where pinned.
+
+    The log is libm's, not numpy's: the two differ in the last bit on some
+    points.
+    """
+    theta = np.asarray(flat_angles, dtype=float)
+    out = np.zeros_like(theta)
+    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
+    x = 2.0 * np.abs(np.sin(theta[free]))
+    out[free] = -np.fromiter(map(math.log, x.tolist()), float, len(x))
+    return out
+
+
+def _hessian_diag(theta):
+    """d2(volume)/d(corner)2 = -cot theta per corner, 0 where pinned."""
+    out = np.zeros_like(theta)
+    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
+    out[free] = -np.cos(theta[free]) / np.sin(theta[free])
+    return out
 
 
 def _volume_flat(flat_angles):
@@ -159,31 +180,28 @@ class OptResult:
     newton_iterations: int
 
 
-def _constraint_data(link):
-    """Equality matrix and true (epsilon = 0) inequality rows for a link."""
-    system = rivin.assemble_constraints(link, rivin.DEFAULT_EPSILON)
+def _constraint_data(system):
+    """Equality matrix and true (epsilon = 0) inequality rows of a system.
+
+    G stacks -I (corners >= 0) over the 0/1 inequality rows, whose right-hand
+    side is pi: the epsilon relaxation only serves the interior start.
+    """
     A_eq, b_eq = system.eq_matrix()
+    A_ub, _ = system.ub_matrix()
     m = system.n_vars
-    rows = [(-np.eye(m), np.zeros(m))]
+    G = np.vstack([-np.eye(m), A_ub])
+    h = np.concatenate([np.zeros(m), np.full(len(system.ub_rows), math.pi)])
     kinds = [("corner", (f, s)) for f in range(m // 3) for s in range(3)]
-    G_extra = np.zeros((len(system.ub_rows), m))
-    h_extra = np.zeros(len(system.ub_rows))
-    for i, (idx, _, kind, key) in enumerate(system.ub_rows):
-        G_extra[i, list(idx)] = 1.0
-        h_extra[i] = math.pi
-        kinds.append((kind, key))
-    G = np.vstack([rows[0][0], G_extra])
-    h = np.concatenate([rows[0][1], h_extra])
+    kinds += [(kind, key) for _, _, kind, key in system.ub_rows]
     return A_eq, b_eq, G, h, kinds
 
 
 def _null_space(A, m):
     if A.shape[0] == 0:
-        return np.eye(m), np.zeros(m)
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-    N = Vt[rank:].T
-    return N, rank
+        return np.eye(m)
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return Vt[rank:].T
 
 
 def _particular(A, b):
@@ -193,7 +211,7 @@ def _particular(A, b):
     return sol
 
 
-def _newton_max(theta_p, N, G, h, u, objective, grad_full, hess_diag, mu, tol, max_iter):
+def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks).
 
     A step is accepted on either the Armijo condition for phi or a decrease
@@ -203,12 +221,16 @@ def _newton_max(theta_p, N, G, h, u, objective, grad_full, hess_diag, mu, tol, m
     """
     GN = G @ N
 
+    def phi(theta, s):
+        barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
+        return _volume_flat(theta) + barrier
+
     def grad_at(uu):
         theta = theta_p + N @ uu
         s = h - G @ theta
         if not np.all(s > 0.0):
             return theta, s, None
-        g = N.T @ grad_full(theta)
+        g = N.T @ volume_gradient(theta)
         if mu > 0.0:
             g = g - mu * (GN.T @ (1.0 / s))
         return theta, s, g
@@ -219,7 +241,7 @@ def _newton_max(theta_p, N, G, h, u, objective, grad_full, hess_diag, mu, tol, m
         theta, s, g = grad_at(u)
         if g is None:
             raise LineSearchStall("current point is not strictly feasible")
-        H = (N.T * hess_diag(theta)) @ N
+        H = (N.T * _hessian_diag(theta)) @ N
         if mu > 0.0:
             H = H - mu * (GN.T * (1.0 / (s * s))) @ GN
         gnorm = float(np.linalg.norm(g))
@@ -229,7 +251,7 @@ def _newton_max(theta_p, N, G, h, u, objective, grad_full, hess_diag, mu, tol, m
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(-H, g, rcond=None)[0]
-        phi0 = objective(theta) + (mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0)
+        phi0 = phi(theta, s)
         slope = float(g @ step)
         if slope <= 0.0:  # not an ascent direction: H lost definiteness
             step = g
@@ -243,10 +265,7 @@ def _newton_max(theta_p, N, G, h, u, objective, grad_full, hess_diag, mu, tol, m
                 if float(np.linalg.norm(g_try)) <= (1.0 - 1e-4 * t) * gnorm:
                     accepted = True
                     break
-                phi_try = objective(theta_try) + (
-                    mu * float(np.sum(np.log(s_try))) if mu > 0.0 else 0.0
-                )
-                if phi_try >= phi0 + 1e-4 * t * slope:
+                if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
                     accepted = True
                     break
             t *= 0.5
@@ -267,11 +286,12 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     ``epsilon`` is used.  Raises InfeasibleStart when no interior start can
     be produced.
     """
-    A_eq, b_eq, G, h, kinds = _constraint_data(link)
-    m = link.n_corners
+    system = rivin.assemble_constraints(link, epsilon)
+    A_eq, b_eq, G, h, kinds = _constraint_data(system)
+    m = system.n_vars
 
     if start is None:
-        res = rivin.check_feasible(rivin.assemble_constraints(link, epsilon))
+        res = rivin.check_feasible(system)
         if not res.feasible or res.min_slack <= 0.0:
             raise InfeasibleStart(
                 f"no strictly interior point at epsilon={epsilon:g} "
@@ -287,27 +307,9 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
         if np.any(h - G @ theta0 <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    N, rank = _null_space(A_eq, m)
+    N = _null_space(A_eq, m)
     theta_p = _particular(A_eq, b_eq)
     u = N.T @ (theta0 - theta_p)
-
-    # Degenerate optima may pin corners to 0 (a collapsing link triangle,
-    # which contributes zero volume in the limit).  The null basis of the
-    # pinned system has no component along such coordinates, so their
-    # (divergent) gradient entries are masked out rather than evaluated.
-    def grad_full(theta):
-        out = np.zeros_like(theta)
-        for i, t in enumerate(theta):
-            if 1e-12 < t < math.pi - 1e-12:
-                out[i] = specfun.lobachevsky_deriv(t)
-        return out
-
-    def hess_diag(theta):
-        out = np.zeros_like(theta)
-        for i, t in enumerate(theta):
-            if 1e-12 < t < math.pi - 1e-12:
-                out[i] = -math.cos(t) / math.sin(t)
-        return out
 
     path_volumes = []
     total_iters = 0
@@ -316,9 +318,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
         vol_now = _volume_flat(theta_p + N @ u)
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
         try:
-            u, gnorm, iters = _newton_max(
-                theta_p, N, G, h, u, _volume_flat, grad_full, hess_diag, mu, tol, 200
-            )
+            u, gnorm, iters = _newton_max(theta_p, N, G, h, u, mu, tol, 200)
         except LineSearchStall:
             # parked against the boundary; the active-set polish finishes
             break
@@ -337,21 +337,18 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     N2 = N
     for _ in range(30):
         act = sorted(active)
-        if act:
-            A2 = np.vstack([A_eq, G[act]])
-            b2 = np.concatenate([b_eq, h[act]])
-        else:
-            A2, b2 = A_eq, b_eq
+        A2 = np.vstack([A_eq, G[act]])
+        b2 = np.concatenate([b_eq, h[act]])
         theta_p2 = _particular(A2, b2)
         if act and float(np.max(np.abs(A2 @ theta_p2 - b2))) > 1e-8:
             # pinned rows are mutually inconsistent: release the loosest
             loosest = max(act, key=lambda i: float(h[i] - G[i] @ theta))
             active.discard(loosest)
             continue
-        N2, _ = _null_space(A2, m)
+        N2 = _null_space(A2, m)
         inactive = np.array(sorted(set(range(G.shape[0])) - active), dtype=int)
-        G2 = G[inactive] if inactive.size else np.zeros((0, m))
-        h2 = h[inactive] if inactive.size else np.zeros(0)
+        G2 = G[inactive]
+        h2 = h[inactive]
         u2 = N2.T @ (theta - theta_p2)
         start = theta_p2 + N2 @ u2
         if inactive.size:
@@ -361,10 +358,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
                 active.add(int(inactive[j]))
                 continue
         try:
-            u2, gnorm, iters = _newton_max(
-                theta_p2, N2, G2, h2, u2, _volume_flat, grad_full, hess_diag,
-                0.0, 1e-12, 60,
-            )
+            u2, gnorm, iters = _newton_max(theta_p2, N2, G2, h2, u2, 0.0, 1e-12, 60)
         except LineSearchStall:
             # blocked by an inactive constraint: pin the tightest one
             th_try = theta_p2 + N2 @ u2
@@ -380,8 +374,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
                 active.add(int(inactive[j]))
                 continue
         if act:
-            stacked = np.vstack([A_eq, G[act]]).T
-            coef, *_ = np.linalg.lstsq(stacked, grad_full(theta), rcond=None)
+            coef, *_ = np.linalg.lstsq(A2.T, volume_gradient(theta), rcond=None)
             lam = coef[A_eq.shape[0]:]
             # corner rows pinned at zero have a divergent slope in theta_c
             # alone; their multiplier is meaningless, so they are kept
@@ -399,7 +392,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     else:
         raise NumericalFailure("active-set polish did not settle")
 
-    final_gnorm = float(np.linalg.norm(N2.T @ grad_full(theta)))
+    final_gnorm = float(np.linalg.norm(N2.T @ volume_gradient(theta)))
     vol = _volume_flat(theta)
 
     values = theta.reshape(-1, 3)

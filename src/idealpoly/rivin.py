@@ -36,7 +36,7 @@ class ConstraintSystem:
 
     ``eq_rows``/``ub_rows`` are (indices, rhs, kind, key) tuples; the epsilon
     relaxation is already folded into the right-hand sides.  Corner lower
-    bounds theta >= epsilon are kept implicit (``lower_bound``).
+    bounds theta >= epsilon are kept implicit.
     """
 
     link: object
@@ -45,25 +45,19 @@ class ConstraintSystem:
     eq_rows: tuple
     ub_rows: tuple
 
-    @property
-    def lower_bound(self):
-        return self.epsilon
+    def _matrix(self, rows):
+        A = np.zeros((len(rows), self.n_vars))
+        b = np.zeros(len(rows))
+        for i, (idx, rhs, _, _) in enumerate(rows):
+            A[i, list(idx)] = 1.0
+            b[i] = rhs
+        return A, b
 
     def eq_matrix(self):
-        A = np.zeros((len(self.eq_rows), self.n_vars))
-        b = np.zeros(len(self.eq_rows))
-        for i, (idx, rhs, _, _) in enumerate(self.eq_rows):
-            A[i, list(idx)] = 1.0
-            b[i] = rhs
-        return A, b
+        return self._matrix(self.eq_rows)
 
     def ub_matrix(self):
-        A = np.zeros((len(self.ub_rows), self.n_vars))
-        b = np.zeros(len(self.ub_rows))
-        for i, (idx, rhs, _, _) in enumerate(self.ub_rows):
-            A[i, list(idx)] = 1.0
-            b[i] = rhs
-        return A, b
+        return self._matrix(self.ub_rows)
 
 
 def flat(corner):

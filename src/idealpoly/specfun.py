@@ -1,5 +1,5 @@
-"""Special functions: Lobachevsky function and derivatives, regularized
-incomplete beta, digamma/trigamma, Kolmogorov distribution tail.
+"""Special functions: Lobachevsky function, regularized incomplete beta,
+digamma/trigamma, Kolmogorov distribution tail.
 
 All functions are deterministic pure functions with fixed truncation rules.
 The regularized incomplete beta takes a float or an array of points: an
@@ -13,28 +13,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import PoleAtMultipleOfPi
 
 lobachevsky = _kernels.lobachevsky
-
-
-def lobachevsky_deriv(theta):
-    """d/dtheta of the Lobachevsky function: -log|2 sin theta|."""
-    s = math.sin(theta)
-    if s == 0.0:
-        raise PoleAtMultipleOfPi(f"derivative diverges at theta={theta!r}")
-    return -math.log(2.0 * abs(s))
-
-def lobachevsky_second_deriv(theta):
-    """Second derivative -cot(theta) on (0, pi).
-
-    Changes sign at pi/2; the volume objective is nevertheless strictly
-    concave on the triangle-sum constraint surface, which is where the
-    optimizer uses this.
-    """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta={theta!r} outside (0, pi)")
-    return -math.cos(theta) / math.sin(theta)
 
 
 # Points per block of the array incomplete beta: the Lentz state of one

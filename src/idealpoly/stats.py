@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, optvol, specfun, triang
-from .errors import FitDiverged
+from .errors import FitDiverged, InputError
 
 # Known maximal volumes for 4 <= n <= 12, reproducible with the bundled
 # search driver (`idealpoly search --n N`); the n <= 8 entries are pinned by
@@ -59,14 +59,20 @@ def _volume_for_trial(args):
 def sample_volumes(n, count, seed=0, vmax=None, vmax_mode="table", threads=1):
     """Volumes of ``count`` independent random n-vertex configurations."""
     if n < 4 or count < 1:
-        raise ValueError("need n >= 4 and count >= 1")
+        raise InputError(f"need n >= 4 and count >= 1, got n={n}, count={count}")
     if vmax is None:
         if vmax_mode == "table":
+            if n not in KNOWN_MAX_VOLUME:
+                raise InputError(
+                    f"no tabulated maximal volume for n={n} (table covers "
+                    f"n = {min(KNOWN_MAX_VOLUME)}..{max(KNOWN_MAX_VOLUME)}); "
+                    "use --vmax search"
+                )
             vmax = KNOWN_MAX_VOLUME[n]
         elif vmax_mode == "search":
             vmax = search_max_volume(n, trials=100, seed=seed).best_volume
         else:
-            raise ValueError(f"unknown vmax mode {vmax_mode!r}")
+            raise InputError(f"unknown vmax mode {vmax_mode!r}")
     else:
         vmax_mode = "given"
     args = [(n, seed, i) for i in range(count)]
@@ -215,7 +221,7 @@ def _line_fit(xs, ys):
 def scaling_fit(fits):
     """Least-squares lines for alpha and beta against n, with per-n summary."""
     if len(fits) < 3 or len({f.n for f in fits}) < 3:
-        raise ValueError("need fits at >= 3 distinct n")
+        raise InputError("need fits at >= 3 distinct n")
     fits = sorted(fits, key=lambda f: f.n)
     ns = [f.n for f in fits]
     alpha_slope, alpha_intercept = _line_fit(ns, [f.alpha for f in fits])
@@ -265,7 +271,7 @@ def search_max_volume(n, trials, seed=0):
     optimized once.
     """
     if n < 4 or trials < 1:
-        raise ValueError("need n >= 4 and trials >= 1")
+        raise InputError(f"need n >= 4 and trials >= 1, got n={n}, trials={trials}")
     memo = {}
     per_trial = []
     best_key = None

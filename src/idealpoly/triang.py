@@ -54,7 +54,12 @@ def validate(n, faces):
         raise DegenerateFace(f"vertex count must be an integer >= 4, got {n!r}")
     clean = []
     for f in faces:
-        t = tuple(int(v) for v in f)
+        try:
+            t = tuple(int(v) for v in f)
+        except (TypeError, ValueError) as exc:
+            raise DegenerateFace(
+                f"face {f!r} is not a list of integer vertices"
+            ) from exc
         if len(t) != 3:
             raise DegenerateFace(f"face {f!r} is not a triangle")
         if len(set(t)) != 3:
@@ -139,9 +144,6 @@ class ApexLink:
     @property
     def n_corners(self):
         return 3 * len(self.bounded_faces)
-
-    def corner_vertex(self, f, s):
-        return self.bounded_faces[f][s]
 
 
 def build_link(t, apex):

@@ -145,6 +145,82 @@ def test_fit_rejects_non_finite_volume(tmp_path, capsys, bad):
     check_schema(payload, "error.schema.json")
 
 
+def error_line(err):
+    # exactly one JSON line on stderr, valid against the error schema
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    check_schema(payload, "error.schema.json")
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "3"],
+        ["sample", "--n", "6", "--count", "0"],
+        ["search", "--n", "3"],
+        ["search", "--n", "6", "--trials", "0"],
+    ],
+)
+def test_sample_and_search_reject_bad_sizes(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "INPUT_ERROR"
+
+
+def test_sample_without_tabulated_vmax_names_search(capsys):
+    code, out, err = run_cli(["sample", "--n", "13", "--count", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "--vmax search" in payload["message"]
+
+
+def test_scaling_fit_missing_key(tmp_path, capsys):
+    fit = {"n": 5, "alpha": 2.0, "mean": 0.5, "std": 0.1, "ks_stat": 0.01,
+           "p_value": 0.9, "count": 100, "vmax": 2.0}
+    paths = [write(tmp_path, f"f{i}.json", dict(fit, n=5 + i)) for i in range(3)]
+    code, out, err = run_cli(["scaling", *paths], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert payload["message"] == f"{paths[0]}: fit JSON lacks beta"
+
+
+def test_scaling_needs_three_sizes(tmp_path, capsys):
+    fit = {"n": 5, "alpha": 2.0, "beta": 3.0, "mean": 0.4, "std": 0.1,
+           "ks_stat": 0.01, "p_value": 0.9, "count": 100, "vmax": 2.0}
+    paths = [write(tmp_path, f"f{i}.json", fit) for i in range(3)]
+    code, out, err = run_cli(["scaling", *paths], capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "INPUT_ERROR"
+
+
+def test_export_config_malformed_point(tmp_path, capsys):
+    config = write(tmp_path, "config.json", {"points": [[0, 0], [1], [1, 1], "inf"]})
+    code, out, err = run_cli(["export", "--config", config], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "[1]" in payload["message"]
+
+
+def test_check_non_integer_vertex(tmp_path, capsys):
+    faces = [list(f) for f in TETRA["faces"]]
+    faces[0] = [0, 1, "x"]
+    path = write(tmp_path, "bad.json", {"n": 4, "faces": faces})
+    code, out, err = run_cli(["check", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "DEGENERATE_FACE"
+
+
 def test_optimize_octahedron(tmp_path, capsys):
     path = write(tmp_path, "octa.json", OCTA)
     code, out, _ = run_cli(["optimize", path], capsys)
@@ -189,7 +265,8 @@ def test_sample_fit_report_scaling_flow(tmp_path, capsys):
         )
         assert code == 0
         csv_paths[n] = csv
-    header = open(csv_paths[5]).readline()
+    with open(csv_paths[5]) as fh:
+        header = fh.readline()
     assert header.startswith("# idealpoly-sample n=5 count=120 seed=1")
 
     fit_paths = {}
@@ -197,7 +274,8 @@ def test_sample_fit_report_scaling_flow(tmp_path, capsys):
         out_path = str(tmp_path / f"f{n}.json")
         code, _, _ = run_cli(["fit", csv, "-o", out_path], capsys)
         assert code == 0
-        data = json.load(open(out_path))
+        with open(out_path) as fh:
+            data = json.load(fh)
         assert data["n"] == n
         check_schema(data, "fit.schema.json")
         fit_paths[n] = out_path
@@ -210,13 +288,15 @@ def test_sample_fit_report_scaling_flow(tmp_path, capsys):
     data = json.loads(out)
     assert len(data["rows"]) == 3
     check_schema(data, "scaling.schema.json")
-    svg = open(svg_path).read()
+    with open(svg_path) as fh:
+        svg = fh.read()
     assert svg.startswith("<svg") and "polyline" in svg
 
     report_path = str(tmp_path / "hist.svg")
     code, _, _ = run_cli(["report", csv_paths[6], "-o", report_path], capsys)
     assert code == 0
-    assert open(report_path).read().startswith("<svg")
+    with open(report_path) as fh:
+        assert fh.read().startswith("<svg")
 
 
 def test_sample_reproducible_bytes(tmp_path, capsys):
@@ -228,7 +308,8 @@ def test_sample_reproducible_bytes(tmp_path, capsys):
             capsys,
         )
         assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 def test_json_outputs_reproducible_modulo_manifest(tmp_path, capsys):

@@ -176,7 +176,7 @@ def test_duality_with_realizability_constraints():
         pt = geom.delaunay(cfg)
         t, link = geom.close_with_infinity(pt)
         th = geom.euclidean_angles(pt).reshape(-1)
-        A_eq, b_eq, G, h, _ = optvol._constraint_data(link)
+        A_eq, b_eq, G, h, _ = optvol._constraint_data(rivin.assemble_constraints(link))
         assert np.max(np.abs(A_eq @ th - b_eq)) < 1e-9
         assert np.min(h - G @ th) > 0
 

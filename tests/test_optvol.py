@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -112,6 +113,170 @@ def test_gradient_matches_finite_differences():
         dn[i] -= h
         fd = (optvol._volume_flat(up) - optvol._volume_flat(dn)) / (2 * h)
         assert abs(fd - g[i]) < 1e-6
+
+
+def _reference_lobachevsky_deriv(theta):
+    s = math.sin(theta)
+    return -math.log(2.0 * abs(s))
+
+
+def _reference_gradient(theta):
+    # the per-corner loop the optimizer used before its array gradient
+    out = np.zeros_like(theta)
+    for i, t in enumerate(theta):
+        if 1e-12 < t < math.pi - 1e-12:
+            out[i] = _reference_lobachevsky_deriv(t)
+    return out
+
+
+def _reference_hessian_diag(theta):
+    out = np.zeros_like(theta)
+    for i, t in enumerate(theta):
+        if 1e-12 < t < math.pi - 1e-12:
+            out[i] = -math.cos(t) / math.sin(t)
+    return out
+
+
+EDGE_ANGLES = [0.0, 1e-12, 2e-12, PI / 2, PI - 1e-12, PI]
+
+
+def test_derivatives_match_scalar_reference_bitwise():
+    rng = np.random.default_rng(17)
+    theta = np.concatenate([rng.uniform(0.0, PI, 10_000), EDGE_ANGLES])
+    assert np.array_equal(optvol.volume_gradient(theta), _reference_gradient(theta))
+    assert np.array_equal(optvol._hessian_diag(theta), _reference_hessian_diag(theta))
+
+
+def test_gradient_values():
+    g = optvol.volume_gradient(np.array([PI / 6, PI / 2, PI / 3]))
+    assert g[0] == pytest.approx(0.0, abs=1e-15)
+    assert g[1] == pytest.approx(-math.log(2), abs=1e-15)
+    assert g[2] == pytest.approx(-math.log(math.sqrt(3)), abs=1e-14)
+
+
+def test_gradient_matches_central_differences_of_lobachevsky():
+    h = 1e-5
+    theta = np.linspace(0.2, PI - 0.2, 25)
+    g = optvol.volume_gradient(theta)
+    for t, gt in zip(theta, g):
+        fd = (specfun.lobachevsky(t + h) - specfun.lobachevsky(t - h)) / (2 * h)
+        assert abs(fd - gt) < 1e-6
+
+
+def test_hessian_diag_values():
+    d = optvol._hessian_diag(np.array([PI / 2, PI / 4, PI / 3]))
+    assert d[0] == pytest.approx(0.0, abs=1e-15)
+    assert d[1] == pytest.approx(-1.0, abs=1e-14)
+    assert d[2] == pytest.approx(-1 / math.sqrt(3), abs=1e-14)
+
+
+def test_hessian_diag_matches_central_differences_of_gradient():
+    h = 1e-6
+    theta = np.linspace(0.2, PI - 0.2, 25)
+    up, dn = optvol.volume_gradient(theta + h), optvol.volume_gradient(theta - h)
+    assert np.max(np.abs((up - dn) / (2 * h) - optvol._hessian_diag(theta))) < 1e-6
+
+
+def test_pinned_corners_have_zero_derivatives():
+    # log|2 sin| and cot diverge at 0 and pi; corners within 1e-12 of either
+    # are pinned by the active set, so both derivatives read 0 there
+    theta = np.array([0.0, 1e-12, PI - 1e-12, PI, -0.0])
+    assert np.array_equal(optvol.volume_gradient(theta), np.zeros(5))
+    assert np.array_equal(optvol._hessian_diag(theta), np.zeros(5))
+    assert optvol.volume_gradient(np.array([2e-12]))[0] > 26.0
+    assert optvol._hessian_diag(np.array([2e-12]))[0] < -1e11
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_types():
+    types = {"tetrahedron": triang.tetrahedron(), "octahedron": triang.octahedron()}
+    for i, t in enumerate(corpus.all_types(8)):
+        types[f"n8-{i:02d}"] = t
+    return types
+
+
+# float.hex of volume and kkt_residual, and newton_iterations, of the optimum
+# from the centered witness (None: not realizable).  Taken with numpy 2.4 on
+# OpenBLAS 0.3.31; another LAPACK build may round the SVD differently.
+OPTIMUM_PINS = {
+    "tetrahedron": ("0x1.03d3368ee1110p+0", "0x1.9e95450b0a3b6p-56", 0),
+    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.e01110c367b85p-51", 0),
+    "n8-00": ("0x1.44c8043299554p+2", "0x1.9dbd3979125f5p-41", 64),
+    "n8-01": ("0x1.44c8043299557p+2", "0x1.d2069f2bcb2b5p-41", 66),
+    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.9e808a583a700p-52", 264),
+    "n8-03": ("0x1.3a270531d120ap+2", "0x1.253dd149a6cb3p-52", 262),
+    "n8-04": ("0x1.44c8043299555p+2", "0x1.f26bfbeb8d283p-42", 68),
+    "n8-05": ("0x1.69f60748b14bep+2", "0x1.6b288ac867b7bp-52", 67),
+    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.1bb9ca18b40b4p-52", 269),
+    "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.8e427f926100ep-52", 14),
+    "n8-08": ("0x1.6c6653e6b1235p+2", "0x1.f43954c6f2845p-53", 14),
+    "n8-09": ("0x1.801c197f4e24cp+2", "0x1.6d799bc911edcp-52", 14),
+    "n8-10": ("0x1.69f60748b14c5p+2", "0x1.0b8d46f7bab25p-52", 78),
+    "n8-11": None,
+    "n8-12": ("0x1.9f43136a1496ep+2", "0x1.924ddf89ee781p-52", 13),
+    "n8-13": ("0x1.85bcd1d65199fp+2", "0x1.c70048047a94fp-52", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMUM_PINS))
+def test_optimum_pinned_bitwise(name):
+    res = rivin.is_realizable(_pinned_types()[name])
+    if OPTIMUM_PINS[name] is None:
+        assert not res.realizable
+        return
+    out = optvol.maximize_volume(res.link)
+    got = (out.volume.hex(), out.kkt_residual.hex(), out.newton_iterations)
+    assert got == OPTIMUM_PINS[name]
+
+
+# Types and apexes whose active-set polish takes its rare branches, found by
+# counting branch hits over every apex of every type with n <= 9: the pin of
+# a row violated by the projected start (n = 8, apex 0; n = 9 first type,
+# apex 0), the drop of a negative multiplier (n = 9 first type, apexes 0 and
+# 6) and the least-squares fallback of a singular Newton system (n = 9 last
+# type, apex 0).  None of them fires at the default apex.
+RARE_BRANCH_TYPES = [
+    (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
+         (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
+    (9, [(1, 2, 4), (2, 0, 4), (1, 0, 6), (2, 1, 7), (0, 1, 8), (1, 4, 8),
+         (4, 0, 8), (3, 6, 5), (0, 2, 6), (5, 6, 2), (1, 6, 7), (3, 7, 6),
+         (2, 7, 5), (3, 5, 7)], 0),
+    (9, [(1, 2, 4), (2, 0, 4), (1, 0, 6), (2, 1, 7), (0, 1, 8), (1, 4, 8),
+         (4, 0, 8), (3, 6, 5), (0, 2, 6), (5, 6, 2), (1, 6, 7), (3, 7, 6),
+         (2, 7, 5), (3, 5, 7)], 6),
+    (9, [(1, 2, 4), (0, 3, 6), (3, 1, 6), (1, 3, 7), (2, 1, 7), (1, 4, 8),
+         (4, 0, 8), (0, 6, 8), (1, 8, 6), (2, 5, 4), (0, 4, 3), (5, 3, 4),
+         (2, 7, 5), (3, 5, 7)], 0),
+]
+
+
+@pytest.mark.parametrize("n,faces,apex", RARE_BRANCH_TYPES)
+def test_rare_polish_branches_keep_apex_invariance(n, faces, apex):
+    t = triang.validate(n, faces)
+    _, ref = optimum(t)
+    res = rivin.is_realizable(t, apex=apex)
+    assert res.apex != rivin.choose_apex(t)
+    out = optvol.maximize_volume(res.link)
+    assert out.volume == pytest.approx(ref.volume, abs=1e-12)
+    assert out.kkt_residual < 1e-12
+    assert out.boundary_active
+
+
+def test_constraints_assembled_once_per_optimization(monkeypatch):
+    calls = []
+    assemble = rivin.assemble_constraints
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(rivin, "assemble_constraints", counting)
+    link = triang.build_link(triang.octahedron(), 0)
+    optvol.maximize_volume(link)
+    assert len(calls) == 1
+    witness = rivin.check_feasible(assemble(link)).witness
+    optvol.maximize_volume(link, start=witness)
+    assert len(calls) == 2
 
 
 def test_barrier_path_volumes_nondecreasing():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealpoly import oracles, specfun
-from idealpoly.errors import PoleAtMultipleOfPi
 
 PI = math.pi
 
@@ -59,36 +58,6 @@ def test_matches_quadrature_oracle_on_grid():
         assert abs(
             specfun.lobachevsky(theta) - oracles.lobachevsky_by_quadrature(theta)
         ) < 1e-10
-
-
-def test_deriv_values():
-    assert specfun.lobachevsky_deriv(PI / 6) == pytest.approx(0.0, abs=1e-15)
-    assert specfun.lobachevsky_deriv(PI / 2) == pytest.approx(-math.log(2), abs=1e-15)
-    assert specfun.lobachevsky_deriv(PI / 3) == pytest.approx(
-        -math.log(math.sqrt(3)), abs=1e-14
-    )
-
-
-def test_deriv_matches_central_differences():
-    h = 1e-5
-    for theta in np.linspace(0.2, math.pi - 0.2, 25):
-        fd = (specfun.lobachevsky(theta + h) - specfun.lobachevsky(theta - h)) / (2 * h)
-        assert abs(fd - specfun.lobachevsky_deriv(theta)) < 1e-6
-
-
-def test_deriv_pole():
-    with pytest.raises(PoleAtMultipleOfPi):
-        specfun.lobachevsky_deriv(0.0)
-
-
-def test_second_deriv():
-    assert specfun.lobachevsky_second_deriv(PI / 2) == pytest.approx(0.0, abs=1e-15)
-    assert specfun.lobachevsky_second_deriv(PI / 4) == pytest.approx(-1.0, abs=1e-14)
-    assert specfun.lobachevsky_second_deriv(PI / 3) == pytest.approx(
-        -1 / math.sqrt(3), abs=1e-14
-    )
-    with pytest.raises(ValueError):
-        specfun.lobachevsky_second_deriv(-0.1)
 
 
 def test_incomplete_beta_endpoints_and_symmetry():

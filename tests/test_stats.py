@@ -7,7 +7,7 @@ import pytest
 
 import idealpoly
 from idealpoly import oracles, stats, triang
-from idealpoly.errors import FitDiverged
+from idealpoly.errors import FitDiverged, InputError
 
 
 def test_sample_volumes_basic():
@@ -15,6 +15,18 @@ def test_sample_volumes_basic():
     assert s.count == 1
     assert s.volumes[0] > 0
     assert s.vmax == stats.KNOWN_MAX_VOLUME[5]
+
+
+def test_sample_and_search_reject_bad_sizes():
+    for call in (
+        lambda: stats.sample_volumes(3, 10),
+        lambda: stats.sample_volumes(6, 0),
+        lambda: stats.sample_volumes(13, 10),
+        lambda: stats.search_max_volume(3, 10),
+        lambda: stats.search_max_volume(6, 0),
+    ):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_sample_volumes_bounded_by_table_max_n4():
