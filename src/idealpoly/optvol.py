@@ -235,23 +235,23 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
             g = g - mu * (GN.T @ (1.0 / s))
         return theta, s, g
 
+    theta, s, g = grad_at(u)
+    if g is None:
+        raise LineSearchStall("current point is not strictly feasible")
+    gnorm = float(np.linalg.norm(g))
     iters = 0
-    gnorm = 0.0
+    gnorm_start = gnorm
     for _ in range(max_iter):
-        theta, s, g = grad_at(u)
-        if g is None:
-            raise LineSearchStall("current point is not strictly feasible")
+        if gnorm < tol:
+            return u, gnorm, iters
         H = (N.T * _hessian_diag(theta)) @ N
         if mu > 0.0:
             H = H - mu * (GN.T * (1.0 / (s * s))) @ GN
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < tol:
-            return u, gnorm, iters
         try:
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(-H, g, rcond=None)[0]
-        phi0 = phi(theta, s)
+        phi0 = None  # evaluated once a trial reaches the Armijo test
         slope = float(g @ step)
         if slope <= 0.0:  # not an ascent direction: H lost definiteness
             step = g
@@ -262,9 +262,12 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
             u_try = u + t * step
             theta_try, s_try, g_try = grad_at(u_try)
             if g_try is not None:
-                if float(np.linalg.norm(g_try)) <= (1.0 - 1e-4 * t) * gnorm:
+                gnorm_try = float(np.linalg.norm(g_try))
+                if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
                     accepted = True
                     break
+                if phi0 is None:
+                    phi0 = phi(theta, s)
                 if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
                     accepted = True
                     break
@@ -273,9 +276,12 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
             raise LineSearchStall(
                 f"line search stalled at mu={mu:g}, |grad|={gnorm:g}"
             )
-        u = u_try
+        # the accepted trial is the next iterate: its gradient is already known
+        gnorm_start = gnorm
+        u, theta, s, g, gnorm = u_try, theta_try, s_try, g_try, gnorm_try
         iters += 1
-    return u, gnorm, iters
+    # out of iterations: report the norm measured at the last iteration's start
+    return u, gnorm_start, iters
 
 
 def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
@@ -314,8 +320,8 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     path_volumes = []
     total_iters = 0
     mu = 1e-1
+    vol_now = _volume_flat(theta_p + N @ u)
     while mu > 1e-9:
-        vol_now = _volume_flat(theta_p + N @ u)
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
         try:
             u, gnorm, iters = _newton_max(theta_p, N, G, h, u, mu, tol, 200)
@@ -323,7 +329,8 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
             # parked against the boundary; the active-set polish finishes
             break
         total_iters += iters
-        path_volumes.append(_volume_flat(theta_p + N @ u))
+        vol_now = _volume_flat(theta_p + N @ u)  # opens the next round
+        path_volumes.append(vol_now)
         mu *= 0.2
 
     theta = theta_p + N @ u

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from idealpoly import corpus, optvol, rivin, specfun, triang
+from idealpoly import corpus, geom, optvol, rivin, specfun, stats, triang
 from idealpoly.errors import InfeasibleStart
 
 PI = math.pi
@@ -277,6 +277,51 @@ def test_constraints_assembled_once_per_optimization(monkeypatch):
     witness = rivin.check_feasible(assemble(link)).witness
     optvol.maximize_volume(link, start=witness)
     assert len(calls) == 2
+
+
+def _configuration_start(name):
+    """Link and Euclidean start of a planar configuration: the octahedron
+    (a square around an off-centre point) or a seeded n = 8 sample."""
+    if name == "octahedron":
+        cfg = geom.make_configuration([0.1 + 0.05j, 1.0, 1j, -1.0, -1j])
+    else:
+        cfg = geom.random_configuration(8, stats.trial_rng(0, int(name[-1])))
+    pt = geom.delaunay(cfg)
+    _, link = geom.close_with_infinity(pt)
+    return link, geom.euclidean_angles(pt).reshape(-1)
+
+
+# (volume_gradient calls, _volume_flat calls, newton_iterations) of one
+# maximize_volume from a configuration's own angles, which does not depend on
+# the LP.  The Newton loop evaluates each accepted point once, the barrier
+# objective only at the Armijo test, and each round's closing volume once.
+EVALUATION_COUNTS = {
+    "octahedron": (18, 14, 4),
+    "n8-trial0": (29, 14, 15),
+    "n8-trial1": (87, 46, 65),
+    "n8-trial4": (29, 14, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_COUNTS))
+def test_optimizer_evaluates_each_point_once(name, monkeypatch):
+    link, start = _configuration_start(name)
+    calls = {"volume_gradient": 0, "_volume_flat": 0}
+
+    def counting(fname):
+        f = getattr(optvol, fname)
+
+        def counted(*args):
+            calls[fname] += 1
+            return f(*args)
+
+        return counted
+
+    for fname in calls:
+        monkeypatch.setattr(optvol, fname, counting(fname))
+    out = optvol.maximize_volume(link, start=start)
+    got = (calls["volume_gradient"], calls["_volume_flat"], out.newton_iterations)
+    assert got == EVALUATION_COUNTS[name]
 
 
 def test_barrier_path_volumes_nondecreasing():
