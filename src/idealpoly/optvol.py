@@ -339,8 +339,11 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     # active-set polish: pin near-active rows as equalities, Newton to
     # machine precision, then verify multiplier signs.  Rows are added when
     # they block progress and dropped (one per round) on a negative
-    # multiplier; inconsistent pinned systems shed their loosest row.
+    # multiplier; inconsistent pinned systems shed their loosest row.  A
+    # dropped row sits at slack 0 up to rounding, so the next projected start
+    # may violate it and pin it again; it is then kept, which ends that cycle.
     active = set(int(i) for i in np.flatnonzero(slacks < BOUNDARY_TOL))
+    dropped = set()
     N2 = N
     for _ in range(30):
         act = sorted(active)
@@ -389,10 +392,14 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
                 kind, key = kinds[row]
                 return kind == "corner" and theta[3 * key[0] + key[1]] < 1e-9
 
-            droppable = [i for i in range(len(act)) if not pinned_at_zero(act[i])]
+            droppable = [
+                i for i in range(len(act))
+                if act[i] not in dropped and not pinned_at_zero(act[i])
+            ]
             if droppable:
                 worst = min(droppable, key=lambda i: lam[i])
                 if lam[worst] < -1e-9:
+                    dropped.add(act[worst])
                     active.discard(act[worst])
                     continue
         break

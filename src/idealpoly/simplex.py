@@ -1,8 +1,12 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex: Dantzig pricing with a Bland fallback.
 
-Problem sizes in this toolkit stay below ~100 variables, so a dense tableau
-with the anti-cycling pivot rule is the right trade: deterministic, simple,
-and guaranteed to terminate.  Not a general-purpose LP solver.
+Problem sizes in this toolkit stay below a few hundred columns, so a dense
+tableau with rank-1 pivots is the right trade: deterministic and simple.
+The entering column has the most negative reduced cost (Dantzig), which
+takes far fewer pivots than Bland's first improving column; a long run of
+degenerate pivots switches to Bland's rule until the objective moves again
+(Bland 1977, Math. Oper. Res. 2), so the method cannot cycle and is
+guaranteed to terminate.  Not a general-purpose LP solver.
 """
 
 import numpy as np
@@ -12,6 +16,8 @@ from .errors import NumericalFailure
 _TOL = 1e-9
 _PIVOT_TOL = 1e-10
 MAX_PIVOTS = 10**6
+# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+_DEGENERATE_RUN = 50
 
 
 class LPResult:
@@ -31,13 +37,28 @@ def _pivot(T, basis, row, col):
 
 
 def _simplex_iterate(T, basis, ncols):
-    """Minimize the objective in the last tableau row over columns < ncols."""
+    """Minimize the objective in the last tableau row over columns < ncols.
+
+    Dantzig pricing enters the most negative reduced cost.  After
+    _DEGENERATE_RUN consecutive degenerate pivots (minimum ratio <= 1e-12)
+    Bland's first improving column enters instead, until the next
+    nondegenerate pivot.  With the leaving row chosen by smallest basic index
+    on ratio ties, that fallback is Bland's full rule, so a degenerate run
+    cannot cycle, and each nondegenerate pivot strictly lowers the objective.
+    """
     pivots = 0
+    degenerate = 0
     while True:
-        improving = np.flatnonzero(T[-1, :ncols] < -_TOL)
-        if improving.size == 0:
-            return
-        col = int(improving[0])  # Bland: first improving column
+        reduced = T[-1, :ncols]
+        if degenerate < _DEGENERATE_RUN:
+            col = int(np.argmin(reduced))  # Dantzig: most negative, first on ties
+            if not reduced[col] < -_TOL:
+                return
+        else:
+            improving = np.flatnonzero(reduced < -_TOL)
+            if improving.size == 0:
+                return
+            col = int(improving[0])  # Bland: first improving column
         rows = np.flatnonzero(T[:-1, col] > _PIVOT_TOL)
         ratios = T[rows, -1] / T[rows, col]
         row = -1
@@ -51,6 +72,7 @@ def _simplex_iterate(T, basis, ncols):
         if row < 0:
             raise _Unbounded()
         _pivot(T, basis, row, col)
+        degenerate = degenerate + 1 if best <= 1e-12 else 0
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise NumericalFailure("simplex pivot cap exceeded")

@@ -200,21 +200,41 @@ def _pinned_types():
 # OpenBLAS 0.3.31; another LAPACK build may round the SVD differently.
 OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1110p+0", "0x1.9e95450b0a3b6p-56", 0),
-    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.e01110c367b85p-51", 0),
-    "n8-00": ("0x1.44c8043299554p+2", "0x1.9dbd3979125f5p-41", 64),
-    "n8-01": ("0x1.44c8043299557p+2", "0x1.d2069f2bcb2b5p-41", 66),
-    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.9e808a583a700p-52", 264),
-    "n8-03": ("0x1.3a270531d120ap+2", "0x1.253dd149a6cb3p-52", 262),
-    "n8-04": ("0x1.44c8043299555p+2", "0x1.f26bfbeb8d283p-42", 68),
-    "n8-05": ("0x1.69f60748b14bep+2", "0x1.6b288ac867b7bp-52", 67),
+    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.2170dae7f6302p-50", 0),
+    "n8-00": ("0x1.44c8043299554p+2", "0x1.9dc40d50af672p-41", 64),
+    "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fcb83fdc027p-41", 66),
+    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.cc501ca432b10p-52", 264),
+    "n8-03": ("0x1.3a270531d1209p+2", "0x1.9980000000000p-53", 263),
+    "n8-04": ("0x1.44c8043299555p+2", "0x1.f28ddd0f29be7p-42", 66),
+    "n8-05": ("0x1.69f60748b14bfp+2", "0x1.2cc91f91ab3f6p-52", 68),
     "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.1bb9ca18b40b4p-52", 269),
-    "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.8e427f926100ep-52", 14),
-    "n8-08": ("0x1.6c6653e6b1235p+2", "0x1.f43954c6f2845p-53", 14),
-    "n8-09": ("0x1.801c197f4e24cp+2", "0x1.6d799bc911edcp-52", 14),
-    "n8-10": ("0x1.69f60748b14c5p+2", "0x1.0b8d46f7bab25p-52", 78),
+    "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.3de26a84928bdp-51", 14),
+    "n8-08": ("0x1.6c6653e6b1235p+2", "0x1.38dd3b692d61ap-52", 14),
+    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.5a515994c96eep-52", 14),
+    "n8-10": ("0x1.69f60748b14c4p+2", "0x1.9548fb52116aep-52", 259),
     "n8-11": None,
-    "n8-12": ("0x1.9f43136a1496ep+2", "0x1.924ddf89ee781p-52", 13),
+    "n8-12": ("0x1.9f43136a1496fp+2", "0x1.0250d8bbdf06ap-51", 13),
     "n8-13": ("0x1.85bcd1d65199fp+2", "0x1.c70048047a94fp-52", 0),
+}
+
+# The same volumes from the witness of the LP under Bland's pricing, another
+# optimal vertex: the optimum does not depend on the start beyond rounding.
+BLAND_START_VOLUMES = {
+    "tetrahedron": "0x1.03d3368ee1110p+0",
+    "octahedron": "0x1.d4f9713e8135ep+1",
+    "n8-00": "0x1.44c8043299554p+2",
+    "n8-01": "0x1.44c8043299557p+2",
+    "n8-02": "0x1.3bb8a48b11982p+2",
+    "n8-03": "0x1.3a270531d120ap+2",
+    "n8-04": "0x1.44c8043299555p+2",
+    "n8-05": "0x1.69f60748b14bep+2",
+    "n8-06": "0x1.279a05fba0e3bp+2",
+    "n8-07": "0x1.6c6653e6b1236p+2",
+    "n8-08": "0x1.6c6653e6b1235p+2",
+    "n8-09": "0x1.801c197f4e24cp+2",
+    "n8-10": "0x1.69f60748b14c5p+2",
+    "n8-12": "0x1.9f43136a1496ep+2",
+    "n8-13": "0x1.85bcd1d65199fp+2",
 }
 
 
@@ -227,14 +247,22 @@ def test_optimum_pinned_bitwise(name):
     out = optvol.maximize_volume(res.link)
     got = (out.volume.hex(), out.kkt_residual.hex(), out.newton_iterations)
     assert got == OPTIMUM_PINS[name]
+    other = float.fromhex(BLAND_START_VOLUMES[name])
+    assert abs(out.volume - other) <= 2 * math.ulp(other)
 
 
 # Types and apexes whose active-set polish takes its rare branches, found by
-# counting branch hits over every apex of every type with n <= 9: the pin of
-# a row violated by the projected start (n = 8, apex 0; n = 9 first type,
-# apex 0), the drop of a negative multiplier (n = 9 first type, apexes 0 and
-# 6) and the least-squares fallback of a singular Newton system (n = 9 last
-# type, apex 0).  None of them fires at the default apex.
+# counting branch hits over every apex of every type with n <= 9.  Under
+# Bland's pricing of the LP, the first four entries took the pin of a row
+# violated by the projected start (n = 8, apex 0; n = 9 first type, apex 0),
+# the drop of a negative multiplier (n = 9 first type, apexes 0 and 6) and the
+# least-squares fallback of a singular Newton system (n = 9 last type,
+# apex 0).  From the witness of Dantzig pricing, the drop and the start pin
+# fire at the last two entries (n = 9 second type, apex 8; tenth type,
+# apex 5), and the fallback at no apex with n <= 9.  None of them fires at
+# the default apex.  At the second type, apex 8, a dropped row is violated
+# by rounding at the next projected start; re-pinning and dropping it again
+# used to exhaust the rounds.
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
@@ -247,6 +275,12 @@ RARE_BRANCH_TYPES = [
     (9, [(1, 2, 4), (0, 3, 6), (3, 1, 6), (1, 3, 7), (2, 1, 7), (1, 4, 8),
          (4, 0, 8), (0, 6, 8), (1, 8, 6), (2, 5, 4), (0, 4, 3), (5, 3, 4),
          (2, 7, 5), (3, 5, 7)], 0),
+    (9, [(1, 2, 4), (2, 0, 4), (2, 3, 5), (3, 2, 7), (2, 1, 7), (0, 1, 8),
+         (1, 4, 8), (4, 0, 8), (3, 6, 5), (0, 2, 6), (5, 6, 2), (3, 7, 6),
+         (1, 0, 7), (6, 7, 0)], 8),
+    (9, [(0, 2, 5), (2, 3, 5), (3, 0, 5), (0, 3, 6), (3, 1, 6), (1, 3, 7),
+         (3, 2, 7), (2, 1, 7), (1, 4, 8), (1, 8, 6), (0, 6, 4), (8, 4, 6),
+         (2, 0, 1), (4, 1, 0)], 5),
 ]
 
 

@@ -234,16 +234,27 @@ def _scalar_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _scalar_simplex_iterate(T, basis, ncols):
+def _scalar_simplex_iterate(T, basis, ncols, degenerate_run=None):
+    """The pricing loop with scalar scans; degenerate_run=0 is Bland's rule."""
+    if degenerate_run is None:
+        degenerate_run = simplex._DEGENERATE_RUN
     pivots = 0
+    degenerate = 0
     while True:
         col = -1
-        for j in range(ncols):  # Bland: first improving column
-            if T[-1, j] < -simplex._TOL:
-                col = j
-                break
-        if col < 0:
-            return
+        if degenerate < degenerate_run:
+            for j in range(ncols):  # Dantzig: most negative, first on ties
+                if col < 0 or T[-1, j] < T[-1, col]:
+                    col = j
+            if not T[-1, col] < -simplex._TOL:
+                return
+        else:
+            for j in range(ncols):  # Bland: first improving column
+                if T[-1, j] < -simplex._TOL:
+                    col = j
+                    break
+            if col < 0:
+                return
         row = -1
         best = np.inf
         for r in range(T.shape[0] - 1):
@@ -258,6 +269,7 @@ def _scalar_simplex_iterate(T, basis, ncols):
         if row < 0:
             raise simplex._Unbounded()
         simplex._pivot(T, basis, row, col)
+        degenerate = degenerate + 1 if best <= 1e-12 else 0
         pivots += 1
         if pivots > simplex.MAX_PIVOTS:
             raise simplex.NumericalFailure("simplex pivot cap exceeded")
@@ -265,6 +277,10 @@ def _scalar_simplex_iterate(T, basis, ncols):
 
 ARRAY_SIMPLEX = (simplex._pivot, simplex._simplex_iterate)
 SCALAR_SIMPLEX = (_scalar_pivot, _scalar_simplex_iterate)
+BLAND_SIMPLEX = (
+    simplex._pivot,
+    lambda T, basis, ncols: _scalar_simplex_iterate(T, basis, ncols, degenerate_run=0),
+)
 
 
 def solve_counting(loops, args, kwargs):
@@ -307,26 +323,69 @@ def corpus_systems(epsilons):
                 yield rivin.assemble_constraints(link, eps)
 
 
-def test_array_simplex_matches_scalar_loops_bitwise():
+def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
     def check_feasible_everywhere():
         for system in corpus_systems((1e-6, 0.3, 1.1)):
             rivin.check_feasible(system)
 
     lps = [(lp, {}) for lp in random_lps()] + recorded_lps(check_feasible_everywhere)
-    statuses = set()
-    for args, kwargs in lps:
-        ref, ref_pivots = solve_counting(SCALAR_SIMPLEX, args, kwargs)
-        res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
-        assert res.status == ref.status
-        assert pivots == ref_pivots
-        assert res.phase1_objective == ref.phase1_objective
-        assert res.objective == ref.objective
-        if ref.x is None:
-            assert res.x is None
-        else:
-            assert res.x.tobytes() == ref.x.tobytes()
-        statuses.add(res.status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    # No LP here has 50 degenerate pivots in a row; a run of 2 sends 28 of
+    # them through the Bland fallback as well.
+    for run in (simplex._DEGENERATE_RUN, 2):
+        monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
+        statuses = set()
+        for args, kwargs in lps:
+            ref, ref_pivots = solve_counting(SCALAR_SIMPLEX, args, kwargs)
+            res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
+            assert res.status == ref.status
+            assert pivots == ref_pivots
+            assert res.phase1_objective == ref.phase1_objective
+            assert res.objective == ref.objective
+            if ref.x is None:
+                assert res.x is None
+            else:
+                assert res.x.tobytes() == ref.x.tobytes()
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+# Chvatal's cycling example (Linear Programming, 1983, ch. 3): Dantzig
+# pricing with the smallest-index leaving rule returns to its first basis
+# after six degenerate pivots.
+CHVATAL_LP = (
+    [10.0, -57.0, -9.0, -24.0],
+    None,
+    None,
+    [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
+    [0.0, 0.0, 1.0],
+)
+
+
+def test_simplex_terminates_on_chvatal_cycling_lp():
+    res = simplex.solve(*CHVATAL_LP, maximize=True)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(1.0, abs=1e-12)
+    assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_dantzig_without_bland_fallback_cycles_on_chvatal_lp(monkeypatch):
+    # the fallback is what ends the cycle: switched off, the pivot cap trips
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
+    with pytest.raises(simplex.NumericalFailure):
+        simplex.solve(*CHVATAL_LP, maximize=True)
+
+
+def test_dantzig_pricing_needs_fewer_pivots_at_n40():
+    cfg = geom.random_configuration(40, stats.trial_rng(0, 0))
+    t, _ = geom.close_with_infinity(geom.delaunay(cfg))
+    system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
+    (args, kwargs), = recorded_lps(lambda: rivin.check_feasible(system))
+    ref, bland_pivots = solve_counting(BLAND_SIMPLEX, args, kwargs)
+    res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
+    assert res.status == ref.status == "optimal"
+    assert res.objective == pytest.approx(ref.objective, abs=1e-12)
+    assert pivots < 0.6 * bland_pivots
 
 
 # -- the two-LP check_feasible, kept as the reference for the compact LP -----
