@@ -368,6 +368,29 @@ def _export_vertices(positions_by_vertex, apex):
     return out
 
 
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _corner_values(path, corners, n_faces):
+    """Corner angles of optimize output as an (n_faces, 3) array."""
+    if not isinstance(corners, list):
+        raise InputError(f"{path}: corners {corners!r} is not a list")
+    values = np.zeros((n_faces, 3))
+    for c in corners:
+        try:
+            face, slot, radians = c["face"], c["slot"], float(c["radians"])
+        except (KeyError, TypeError, ValueError):
+            face = slot = None
+        if not (_is_index(face) and _is_index(slot) and 0 <= face < n_faces and 0 <= slot < 3):
+            raise InputError(
+                f"{path}: corner {c!r} needs a face in 0..{n_faces - 1}, "
+                "a slot in 0..2 and radians"
+            )
+        values[face, slot] = radians
+    return values
+
+
 def cmd_export(run):
     if bool(run.args.config) == bool(run.args.triangulation):
         raise InputError("provide either --config or --triangulation with --angles")
@@ -386,10 +409,10 @@ def cmd_export(run):
         if "apex" not in data or "corners" not in data:
             raise InputError(f"{run.args.angles}: expected optimize output JSON")
         apex = data["apex"]
+        if not _is_index(apex):
+            raise InputError(f"{run.args.angles}: apex {apex!r} is not a vertex id")
         link = triang.build_link(t, apex)
-        values = np.zeros((len(link.bounded_faces), 3))
-        for c in data["corners"]:
-            values[c["face"], c["slot"]] = c["radians"]
+        values = _corner_values(run.args.angles, data["corners"], len(link.bounded_faces))
         lay = geom.layout(link, optvol.AngleAssignment(link=link, values=values))
         positions = lay.positions
         residual = lay.residual

@@ -52,6 +52,10 @@ def validate(n, faces):
     """
     if not isinstance(n, int) or n < 4:
         raise DegenerateFace(f"vertex count must be an integer >= 4, got {n!r}")
+    try:
+        faces = list(faces)
+    except TypeError as exc:
+        raise DegenerateFace(f"faces {faces!r} is not a list of triangles") from exc
     clean = []
     for f in faces:
         try:

@@ -221,6 +221,46 @@ def test_check_non_integer_vertex(tmp_path, capsys):
     assert error_line(err)["code"] == "DEGENERATE_FACE"
 
 
+@pytest.mark.parametrize("command", ["check", "optimize", "export"])
+def test_faces_not_a_list(tmp_path, capsys, command):
+    path = write(tmp_path, "bad.json", {"n": 4, "faces": 5})
+    argv = [command, path]
+    if command == "export":
+        argv = ["export", "--triangulation", path, "--angles", path]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "DEGENERATE_FACE"
+
+
+def _broken_angles(angles, case):
+    if case == "corners-not-a-list":
+        angles["corners"] = 5
+    elif case == "apex-not-an-id":
+        angles["apex"] = "x"
+    elif case == "slot-out-of-range":
+        angles["corners"][0]["slot"] = 7
+    else:  # a corner without one of its keys
+        del angles["corners"][0][case.removeprefix("no-")]
+    return angles
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["no-radians", "no-face", "no-slot", "slot-out-of-range",
+     "corners-not-a-list", "apex-not-an-id"],
+)
+def test_export_malformed_angles(tmp_path, capsys, case):
+    tri = write(tmp_path, "tetra.json", TETRA)
+    code, out, _ = run_cli(["optimize", tri], capsys)
+    assert code == 0
+    angles = write(tmp_path, "angles.json", _broken_angles(json.loads(out), case))
+    code, out, err = run_cli(["export", "--triangulation", tri, "--angles", angles], capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "INPUT_ERROR"
+
+
 def test_optimize_octahedron(tmp_path, capsys):
     path = write(tmp_path, "octa.json", OCTA)
     code, out, _ = run_cli(["optimize", path], capsys)
