@@ -240,7 +240,6 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
         raise LineSearchStall("current point is not strictly feasible")
     gnorm = float(np.linalg.norm(g))
     iters = 0
-    gnorm_start = gnorm
     for _ in range(max_iter):
         if gnorm < tol:
             return u, gnorm, iters
@@ -277,11 +276,9 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
                 f"line search stalled at mu={mu:g}, |grad|={gnorm:g}"
             )
         # the accepted trial is the next iterate: its gradient is already known
-        gnorm_start = gnorm
         u, theta, s, g, gnorm = u_try, theta_try, s_try, g_try, gnorm_try
         iters += 1
-    # out of iterations: report the norm measured at the last iteration's start
-    return u, gnorm_start, iters
+    return u, gnorm, iters
 
 
 def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):

@@ -258,11 +258,14 @@ def test_optimum_pinned_bitwise(name):
 # the drop of a negative multiplier (n = 9 first type, apexes 0 and 6) and the
 # least-squares fallback of a singular Newton system (n = 9 last type,
 # apex 0).  From the witness of Dantzig pricing, the drop and the start pin
-# fire at the last two entries (n = 9 second type, apex 8; tenth type,
+# fire at the next two entries (n = 9 second type, apex 8; tenth type,
 # apex 5), and the fallback at no apex with n <= 9.  None of them fires at
 # the default apex.  At the second type, apex 8, a dropped row is violated
 # by rounding at the next projected start; re-pinning and dropping it again
-# used to exhaust the rounds.
+# used to exhaust the rounds.  At the first type, apex 7, the last polish
+# Newton runs out of iterations; it used to report the norm from the start
+# of its last iteration, which passed the tolerance and left a point with a
+# KKT residual of 6e-10 unpinned.
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
@@ -281,6 +284,9 @@ RARE_BRANCH_TYPES = [
     (9, [(0, 2, 5), (2, 3, 5), (3, 0, 5), (0, 3, 6), (3, 1, 6), (1, 3, 7),
          (3, 2, 7), (2, 1, 7), (1, 4, 8), (1, 8, 6), (0, 6, 4), (8, 4, 6),
          (2, 0, 1), (4, 1, 0)], 5),
+    (9, [(1, 2, 4), (2, 0, 4), (1, 0, 6), (2, 1, 7), (0, 1, 8), (1, 4, 8),
+         (4, 0, 8), (3, 6, 5), (0, 2, 6), (5, 6, 2), (1, 6, 7), (3, 7, 6),
+         (2, 7, 5), (3, 5, 7)], 7),
 ]
 
 
