@@ -272,11 +272,25 @@ def _parse_sample_csv(text, path):
             volumes.append(volume)
     if "n" not in meta or "vmax" not in meta:
         raise InputError(f"{path}: missing '# ... n=... vmax=...' header")
+    meta.setdefault("seed", "0")
+
+    def header(key, parse, kind):
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise InputError(f"{path}: header {key}={meta[key]!r} is not {kind}") from exc
+
+    vmax = header("vmax", float, "a number")
+    if not (math.isfinite(vmax) and vmax > 0.0):
+        raise InputError(f"{path}: header vmax={meta['vmax']!r} must be finite and > 0")
+    n = header("n", int, "an integer")
+    if n < 4:
+        raise InputError(f"{path}: header n={meta['n']!r} must be at least 4")
     return stats.VolumeSample(
-        n=int(meta["n"]),
+        n=n,
         volumes=np.array(volumes),
-        seed=int(meta.get("seed", 0)),
-        vmax=float(meta["vmax"]),
+        seed=header("seed", int, "an integer"),
+        vmax=vmax,
         vmax_mode=meta.get("vmax_mode", "given"),
     )
 
@@ -345,6 +359,8 @@ def cmd_scaling(run):
 
 
 def cmd_report(run):
+    if run.args.bins < 1:
+        raise InputError(f"--bins must be at least 1, got {run.args.bins}")
     sample = _parse_sample_csv(run.read_text(run.args.csv), run.args.csv)
     fit = stats.fit_beta(sample)
     svg = svgplot.histogram_with_beta(sample.normalized(), fit, bins=run.args.bins)
@@ -406,7 +422,7 @@ def cmd_export(run):
             raise InputError("--triangulation requires --angles (optimize output)")
         t = load_triangulation(run, run.args.triangulation)
         data = run.read_json(run.args.angles)
-        if "apex" not in data or "corners" not in data:
+        if not isinstance(data, dict) or "apex" not in data or "corners" not in data:
             raise InputError(f"{run.args.angles}: expected optimize output JSON")
         apex = data["apex"]
         if not _is_index(apex):

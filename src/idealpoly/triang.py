@@ -208,31 +208,51 @@ def build_link(t, apex):
     return link
 
 
-def _dart_maps(t):
-    darts = []
-    nxt = {}
-    for a, b, c in t.faces:
-        darts.extend(((a, b), (b, c), (c, a)))
-        nxt[(a, b)] = (b, c)
-        nxt[(b, c)] = (c, a)
-        nxt[(c, a)] = (a, b)
-    return sorted(darts), nxt
+def _codes(t):
+    """The relabeled face list seen from every start dart, in dart order.
 
-
-def _extends(base, image, nxt_src, nxt_img):
-    phi = {base: image}
-    stack = [base]
-    while stack:
-        x = stack.pop()
-        fx = phi[x]
-        for y, z in ((nxt_src[x], nxt_img[fx]), ((x[1], x[0]), (fx[1], fx[0]))):
-            known = phi.get(y)
-            if known is None:
-                phi[y] = z
-                stack.append(y)
-            elif known != z:
-                return False
-    return True
+    Dart ``3 * f + s`` runs from corner ``s`` of face ``f`` to the next
+    corner.  From each start dart a breadth-first traversal along face
+    rotation and edge reversal labels vertices in discovery order, tail
+    before head.  Once every vertex has a label the labels are final, so the
+    traversal stops there.  Each code is the relabeled face list with every
+    face rotated to start at its smallest label, sorted.
+    """
+    n = t.n
+    faces = t.faces
+    tail = [v for f in faces for v in f]
+    nxt = [d + 1 if d % 3 < 2 else d - 2 for d in range(len(tail))]
+    head = [tail[d] for d in nxt]
+    dart = {(u, v): d for d, (u, v) in enumerate(zip(tail, head))}
+    rev = [dart[v, u] for u, v in zip(tail, head)]
+    for d0 in range(len(tail)):
+        label = [-1] * n
+        seen = [False] * len(tail)
+        seen[d0] = True
+        order = [d0]
+        count = 0
+        for x in order:  # the loop also visits darts appended below
+            for v in (tail[x], head[x]):
+                if label[v] < 0:
+                    label[v] = count
+                    count += 1
+            if count == n:
+                break
+            for y in (nxt[x], rev[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+        code = []
+        for a, b, c in faces:
+            a, b, c = label[a], label[b], label[c]
+            if a < b and a < c:
+                code.append((a, b, c))
+            elif b < c:
+                code.append((b, c, a))
+            else:
+                code.append((c, a, b))
+        code.sort()
+        yield tuple(code)
 
 
 @dataclass(frozen=True)
@@ -242,59 +262,31 @@ class AutomorphismCounts:
 
 
 def automorphism_counts(t):
-    """Count combinatorial map automorphisms by flag extension.
+    """Count combinatorial map automorphisms from the canonical codes.
 
-    An orientation-preserving automorphism is determined by the image of one
-    dart and must commute with the face-rotation and edge-reversal maps;
-    orientation-reversing ones conjugate the rotation to its inverse.  Every
-    candidate image dart is tried, so the run time is quadratic in the edge
-    count: fine for the small vertex counts this toolkit targets.
+    Orientation-preserving automorphisms act freely on darts, and two start
+    darts give the same code iff one maps to the other, so their number is
+    the number of darts whose code is the canonical form.  Orientation-
+    reversing ones exist, as many again, iff the mirror image has the same
+    canonical form.
     """
-    darts, nxt = _dart_maps(t)
-    prv = {v: k for k, v in nxt.items()}
-    base = darts[0]
-    op = sum(1 for d in darts if _extends(base, d, nxt, nxt))
-    rev = sum(1 for d in darts if _extends(base, d, nxt, prv))
-    return AutomorphismCounts(orientation_preserving=op, total=op + rev)
+    codes = list(_codes(t))
+    best = min(codes)
+    op = codes.count(best)
+    return AutomorphismCounts(
+        orientation_preserving=op,
+        total=2 * op if canonical_form(mirror(t)) == best else op,
+    )
 
 
 def canonical_form(t):
     """Canonical face list under orientation-preserving relabeling.
 
-    Runs a deterministic dart traversal from every start dart, relabels
-    vertices in discovery order, and keeps the lexicographically smallest
-    face list.  Two triangulations are orientation-preserving isomorphic iff
-    their canonical forms are equal.
+    The lexicographically smallest of the codes from every start dart (see
+    ``_codes``).  Two triangulations are orientation-preserving isomorphic
+    iff their canonical forms are equal.
     """
-    darts, nxt = _dart_maps(t)
-    best = None
-    for d0 in darts:
-        labels = {}
-        order = [d0]
-        seen = {d0}
-        i = 0
-        while i < len(order):
-            x = order[i]
-            i += 1
-            for v in x:
-                if v not in labels:
-                    labels[v] = len(labels)
-            for y in (nxt[x], (x[1], x[0])):
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-        relabeled = []
-        for a, b, c in t.faces:
-            f = (labels[a], labels[b], labels[c])
-            m = min(f)
-            while f[0] != m:
-                f = (f[1], f[2], f[0])
-            relabeled.append(f)
-        relabeled.sort()
-        cand = tuple(relabeled)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_codes(t))
 
 
 def mirror(t):

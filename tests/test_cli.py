@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from idealpoly import cli
+from idealpoly import _kernels, cli
 
 try:
     import jsonschema
@@ -30,6 +30,27 @@ NOT_REALIZABLE = {
         [0, 3, 6], [3, 1, 6], [1, 0, 6], [1, 3, 7], [3, 2, 7], [2, 1, 7],
     ],
 }
+
+
+def _backend_enums(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "kernel_backend":
+                yield value["enum"]
+            yield from _backend_enums(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _backend_enums(value)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCHEMA_DIR)))
+def test_schema_is_valid_and_names_the_backend(name):
+    with open(os.path.join(SCHEMA_DIR, name)) as fh:
+        schema = json.load(fh)
+    if jsonschema is not None:
+        jsonschema.Draft7Validator.check_schema(schema)
+    for enum in _backend_enums(schema):
+        assert enum == [_kernels.BACKEND]
 
 
 def write(tmp_path, name, payload):
@@ -170,6 +191,43 @@ def test_sample_and_search_reject_bad_sizes(argv, capsys):
     assert error_line(err)["code"] == "INPUT_ERROR"
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize(
+    "header,field",
+    [
+        ("n=abc seed=0 vmax=1", "n="),
+        ("n=3 seed=0 vmax=1", "n="),
+        ("n=4 seed=1.5 vmax=1", "seed="),
+        ("n=4 seed=0 vmax=foo", "vmax="),
+        ("n=4 seed=0 vmax=0", "vmax="),
+        ("n=4 seed=0 vmax=-2", "vmax="),
+        ("n=4 seed=0 vmax=nan", "vmax="),
+        ("n=4 seed=0 vmax=inf", "vmax="),
+    ],
+)
+def test_fit_and_report_reject_bad_header(tmp_path, capsys, command, header, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# idealpoly-sample {header}\nvolume\n" + "0.3\n0.5\n" * 10)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert field in payload["message"]
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_report_rejects_bad_bins(tmp_path, capsys, bins):
+    path = tmp_path / "s.csv"
+    path.write_text("# idealpoly-sample n=4 seed=0 vmax=1\nvolume\n" + "0.3\n0.5\n" * 10)
+    code, out, err = run_cli(["report", str(path), "--bins", bins], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "--bins" in payload["message"]
+
+
 def test_sample_without_tabulated_vmax_names_search(capsys):
     code, out, err = run_cli(["sample", "--n", "13", "--count", "5"], capsys)
     assert code == 1
@@ -234,6 +292,10 @@ def test_faces_not_a_list(tmp_path, capsys, command):
 
 
 def _broken_angles(angles, case):
+    if case == "not-an-object":
+        return 5
+    if case == "a-string":
+        return "apex corners"
     if case == "corners-not-a-list":
         angles["corners"] = 5
     elif case == "apex-not-an-id":
@@ -248,7 +310,7 @@ def _broken_angles(angles, case):
 @pytest.mark.parametrize(
     "case",
     ["no-radians", "no-face", "no-slot", "slot-out-of-range",
-     "corners-not-a-list", "apex-not-an-id"],
+     "corners-not-a-list", "apex-not-an-id", "not-an-object", "a-string"],
 )
 def test_export_malformed_angles(tmp_path, capsys, case):
     tri = write(tmp_path, "tetra.json", TETRA)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idealpoly import corpus, triang
+from idealpoly import corpus, geom, stats, triang
 from idealpoly.errors import (
     DegenerateFace,
     Disconnected,
@@ -169,3 +169,107 @@ def test_euler_relation_over_corpus():
             assert v - e + f == 2
             assert e == 3 * t.n - 6
             assert f == 2 * t.n - 4
+
+
+# Differential test of the dart codes. _ref_canonical_form and
+# _ref_automorphism_counts are the routines the codes replaced: a breadth-first
+# relabeling over tuple darts that runs to the end from every start dart, and
+# a flag extension that tries every image of one base dart under the rotation
+# (orientation-preserving) and its inverse (orientation-reversing).
+
+
+def _ref_darts(t):
+    darts = []
+    nxt = {}
+    for a, b, c in t.faces:
+        darts.extend(((a, b), (b, c), (c, a)))
+        nxt[(a, b)] = (b, c)
+        nxt[(b, c)] = (c, a)
+        nxt[(c, a)] = (a, b)
+    return sorted(darts), nxt
+
+
+def _ref_extends(base, image, nxt_src, nxt_img):
+    phi = {base: image}
+    stack = [base]
+    while stack:
+        x = stack.pop()
+        fx = phi[x]
+        for y, z in ((nxt_src[x], nxt_img[fx]), ((x[1], x[0]), (fx[1], fx[0]))):
+            known = phi.get(y)
+            if known is None:
+                phi[y] = z
+                stack.append(y)
+            elif known != z:
+                return False
+    return True
+
+
+def _ref_automorphism_counts(t):
+    darts, nxt = _ref_darts(t)
+    prv = {v: k for k, v in nxt.items()}
+    op = sum(1 for d in darts if _ref_extends(darts[0], d, nxt, nxt))
+    rev = sum(1 for d in darts if _ref_extends(darts[0], d, nxt, prv))
+    return triang.AutomorphismCounts(orientation_preserving=op, total=op + rev)
+
+
+def _ref_canonical_form(t):
+    darts, nxt = _ref_darts(t)
+    best = None
+    for d0 in darts:
+        labels = {}
+        order = [d0]
+        seen = {d0}
+        i = 0
+        while i < len(order):
+            x = order[i]
+            i += 1
+            for v in x:
+                if v not in labels:
+                    labels[v] = len(labels)
+            for y in (nxt[x], (x[1], x[0])):
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        relabeled = []
+        for a, b, c in t.faces:
+            f = (labels[a], labels[b], labels[c])
+            while f[0] != min(f):
+                f = (f[1], f[2], f[0])
+            relabeled.append(f)
+        cand = tuple(sorted(relabeled))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _relabeled(t, rng):
+    """The same type under a random vertex permutation, face order and
+    rotation of each face."""
+    perm = rng.permutation(t.n)
+    faces = []
+    for f in t.faces:
+        k = int(rng.integers(3))
+        faces.append([int(perm[v]) for v in (f * 2)[k : k + 3]])
+    order = rng.permutation(len(faces))
+    return triang.validate(t.n, [faces[i] for i in order])
+
+
+def _code_corpus():
+    types = [t for n in range(4, 10) for t in corpus.all_types(n)]
+    for n in (5, 8, 12, 20, 40):
+        for i in range(4):
+            cfg = geom.random_configuration(n, stats.trial_rng(1000 + n, i))
+            types.append(geom.close_with_infinity(geom.delaunay(cfg))[0])
+    rng = np.random.default_rng(9)
+    return types + [_relabeled(t, rng) for t in types[::3]]
+
+
+def test_dart_codes_match_reference_routines():
+    for t in _code_corpus():
+        key = triang.canonical_form(t)
+        assert key == _ref_canonical_form(t)
+        assert triang.canonical_form_full(t) == min(
+            key, _ref_canonical_form(triang.mirror(t))
+        )
+        assert triang.automorphism_counts(t) == _ref_automorphism_counts(t)
