@@ -322,6 +322,16 @@ def cmd_fit(run):
 _FIT_FIELDS = (
     "alpha", "beta", "mean", "std", "ks_stat", "p_value", "n", "count", "vmax"
 )
+_FIT_INTEGERS = ("n", "count")
+
+
+def _is_finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def cmd_scaling(run):
@@ -333,6 +343,11 @@ def cmd_scaling(run):
         missing = [k for k in _FIT_FIELDS if k not in data]
         if missing:
             raise InputError(f"{path}: fit JSON lacks {', '.join(missing)}")
+        for k in _FIT_FIELDS:
+            integer = k in _FIT_INTEGERS
+            if not (_is_index(data[k]) if integer else _is_finite_number(data[k])):
+                kind = "an integer" if integer else "a finite number"
+                raise InputError(f"{path}: fit JSON {k}={data[k]!r} is not {kind}")
         fits.append(
             stats.BetaFit(
                 **{k: data[k] for k in _FIT_FIELDS},

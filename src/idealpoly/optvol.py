@@ -211,6 +211,11 @@ def _particular(A, b):
     return sol
 
 
+# Consecutive accepted steps without a new lowest gradient norm after which a
+# barrier round ends.
+_STALL_RUN = 10
+
+
 def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks).
 
@@ -218,6 +223,14 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     of the gradient norm; near the optimum phi differences sink below float
     noise, and the gradient-norm test is what carries Newton's quadratic
     tail down to ~1e-15.
+
+    A barrier round (mu > 0) also ends once _STALL_RUN consecutive accepted
+    steps fail to lower the lowest gradient norm it has reached, returning
+    the point it stands on and that point's norm.  At a slack near 1e-8 the
+    ~4e-16 rounding of h - G theta gives the barrier term mu/s a relative
+    error near 6e-8, a floor under the gradient norm that can sit above the
+    round's tolerance; the round would otherwise spend max_iter steps there.
+    The next round or the active-set polish carries on from that point.
     """
     GN = G @ N
 
@@ -239,9 +252,10 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     if g is None:
         raise LineSearchStall("current point is not strictly feasible")
     gnorm = float(np.linalg.norm(g))
+    best, stalled = gnorm, 0
     iters = 0
     for _ in range(max_iter):
-        if gnorm < tol:
+        if gnorm < tol or stalled == _STALL_RUN:
             return u, gnorm, iters
         H = (N.T * _hessian_diag(theta)) @ N
         if mu > 0.0:
@@ -278,6 +292,10 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
         # the accepted trial is the next iterate: its gradient is already known
         u, theta, s, g, gnorm = u_try, theta_try, s_try, g_try, gnorm_try
         iters += 1
+        if gnorm < best:
+            best, stalled = gnorm, 0
+        elif mu > 0.0:
+            stalled += 1
     return u, gnorm, iters
 
 

@@ -249,6 +249,36 @@ def test_scaling_fit_missing_key(tmp_path, capsys):
     assert payload["message"] == f"{paths[0]}: fit JSON lacks beta"
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("alpha", "x"),
+        ("beta", None),
+        ("mean", float("nan")),
+        ("vmax", float("inf")),
+        ("std", [0.1]),
+        ("p_value", True),
+        pytest.param("ks_stat", 10**400, id="ks_stat-beyond-float"),
+        ("n", 6.0),
+        ("n", "6"),
+        ("count", 100.5),
+        ("count", False),
+    ],
+)
+def test_scaling_fit_bad_field(tmp_path, capsys, field, value):
+    fit = {"n": 5, "alpha": 2.0, "beta": 3.0, "mean": 0.4, "std": 0.1,
+           "ks_stat": 0.01, "p_value": 0.9, "count": 100, "vmax": 2.0}
+    fits = [dict(fit, n=5 + i) for i in range(3)]
+    fits[1][field] = value
+    paths = [write(tmp_path, f"f{i}.json", f) for i, f in enumerate(fits)]
+    code, out, err = run_cli(["scaling", *paths], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert payload["message"].startswith(f"{paths[1]}: fit JSON {field}=")
+
+
 def test_scaling_needs_three_sizes(tmp_path, capsys):
     fit = {"n": 5, "alpha": 2.0, "beta": 3.0, "mean": 0.4, "std": 0.1,
            "ks_stat": 0.01, "p_value": 0.9, "count": 100, "vmax": 2.0}

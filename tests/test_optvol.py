@@ -203,15 +203,15 @@ OPTIMUM_PINS = {
     "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.2170dae7f6302p-50", 0),
     "n8-00": ("0x1.44c8043299554p+2", "0x1.9dc40d50af672p-41", 64),
     "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fcb83fdc027p-41", 66),
-    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.cc501ca432b10p-52", 264),
-    "n8-03": ("0x1.3a270531d1209p+2", "0x1.9980000000000p-53", 263),
+    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.cc501ca432b10p-52", 86),
+    "n8-03": ("0x1.3a270531d1209p+2", "0x1.93fa79a02690dp-52", 82),
     "n8-04": ("0x1.44c8043299555p+2", "0x1.f28ddd0f29be7p-42", 66),
     "n8-05": ("0x1.69f60748b14bfp+2", "0x1.2cc91f91ab3f6p-52", 68),
-    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.1bb9ca18b40b4p-52", 269),
+    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.e2ba1a4c6095ep-53", 93),
     "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.3de26a84928bdp-51", 14),
     "n8-08": ("0x1.6c6653e6b1235p+2", "0x1.38dd3b692d61ap-52", 14),
     "n8-09": ("0x1.801c197f4e24bp+2", "0x1.5a515994c96eep-52", 14),
-    "n8-10": ("0x1.69f60748b14c4p+2", "0x1.9548fb52116aep-52", 259),
+    "n8-10": ("0x1.69f60748b14c4p+2", "0x1.9548fb52116aep-52", 80),
     "n8-11": None,
     "n8-12": ("0x1.9f43136a1496fp+2", "0x1.0250d8bbdf06ap-51", 13),
     "n8-13": ("0x1.85bcd1d65199fp+2", "0x1.c70048047a94fp-52", 0),
@@ -300,6 +300,45 @@ def test_rare_polish_branches_keep_apex_invariance(n, faces, apex):
     assert out.volume == pytest.approx(ref.volume, abs=1e-12)
     assert out.kkt_residual < 1e-12
     assert out.boundary_active
+
+
+# Types (index in corpus.all_types(n)) whose last barrier round used to run
+# all 200 Newton iterations from the witness at the default apex, with the
+# gradient norm stuck at the rounding floor of its barrier term, and the
+# active set of their optimum before barrier rounds ended on a stall.
+STALLED_ROUND_ACTIVE_SETS = {
+    (7, 1): (("hull_vertex", 3),),
+    (8, 2): (("hull_vertex", 2), ("hull_vertex", 4)),
+    (8, 3): (("hull_vertex", 6), ("hull_vertex", 1), ("hull_vertex", 3)),
+    (8, 6): (("hull_vertex", 3),),
+    (8, 10): (("hull_vertex", 3),),
+}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_barrier_rounds_end_before_the_iteration_cap(n, monkeypatch):
+    rounds = []
+    newton_max = optvol._newton_max
+
+    def recording(theta_p, N, G, h, u, mu, tol, max_iter):
+        out = newton_max(theta_p, N, G, h, u, mu, tol, max_iter)
+        rounds.append((mu, out[2], max_iter))
+        return out
+
+    monkeypatch.setattr(optvol, "_newton_max", recording)
+    capped = []
+    for i, t in enumerate(corpus.all_types(n)):
+        res = rivin.is_realizable(t)
+        if not res.realizable:
+            continue
+        rounds.clear()
+        out = optvol.maximize_volume(res.link, start=res.witness)
+        if any(mu > 0.0 and iters == cap for mu, iters, cap in rounds):
+            capped.append(i)
+        if (n, i) in STALLED_ROUND_ACTIVE_SETS:
+            assert out.kkt_residual < 1e-12
+            assert out.active_constraints == STALLED_ROUND_ACTIVE_SETS[n, i]
+    assert capped == []
 
 
 def test_constraints_assembled_once_per_optimization(monkeypatch):
