@@ -348,6 +348,9 @@ def cmd_scaling(run):
             if not (_is_index(data[k]) if integer else _is_finite_number(data[k])):
                 kind = "an integer" if integer else "a finite number"
                 raise InputError(f"{path}: fit JSON {k}={data[k]!r} is not {kind}")
+        for k in ("alpha", "beta"):  # the fit schema: exclusiveMinimum 0
+            if not data[k] > 0:
+                raise InputError(f"{path}: fit JSON {k}={data[k]!r} is not > 0")
         fits.append(
             stats.BetaFit(
                 **{k: data[k] for k in _FIT_FIELDS},

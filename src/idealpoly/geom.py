@@ -263,12 +263,3 @@ def layout(link, angles):
     return LayoutResult(
         positions=pos, residual=residual, vertices=vertices, triangulation=pt
     )
-
-
-def to_ball_models(config):
-    """Vertex coordinates on the boundary sphere (Klein = Poincare there)."""
-    out = []
-    for w in config.finite:
-        out.append(inverse_stereographic(w))
-    out.append(inverse_stereographic(None))
-    return out

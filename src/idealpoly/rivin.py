@@ -182,19 +182,6 @@ def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
     )
 
 
-def witness_slacks(system, theta):
-    """Minimum slack over all constraints, and max equality residual."""
-    A_eq, b_eq = system.eq_matrix()
-    A_ub, b_ub = system.ub_matrix()
-    eq_res = 0.0
-    if A_eq.shape[0]:
-        eq_res = float(np.max(np.abs(A_eq @ theta - b_eq)))
-    slacks = [float(np.min(theta) - system.epsilon)]
-    if A_ub.shape[0]:
-        slacks.append(float(np.min(b_ub - A_ub @ theta)))
-    return min(slacks), eq_res
-
-
 def random_interior_points(system, count, rng):
     """Strictly interior points via random convex combinations of LP vertices.
 

@@ -1,12 +1,23 @@
-"""Dense two-phase simplex: Dantzig pricing with a Bland fallback.
+"""Two-phase simplex in dictionary form: Dantzig pricing with a Bland fallback.
 
-Problem sizes in this toolkit stay below a few hundred columns, so a dense
-tableau with rank-1 pivots is the right trade: deterministic and simple.
+The tableau stores only the nonbasic columns and the right-hand side, as in
+Chvatal's dictionary (Linear Programming, 1983, ch. 2-3): a basic column is a
+unit vector that a pivot cannot change, and at the sizes of this toolkit
+(a few hundred columns, about half of them basic) storing it would double
+the dense rank-1 update.  ``ids`` holds the original column id of every
+slot.  A pivot puts the leaving variable's column into the entering
+variable's slot, with the values the full tableau computes there, and
+updates only the rows whose entering-column entry is nonzero.
+
 The entering column has the most negative reduced cost (Dantzig), which
 takes far fewer pivots than Bland's first improving column; a long run of
 degenerate pivots switches to Bland's rule until the objective moves again
 (Bland 1977, Math. Oper. Res. 2), so the method cannot cycle and is
-guaranteed to terminate.  Not a general-purpose LP solver.
+guaranteed to terminate.  Every column choice (Dantzig's first on ties,
+Bland's first improving column, the column that drives an artificial out)
+goes to the smallest original id, never to a storage slot, so the pivots
+and the floating-point results are those of the full tableau.  Not a
+general-purpose LP solver.
 """
 
 import numpy as np
@@ -28,16 +39,33 @@ class LPResult:
         self.phase1_objective = phase1_objective
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    f = T[:, col].copy()
+def _first_id(ids, slots):
+    """The slot among ``slots`` whose column has the smallest original id."""
+    return int(slots[ids[slots].argmin()])
+
+
+def _pivot(D, ids, basis, row, slot):
+    """Exchange the basic variable of ``row`` with the nonbasic one in ``slot``.
+
+    The slot then holds the leaving variable's column: 1/a in the pivot row
+    and 0 - f*(1/a) in every other row, where a is the pivot and f the
+    entering column, as the full tableau computes them.
+    """
+    a = D[row, slot]
+    f = D[:, slot].copy()
     f[row] = 0.0
-    T -= np.outer(f, T[row])  # rank-1: clears col in every other row
-    basis[row] = col
+    inv = 1.0 / a
+    D[row] /= a
+    rows = f.nonzero()[0]
+    D[rows] -= f[rows, None] * D[row]  # rank-1 over the rows it changes
+    f = 0.0 - f * inv
+    f[row] = inv
+    D[:, slot] = f
+    basis[row], ids[slot] = int(ids[slot]), basis[row]
 
 
-def _simplex_iterate(T, basis, ncols):
-    """Minimize the objective in the last tableau row over columns < ncols.
+def _simplex_iterate(D, ids, basis):
+    """Minimize the objective in the last dictionary row.
 
     Dantzig pricing enters the most negative reduced cost.  After
     _DEGENERATE_RUN consecutive degenerate pivots (minimum ratio <= 1e-12)
@@ -49,18 +77,19 @@ def _simplex_iterate(T, basis, ncols):
     pivots = 0
     degenerate = 0
     while True:
-        reduced = T[-1, :ncols]
+        reduced = D[-1, :-1]
         if degenerate < _DEGENERATE_RUN:
-            col = int(np.argmin(reduced))  # Dantzig: most negative, first on ties
-            if not reduced[col] < -_TOL:
+            least = reduced.min(initial=np.inf)
+            if not least < -_TOL:
                 return
+            slot = _first_id(ids, (reduced == least).nonzero()[0])  # Dantzig
         else:
-            improving = np.flatnonzero(reduced < -_TOL)
+            improving = (reduced < -_TOL).nonzero()[0]
             if improving.size == 0:
                 return
-            col = int(improving[0])  # Bland: first improving column
-        rows = np.flatnonzero(T[:-1, col] > _PIVOT_TOL)
-        ratios = T[rows, -1] / T[rows, col]
+            slot = _first_id(ids, improving)  # Bland: first improving column
+        rows = (D[:-1, slot] > _PIVOT_TOL).nonzero()[0]
+        ratios = D[rows, -1] / D[rows, slot]
         row = -1
         best = np.inf
         for r, ratio in zip(rows.tolist(), ratios.tolist()):
@@ -71,7 +100,7 @@ def _simplex_iterate(T, basis, ncols):
                 row = r
         if row < 0:
             raise _Unbounded()
-        _pivot(T, basis, row, col)
+        _pivot(D, ids, basis, row, slot)
         degenerate = degenerate + 1 if best <= 1e-12 else 0
         pivots += 1
         if pivots > MAX_PIVOTS:
@@ -117,61 +146,63 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=False):
     A[flip] *= -1.0
     rhs[flip] *= -1.0
 
-    # artificial variables: every equality row, plus flipped inequality rows
-    # (their slack entered with coefficient -1 and cannot start basic)
+    # artificial variables (ids from ncols): every equality row, plus flipped
+    # inequality rows (their slack entered with coefficient -1 and cannot
+    # start basic); the other slacks start basic
     art_rows = list(range(m_eq)) + [m_eq + i for i in range(m_ub) if flip[m_eq + i]]
-    n_art = len(art_rows)
     ncols = n + m_ub
-    T = np.zeros((m + 1, ncols + n_art + 1))
-    T[:m, :ncols] = A
-    T[:m, -1] = rhs
     basis = [-1] * m
     for k, r in enumerate(art_rows):
-        T[r, ncols + k] = 1.0
         basis[r] = ncols + k
     for i in range(m_ub):
-        r = m_eq + i
-        if not flip[r]:
-            basis[r] = n + i
+        if not flip[m_eq + i]:
+            basis[m_eq + i] = n + i
+    ids = np.array(
+        [j for j in range(ncols) if j < n or flip[m_eq + j - n]], dtype=np.int64
+    )
+    D = np.zeros((m + 1, ids.size + 1))
+    D[:m, :-1] = A[:, ids]
+    D[:m, -1] = rhs
 
     # phase 1: minimize the sum of artificials
-    for k in range(n_art):
-        T[-1, ncols + k] = 1.0
-    for k in range(n_art):
-        T[-1] -= T[art_rows[k]]
+    for r in art_rows:
+        D[-1] -= D[r]
     try:
-        _simplex_iterate(T, basis, ncols + n_art)
+        _simplex_iterate(D, ids, basis)
     except _Unbounded:  # cannot happen for the phase-1 objective
         raise NumericalFailure("phase-1 reported unbounded")
-    phase1 = -T[-1, -1]
+    phase1 = -D[-1, -1]
     if phase1 > _TOL:
         return LPResult("infeasible", phase1_objective=phase1)
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     for r in range(m):
         if basis[r] >= ncols:
-            piv = np.flatnonzero(np.abs(T[r, :ncols]) > _PIVOT_TOL)
+            piv = ((ids < ncols) & (np.abs(D[r, :-1]) > _PIVOT_TOL)).nonzero()[0]
             if piv.size:
-                _pivot(T, basis, r, int(piv[0]))
+                _pivot(D, ids, basis, r, _first_id(ids, piv))
             # else: redundant row; its artificial stays basic at value ~0
 
-    # phase 2
-    obj = np.zeros(T.shape[1])
+    # phase 2 drops the nonbasic artificials, so they never re-enter
+    keep = (ids < ncols).nonzero()[0]
+    D = D[:, np.append(keep, ids.size)]
+    ids = ids[keep]
+    obj = np.zeros(ncols)
     sign = -1.0 if maximize else 1.0
     obj[:n] = sign * c
-    T[-1] = obj
+    D[-1, :-1] = obj[ids]
+    D[-1, -1] = 0.0
     for r in range(m):
         if basis[r] < ncols and obj[basis[r]] != 0.0:
-            T[-1] -= obj[basis[r]] * T[r]
-    # phase 2 scans only the first ncols columns, so artificials never re-enter
+            D[-1] -= obj[basis[r]] * D[r]
     try:
-        _simplex_iterate(T, basis, ncols)
+        _simplex_iterate(D, ids, basis)
     except _Unbounded:
         return LPResult("unbounded", phase1_objective=0.0)
 
     x = np.zeros(n)
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = T[r, -1]
+            x[basis[r]] = D[r, -1]
     val = float(c @ x)
     return LPResult("optimal", x=x, objective=val, phase1_objective=0.0)

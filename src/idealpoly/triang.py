@@ -179,8 +179,9 @@ def build_link(t, apex):
     corners_at = {}
     for fi, (a, b, c) in enumerate(bounded):
         for s, (v, e0, e1) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-            corners_at.setdefault(v, []).append((fi, s))
-            opposite.setdefault(edge_key(e0, e1), []).append((fi, s))
+            corner = (fi, s)  # one tuple for both maps: a kept link is smaller
+            corners_at.setdefault(v, []).append(corner)
+            opposite.setdefault(edge_key(e0, e1), []).append(corner)
 
     interior_edges = []
     hull_edges = []

@@ -263,6 +263,10 @@ def test_scaling_fit_missing_key(tmp_path, capsys):
         ("n", "6"),
         ("count", 100.5),
         ("count", False),
+        ("alpha", 0),
+        ("alpha", -2.0),
+        ("beta", 0),
+        ("beta", 0.0),
     ],
 )
 def test_scaling_fit_bad_field(tmp_path, capsys, field, value):

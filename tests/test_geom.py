@@ -208,12 +208,3 @@ def test_layout_round_trips():
         assert lay.residual < 1e-6
         again = geom.euclidean_angles(lay.triangulation)
         assert np.max(np.abs(again - angles)) < 1e-8
-
-
-def test_to_ball_models():
-    cfg = geom.make_configuration([0, 1, 1j])
-    out = geom.to_ball_models(cfg)
-    assert np.allclose(out[0], (0, 0, -1))
-    assert np.allclose(out[1], (1, 0, 0))
-    assert np.allclose(out[2], (0, 1, 0))
-    assert np.allclose(out[3], (0, 0, 1))

@@ -6,6 +6,19 @@ import pytest
 from idealpoly import corpus, geom, oracles, rivin, simplex, stats, triang
 
 
+def witness_slacks(system, theta):
+    """Minimum slack over all constraints, and max equality residual."""
+    A_eq, b_eq = system.eq_matrix()
+    A_ub, b_ub = system.ub_matrix()
+    eq_res = 0.0
+    if A_eq.shape[0]:
+        eq_res = float(np.max(np.abs(A_eq @ theta - b_eq)))
+    slacks = [float(np.min(theta) - system.epsilon)]
+    if A_ub.shape[0]:
+        slacks.append(float(np.min(b_ub - A_ub @ theta)))
+    return min(slacks), eq_res
+
+
 def tetra_link():
     return triang.build_link(triang.tetrahedron(), 3)
 
@@ -68,7 +81,7 @@ def test_octahedron_feasible():
     link = triang.build_link(triang.octahedron(), 0)
     res = rivin.check_feasible(rivin.assemble_constraints(link))
     assert res.feasible
-    ms, eq_res = rivin.witness_slacks(rivin.assemble_constraints(link), res.witness)
+    ms, eq_res = witness_slacks(rivin.assemble_constraints(link), res.witness)
     assert ms > 0
     assert eq_res < 1e-9
 
@@ -125,7 +138,7 @@ def test_witness_validity_over_small_types():
             res = rivin.is_realizable(t)
             if not res.realizable:
                 continue
-            min_slack, eq_res = rivin.witness_slacks(res.system, res.witness)
+            min_slack, eq_res = witness_slacks(res.system, res.witness)
             assert eq_res < 1e-9
             assert min_slack >= -1e-12
 
@@ -193,6 +206,29 @@ def random_lps():
     return lps
 
 
+def degenerate_lps():
+    """40 small 0/+-1 LPs whose last equality row is the sum of the others.
+
+    Phase 1 can end with an artificial basic at zero, which the drive-out
+    then pivots out or leaves on its redundant row.
+    """
+    rng = np.random.default_rng(3)
+    lps = []
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        m_eq = int(rng.integers(2, 4))
+        m_ub = int(rng.integers(0, 3))
+        A_eq = rng.integers(-1, 2, (m_eq, n)).astype(float)
+        b_eq = rng.integers(0, 2, m_eq).astype(float)
+        A_eq[-1] = A_eq[:-1].sum(axis=0)
+        b_eq[-1] = b_eq[:-1].sum()
+        A_ub = np.vstack([rng.integers(-1, 2, (m_ub, n)), np.ones((1, n))])
+        b_ub = np.append(rng.integers(0, 3, m_ub), 3.0)
+        c = rng.integers(-2, 3, n).astype(float)
+        lps.append((c, A_eq, b_eq, A_ub, b_ub))
+    return lps
+
+
 def test_simplex_against_scipy():
     linprog = pytest.importorskip("scipy.optimize").linprog
     agreements = 0
@@ -218,12 +254,16 @@ def test_random_interior_points_are_interior():
         if not res.realizable:
             continue
         for theta in rivin.random_interior_points(res.system, 5, rng):
-            min_slack, eq_res = rivin.witness_slacks(res.system, theta)
+            min_slack, eq_res = witness_slacks(res.system, theta)
             assert min_slack > 0
             assert eq_res < 1e-8
 
 
-# -- the scalar simplex loops, kept as the bitwise reference -----------------
+# -- the full-tableau simplex with scalar loops, kept as the bitwise reference
+
+
+class _Unbounded(Exception):
+    pass
 
 
 def _scalar_pivot(T, basis, row, col):
@@ -234,10 +274,9 @@ def _scalar_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _scalar_simplex_iterate(T, basis, ncols, degenerate_run=None):
-    """The pricing loop with scalar scans; degenerate_run=0 is Bland's rule."""
-    if degenerate_run is None:
-        degenerate_run = simplex._DEGENERATE_RUN
+def _scalar_simplex_iterate(T, basis, ncols, degenerate_run):
+    """The pricing loop with scalar scans; returns its pivot count, which an
+    unbounded ray carries instead.  degenerate_run=0 is Bland's rule."""
     pivots = 0
     degenerate = 0
     while True:
@@ -247,14 +286,14 @@ def _scalar_simplex_iterate(T, basis, ncols, degenerate_run=None):
                 if col < 0 or T[-1, j] < T[-1, col]:
                     col = j
             if not T[-1, col] < -simplex._TOL:
-                return
+                return pivots
         else:
             for j in range(ncols):  # Bland: first improving column
                 if T[-1, j] < -simplex._TOL:
                     col = j
                     break
             if col < 0:
-                return
+                return pivots
         row = -1
         best = np.inf
         for r in range(T.shape[0] - 1):
@@ -267,35 +306,109 @@ def _scalar_simplex_iterate(T, basis, ncols, degenerate_run=None):
                     best = ratio
                     row = r
         if row < 0:
-            raise simplex._Unbounded()
-        simplex._pivot(T, basis, row, col)
+            raise _Unbounded(pivots)
+        _scalar_pivot(T, basis, row, col)
         degenerate = degenerate + 1 if best <= 1e-12 else 0
         pivots += 1
         if pivots > simplex.MAX_PIVOTS:
             raise simplex.NumericalFailure("simplex pivot cap exceeded")
 
 
-ARRAY_SIMPLEX = (simplex._pivot, simplex._simplex_iterate)
-SCALAR_SIMPLEX = (_scalar_pivot, _scalar_simplex_iterate)
-BLAND_SIMPLEX = (
-    simplex._pivot,
-    lambda T, basis, ncols: _scalar_simplex_iterate(T, basis, ncols, degenerate_run=0),
-)
+def full_tableau_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=False):
+    """The two-phase simplex on the full tableau, every basic column stored,
+    with the module's tolerances and _DEGENERATE_RUN; returns (LPResult,
+    pivot count)."""
+    run = simplex._DEGENERATE_RUN
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if A_eq is None:
+        A_eq = np.zeros((0, n))
+        b_eq = np.zeros(0)
+    if A_ub is None:
+        A_ub = np.zeros((0, n))
+        b_ub = np.zeros(0)
+    A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
+    A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
+    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
+    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+    m_eq = A_eq.shape[0]
+    m_ub = A_ub.shape[0]
+    m = m_eq + m_ub
+
+    A = np.zeros((m, n + m_ub))
+    rhs = np.zeros(m)
+    A[:m_eq, :n] = A_eq
+    rhs[:m_eq] = b_eq
+    A[m_eq:, :n] = A_ub
+    A[m_eq:, n:] = np.eye(m_ub)
+    rhs[m_eq:] = b_ub
+    flip = rhs < 0.0
+    A[flip] *= -1.0
+    rhs[flip] *= -1.0
+
+    art_rows = list(range(m_eq)) + [m_eq + i for i in range(m_ub) if flip[m_eq + i]]
+    n_art = len(art_rows)
+    ncols = n + m_ub
+    T = np.zeros((m + 1, ncols + n_art + 1))
+    T[:m, :ncols] = A
+    T[:m, -1] = rhs
+    basis = [-1] * m
+    for k, r in enumerate(art_rows):
+        T[r, ncols + k] = 1.0
+        basis[r] = ncols + k
+    for i in range(m_ub):
+        r = m_eq + i
+        if not flip[r]:
+            basis[r] = n + i
+
+    for k in range(n_art):
+        T[-1, ncols + k] = 1.0
+    for k in range(n_art):
+        T[-1] -= T[art_rows[k]]
+    pivots = _scalar_simplex_iterate(T, basis, ncols + n_art, run)
+    phase1 = -T[-1, -1]
+    if phase1 > simplex._TOL:
+        return simplex.LPResult("infeasible", phase1_objective=phase1), pivots
+
+    for r in range(m):
+        if basis[r] >= ncols:
+            piv = np.flatnonzero(np.abs(T[r, :ncols]) > simplex._PIVOT_TOL)
+            if piv.size:
+                _scalar_pivot(T, basis, r, int(piv[0]))
+                pivots += 1
+
+    obj = np.zeros(T.shape[1])
+    sign = -1.0 if maximize else 1.0
+    obj[:n] = sign * c
+    T[-1] = obj
+    for r in range(m):
+        if basis[r] < ncols and obj[basis[r]] != 0.0:
+            T[-1] -= obj[basis[r]] * T[r]
+    try:
+        pivots += _scalar_simplex_iterate(T, basis, ncols, run)
+    except _Unbounded as ray:
+        return simplex.LPResult("unbounded", phase1_objective=0.0), pivots + ray.args[0]
+
+    x = np.zeros(n)
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = T[r, -1]
+    val = float(c @ x)
+    return simplex.LPResult("optimal", x=x, objective=val, phase1_objective=0.0), pivots
 
 
-def solve_counting(loops, args, kwargs):
-    """simplex.solve run with the given (pivot, iterate) pair, and its pivot count."""
-    pivot, iterate = loops
+def solve_counting(args, kwargs):
+    """simplex.solve and its pivot count."""
     count = 0
+    pivot = simplex._pivot
 
-    def counted(T, basis, row, col):
+    def counted(*pivot_args):
         nonlocal count
         count += 1
-        pivot(T, basis, row, col)
+        pivot(*pivot_args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", counted)
-        mp.setattr(simplex, "_simplex_iterate", iterate)
         res = simplex.solve(*args, **kwargs)
     return res, count
 
@@ -323,20 +436,30 @@ def corpus_systems(epsilons):
                 yield rivin.assemble_constraints(link, eps)
 
 
+def seeded_system(n, seed):
+    cfg = geom.random_configuration(n, stats.trial_rng(seed, 0))
+    t, _ = geom.close_with_infinity(geom.delaunay(cfg))
+    return rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
+
+
 def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
     def check_feasible_everywhere():
         for system in corpus_systems((1e-6, 0.3, 1.1)):
             rivin.check_feasible(system)
+        for n in (40, 60):
+            for seed in range(3):
+                rivin.check_feasible(seeded_system(n, seed))
 
-    lps = [(lp, {}) for lp in random_lps()] + recorded_lps(check_feasible_everywhere)
-    # No LP here has 50 degenerate pivots in a row; a run of 2 sends 28 of
-    # them through the Bland fallback as well.
+    lps = [(lp, {}) for lp in random_lps() + degenerate_lps()]
+    lps += recorded_lps(check_feasible_everywhere)
+    # No LP here has 50 degenerate pivots in a row (the longest run is 15);
+    # a run of 2 sends 51 of the 175 through the Bland fallback as well.
     for run in (simplex._DEGENERATE_RUN, 2):
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
         statuses = set()
         for args, kwargs in lps:
-            ref, ref_pivots = solve_counting(SCALAR_SIMPLEX, args, kwargs)
-            res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
+            ref, ref_pivots = full_tableau_solve(*args, **kwargs)
+            res, pivots = solve_counting(args, kwargs)
             assert res.status == ref.status
             assert pivots == ref_pivots
             assert res.phase1_objective == ref.phase1_objective
@@ -376,13 +499,12 @@ def test_dantzig_without_bland_fallback_cycles_on_chvatal_lp(monkeypatch):
         simplex.solve(*CHVATAL_LP, maximize=True)
 
 
-def test_dantzig_pricing_needs_fewer_pivots_at_n40():
-    cfg = geom.random_configuration(40, stats.trial_rng(0, 0))
-    t, _ = geom.close_with_infinity(geom.delaunay(cfg))
-    system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
+def test_dantzig_pricing_needs_fewer_pivots_at_n40(monkeypatch):
+    system = seeded_system(40, 0)
     (args, kwargs), = recorded_lps(lambda: rivin.check_feasible(system))
-    ref, bland_pivots = solve_counting(BLAND_SIMPLEX, args, kwargs)
-    res, pivots = solve_counting(ARRAY_SIMPLEX, args, kwargs)
+    res, pivots = solve_counting(args, kwargs)
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)  # Bland's rule throughout
+    ref, bland_pivots = solve_counting(args, kwargs)
     assert res.status == ref.status == "optimal"
     assert res.objective == pytest.approx(ref.objective, abs=1e-12)
     assert pivots < 0.6 * bland_pivots
@@ -426,7 +548,7 @@ def test_compact_check_feasible_matches_two_lp_version():
         verdicts.add(res.feasible)
         if res.feasible:
             assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
-            min_slack, eq_res = rivin.witness_slacks(system, res.witness)
+            min_slack, eq_res = witness_slacks(system, res.witness)
             assert min_slack >= res.min_slack - 1e-12
             assert eq_res < 1e-9
         else:
