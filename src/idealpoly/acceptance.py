@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus, geom, optvol, oracles, rivin, specfun, stats, triang
+from .errors import InputError
 
 TABLE1 = stats.KNOWN_MAX_VOLUME
 
@@ -90,7 +91,7 @@ def c02_rational_angles():
     t6 = triang.octahedron()
     r6 = optvol.maximize_volume(triang.build_link(t6, triang.choose_apex(t6)))
     dihedrals6 = [
-        optvol.detect_rational(v) for v in r6.dihedrals.per_edge.values()
+        optvol.detect_rational(v) for v in r6.dihedrals.values()
     ]
     ok6 = all(r is not None and (r.p, r.q) == (1, 2) for r in dihedrals6)
     return CriterionResult(
@@ -364,13 +365,16 @@ ALL_CRITERIA = (
 
 
 def run_all(only=None):
-    wanted = None
-    if only:
-        wanted = {s.strip() for s in only.split(",")}
-    results = []
-    for fn in ALL_CRITERIA:
-        cid = fn.__name__.split("_")[0]
-        if wanted and cid not in wanted:
-            continue
-        results.append(fn())
-    return results
+    """Run every criterion, or those whose ids ``only`` lists (e.g. "c01,c03").
+
+    An unknown id raises InputError before any criterion runs.
+    """
+    by_id = {fn.__name__.split("_")[0]: fn for fn in ALL_CRITERIA}
+    wanted = {s.strip() for s in only.split(",")} if only else set(by_id)
+    unknown = sorted(wanted - set(by_id))
+    if unknown:
+        raise InputError(
+            f"unknown criterion ids {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(by_id)}"
+        )
+    return [fn() for cid, fn in by_id.items() if cid in wanted]

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import __version__, _kernels, geom, optvol, rivin, stats, svgplot, triang
+from . import __version__, geom, optvol, rivin, stats, svgplot, triang
 from .errors import IdealPolyError, InputError, InputNotFound
 
 
@@ -55,7 +55,6 @@ class Run:
             "argv": self.argv,
             "seed": getattr(self.args, "seed", None),
             "version": __version__,
-            "kernel_backend": _kernels.BACKEND,
             "duration_s": round(time.monotonic() - self.t0, 6),
             "inputs": self.inputs,
         }
@@ -138,8 +137,8 @@ def optimize_payload(t, apex, result, max_denominator, tol):
                 }
             )
     dihedrals = []
-    for e in sorted(result.dihedrals.per_edge):
-        radians = result.dihedrals.per_edge[e]
+    for e in sorted(result.dihedrals):
+        radians = result.dihedrals[e]
         dihedrals.append(
             {
                 "edge": list(e),
@@ -148,10 +147,10 @@ def optimize_payload(t, apex, result, max_denominator, tol):
                 "rational": _rational_dict(radians, max_denominator, tol),
             }
         )
-    shapes = [
-        {"edge": list(e), "re": z.real, "im": z.imag}
-        for e, z in sorted(optvol.shape_parameters(result.angles).per_interior_edge.items())
-    ]
+    shapes = []  # edge shape parameter exp(i * dihedral) per interior link edge
+    for e in sorted(link.interior_edges):
+        radians = result.dihedrals[e]
+        shapes.append({"edge": list(e), "re": math.cos(radians), "im": math.sin(radians)})
     v4 = optvol.regular_tetrahedron_volume()
     return {
         "n": t.n,
@@ -407,10 +406,15 @@ def _is_index(value):
 
 
 def _corner_values(path, corners, n_faces):
-    """Corner angles of optimize output as an (n_faces, 3) array."""
+    """Corner angles of optimize output as an (n_faces, 3) array.
+
+    Every (face, slot) must appear exactly once, with finite radians in
+    (0, pi): layout divides by the sine of each corner.
+    """
     if not isinstance(corners, list):
         raise InputError(f"{path}: corners {corners!r} is not a list")
     values = np.zeros((n_faces, 3))
+    seen = set()
     for c in corners:
         try:
             face, slot, radians = c["face"], c["slot"], float(c["radians"])
@@ -421,7 +425,16 @@ def _corner_values(path, corners, n_faces):
                 f"{path}: corner {c!r} needs a face in 0..{n_faces - 1}, "
                 "a slot in 0..2 and radians"
             )
+        if not 0.0 < radians < math.pi:  # also rejects nan and inf
+            raise InputError(f"{path}: corner {c!r} needs radians in (0, pi)")
+        if (face, slot) in seen:
+            raise InputError(f"{path}: face {face}, slot {slot} appears twice")
+        seen.add((face, slot))
         values[face, slot] = radians
+    for face in range(n_faces):
+        for slot in range(3):
+            if (face, slot) not in seen:
+                raise InputError(f"{path}: no corner for face {face}, slot {slot}")
     return values
 
 

@@ -78,22 +78,13 @@ def _volume_flat(flat_angles):
     return _kernels.lobachevsky_sum(list(flat_angles))
 
 
-@dataclass(frozen=True)
-class DihedralAngles:
-    """Dihedral angle per parent edge.
+def dihedral_angles(angles):
+    """Dihedral angle in radians per parent edge, as {edge: radians}.
 
     Rule: interior link edge -> sum of the two opposite corners; hull link
     edge -> its single opposite corner; vertical edge above hull vertex w
     -> sum of the corners at w.
     """
-
-    per_edge: dict
-
-    def values(self):
-        return [self.per_edge[e] for e in sorted(self.per_edge)]
-
-
-def dihedral_angles(angles):
     link = angles.link
     th = np.asarray(angles.values, dtype=float)
     out = {}
@@ -108,7 +99,7 @@ def dihedral_angles(angles):
             sum(th[f, s] for f, s in link.corners_at[w])
         )
     assert set(out) == set(link.parent.edges())
-    return DihedralAngles(per_edge=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,29 +142,11 @@ def detect_rational(theta, max_denominator=100, tol=1e-10):
 
 
 @dataclass(frozen=True)
-class ShapeParameters:
-    """Unit-modulus edge invariants exp(i*(alpha+beta)) per interior edge."""
-
-    per_interior_edge: dict
-
-
-def shape_parameters(angles):
-    link = angles.link
-    th = np.asarray(angles.values, dtype=float)
-    out = {}
-    for e in link.interior_edges:
-        (f1, s1), (f2, s2) = link.opposite[e]
-        s = float(th[f1, s1] + th[f2, s2])
-        out[e] = complex(math.cos(s), math.sin(s))
-    return ShapeParameters(per_interior_edge=out)
-
-
-@dataclass(frozen=True)
 class OptResult:
     angles: AngleAssignment
     volume: float
     kkt_residual: float
-    dihedrals: DihedralAngles
+    dihedrals: dict  # {edge: radians}, as dihedral_angles builds it
     active_constraints: tuple  # (kind, key) rows binding at the optimum
     boundary_active: bool
     barrier_volumes: tuple  # central-path volumes, nondecreasing
@@ -196,17 +169,13 @@ def _constraint_data(system):
     return A_eq, b_eq, G, h, kinds
 
 
-def _null_space(A, m):
-    if A.shape[0] == 0:
-        return np.eye(m)
+def _null_space(A):
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0]))
     return Vt[rank:].T
 
 
 def _particular(A, b):
-    if A.shape[0] == 0:
-        return np.zeros(A.shape[1])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return sol
 
@@ -262,8 +231,8 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
             H = H - mu * (GN.T * (1.0 / (s * s))) @ GN
         try:
             step = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(-H, g, rcond=None)[0]
+        except np.linalg.LinAlgError:  # H singular: take the gradient step
+            step = g
         phi0 = None  # evaluated once a trial reaches the Armijo test
         slope = float(g @ step)
         if slope <= 0.0:  # not an ascent direction: H lost definiteness
@@ -323,12 +292,12 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
         theta0 = np.asarray(start, dtype=float).reshape(-1)
         if theta0.size != m:
             raise InfeasibleStart(f"start has {theta0.size} corners, expected {m}")
-        if A_eq.shape[0] and np.max(np.abs(A_eq @ theta0 - b_eq)) > 1e-8:
+        if np.max(np.abs(A_eq @ theta0 - b_eq)) > 1e-8:
             raise InfeasibleStart("start violates the equality constraints")
         if np.any(h - G @ theta0 <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    N = _null_space(A_eq, m)
+    N = _null_space(A_eq)
     theta_p = _particular(A_eq, b_eq)
     u = N.T @ (theta0 - theta_p)
 
@@ -359,7 +328,6 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     # may violate it and pin it again; it is then kept, which ends that cycle.
     active = set(int(i) for i in np.flatnonzero(slacks < BOUNDARY_TOL))
     dropped = set()
-    N2 = N
     for _ in range(30):
         act = sorted(active)
         A2 = np.vstack([A_eq, G[act]])
@@ -370,7 +338,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
             loosest = max(act, key=lambda i: float(h[i] - G[i] @ theta))
             active.discard(loosest)
             continue
-        N2 = _null_space(A2, m)
+        N2 = _null_space(A2)
         inactive = np.array(sorted(set(range(G.shape[0])) - active), dtype=int)
         G2 = G[inactive]
         h2 = h[inactive]

@@ -4,10 +4,12 @@ import os
 
 import pytest
 
-from idealpoly import _kernels, cli
+from idealpoly import __version__, cli
 
 try:
     import jsonschema
+    from referencing import Registry
+    from referencing.jsonschema import DRAFT7
 except ImportError:
     jsonschema = None
 
@@ -32,25 +34,44 @@ NOT_REALIZABLE = {
 }
 
 
-def _backend_enums(node):
+def _load_schema(name):
+    with open(os.path.join(SCHEMA_DIR, name)) as fh:
+        return json.load(fh)
+
+
+SCHEMAS = {name: _load_schema(name) for name in sorted(os.listdir(SCHEMA_DIR))}
+
+
+def _refs(node):
     if isinstance(node, dict):
         for key, value in node.items():
-            if key == "kernel_backend":
-                yield value["enum"]
-            yield from _backend_enums(value)
+            if key == "$ref":
+                yield value
+            else:
+                yield from _refs(value)
     elif isinstance(node, list):
         for value in node:
-            yield from _backend_enums(value)
+            yield from _refs(value)
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(SCHEMA_DIR)))
+REGISTRY = None
+if jsonschema is not None:
+    REGISTRY = Registry().with_resources(
+        (name, DRAFT7.create_resource(schema)) for name, schema in SCHEMAS.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_schema_is_valid_and_names_the_backend(name):
-    with open(os.path.join(SCHEMA_DIR, name)) as fh:
-        schema = json.load(fh)
+    # the manifest has no kernel backend field: no schema may name one
+    schema = SCHEMAS[name]
+    assert "kernel_backend" not in json.dumps(schema)
+    assert schema["$id"] == name
     if jsonschema is not None:
         jsonschema.Draft7Validator.check_schema(schema)
-    for enum in _backend_enums(schema):
-        assert enum == [_kernels.BACKEND]
+        resolver = REGISTRY.resolver(base_uri=name)
+        for ref in _refs(schema):
+            resolver.lookup(ref)  # raises if the reference dangles
 
 
 def write(tmp_path, name, payload):
@@ -60,17 +81,28 @@ def write(tmp_path, name, payload):
 
 
 def run_cli(argv, capsys):
+    """Run the CLI.  Any JSON it prints, or writes with -o, must match its
+    command's schema; any JSON line on stderr must match the error schema."""
     code = cli.main(argv)
     captured = capsys.readouterr()
+    outputs = [captured.out]
+    if "-o" in argv and os.path.exists(argv[argv.index("-o") + 1]):
+        with open(argv[argv.index("-o") + 1]) as fh:
+            outputs.append(fh.read())
+    for text in outputs:
+        if text.startswith("{"):
+            check_schema(json.loads(text), f"{argv[0]}.schema.json")
+    for line in captured.err.splitlines():
+        if line.startswith("{"):
+            check_schema(json.loads(line), "error.schema.json")
     return code, captured.out, captured.err
 
 
 def check_schema(payload, name):
+    """Validate through a registry of every schema, so $refs resolve."""
     if jsonschema is None:
         return
-    with open(os.path.join(SCHEMA_DIR, name)) as fh:
-        schema = json.load(fh)
-    jsonschema.validate(payload, schema)
+    jsonschema.Draft7Validator(SCHEMAS[name], registry=REGISTRY).validate(payload)
 
 
 def test_check_realizable(tmp_path, capsys):
@@ -336,6 +368,16 @@ def _broken_angles(angles, case):
         angles["apex"] = "x"
     elif case == "slot-out-of-range":
         angles["corners"][0]["slot"] = 7
+    elif case == "no-corners":
+        angles["corners"] = []
+    elif case == "missing-corner":
+        angles["corners"].pop()
+    elif case == "duplicate-corner":
+        angles["corners"].append(dict(angles["corners"][0]))
+    elif case.startswith("radians-"):
+        angles["corners"][0]["radians"] = {"nan": "nan", "0": 0, "pi": math.pi}[
+            case.removeprefix("radians-")
+        ]
     else:  # a corner without one of its keys
         del angles["corners"][0][case.removeprefix("no-")]
     return angles
@@ -344,7 +386,9 @@ def _broken_angles(angles, case):
 @pytest.mark.parametrize(
     "case",
     ["no-radians", "no-face", "no-slot", "slot-out-of-range",
-     "corners-not-a-list", "apex-not-an-id", "not-an-object", "a-string"],
+     "corners-not-a-list", "apex-not-an-id", "not-an-object", "a-string",
+     "no-corners", "missing-corner", "duplicate-corner",
+     "radians-nan", "radians-0", "radians-pi"],
 )
 def test_export_malformed_angles(tmp_path, capsys, case):
     tri = write(tmp_path, "tetra.json", TETRA)
@@ -388,6 +432,25 @@ def test_search_and_schema(capsys):
     assert data["best_volume"] == pytest.approx(2.029883, abs=1e-5)
     assert len(data["per_trial"]) == 3
     check_schema(data, "search.schema.json")
+
+
+@pytest.mark.skipif(jsonschema is None, reason="needs jsonschema")
+def test_schemas_follow_their_refs(tmp_path, capsys):
+    # the manifest and the optimum are defined once and reached by $ref
+    path = write(tmp_path, "octa.json", OCTA)
+    _, out, _ = run_cli(["optimize", path], capsys)
+    optimum = json.loads(out)
+    assert "kernel_backend" not in optimum["manifest"]
+    assert optimum["manifest"]["version"] == __version__
+    del optimum["manifest"]["version"]
+    with pytest.raises(jsonschema.ValidationError, match="'version' is a required"):
+        check_schema(optimum, "optimize.schema.json")
+
+    _, out, _ = run_cli(["search", "--n", "5", "--trials", "2"], capsys)
+    search = json.loads(out)
+    del search["best"]["volume"]
+    with pytest.raises(jsonschema.ValidationError, match="'volume' is a required"):
+        check_schema(search, "search.schema.json")
 
 
 def test_sample_fit_report_scaling_flow(tmp_path, capsys):
@@ -510,3 +573,14 @@ def test_selftest_subset(capsys):
     code, out, _ = run_cli(["selftest", "--only", "c03"], capsys)
     assert code == 0
     assert "[PASS]" in out
+
+
+@pytest.mark.parametrize("only", ["c99", "c01,c99"])
+def test_selftest_rejects_unknown_ids(capsys, only):
+    # c01 takes seconds: an unknown id must be caught before any criterion runs
+    code, out, err = run_cli(["selftest", "--only", only], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "unknown criterion ids" in payload["message"]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from idealpoly import corpus, geom, optvol, rivin, specfun, stats, triang
+from idealpoly import cli, corpus, geom, optvol, rivin, specfun, stats, triang
 from idealpoly.errors import InfeasibleStart
 
 PI = math.pi
@@ -41,25 +41,24 @@ def test_maximize_tetrahedron():
     assert out.volume == pytest.approx(1.014942, abs=5e-6)
     assert np.allclose(out.angles.flat, PI / 3, atol=1e-9)
     assert out.kkt_residual < 1e-10
-    for e, v in out.dihedrals.per_edge.items():
+    for e, v in out.dihedrals.items():
         assert v == pytest.approx(PI / 3, abs=1e-9)
 
 
 def test_maximize_bipyramid():
     _, out = optimum(triang.bipyramid(), apex=0)
     assert out.volume == pytest.approx(2.029883, abs=5e-6)
-    per_edge = out.dihedrals.per_edge
     # equator edges open to 2 pi/3, edges into either tip to pi/3
     for e in ((1, 2), (2, 3), (1, 3)):
-        assert per_edge[e] == pytest.approx(2 * PI / 3, abs=1e-9)
+        assert out.dihedrals[e] == pytest.approx(2 * PI / 3, abs=1e-9)
     for e in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)):
-        assert per_edge[e] == pytest.approx(PI / 3, abs=1e-9)
+        assert out.dihedrals[e] == pytest.approx(PI / 3, abs=1e-9)
 
 
 def test_maximize_octahedron():
     _, out = optimum(triang.octahedron())
     assert out.volume == pytest.approx(3.663862, abs=5e-6)
-    for v in out.dihedrals.per_edge.values():
+    for v in out.dihedrals.values():
         assert v == pytest.approx(PI / 2, abs=1e-9)
     # interior corners pi/2, hull corners pi/4
     vals = sorted(round(x, 9) for x in out.angles.flat)
@@ -433,13 +432,13 @@ def test_optimizer_against_grid_oracle_tetrahedron():
 
 def test_dihedral_totality_and_rationality():
     _, out4 = optimum(triang.tetrahedron())
-    assert set(out4.dihedrals.per_edge) == set(triang.tetrahedron().edges())
-    rats = [optvol.detect_rational(v) for v in out4.dihedrals.per_edge.values()]
+    assert set(out4.dihedrals) == set(triang.tetrahedron().edges())
+    rats = [optvol.detect_rational(v) for v in out4.dihedrals.values()]
     assert all(r is not None and (r.p, r.q) == (1, 3) for r in rats)
 
     _, out6 = optimum(triang.octahedron())
-    assert set(out6.dihedrals.per_edge) == set(triang.octahedron().edges())
-    rats = [optvol.detect_rational(v) for v in out6.dihedrals.per_edge.values()]
+    assert set(out6.dihedrals) == set(triang.octahedron().edges())
+    rats = [optvol.detect_rational(v) for v in out6.dihedrals.values()]
     assert all(r is not None and (r.p, r.q) == (1, 2) for r in rats)
 
 
@@ -479,19 +478,44 @@ def test_detect_rational_against_fraction_oracle():
 
 
 def test_shape_parameters():
-    _, out6 = optimum(triang.octahedron())
-    shapes = optvol.shape_parameters(out6.angles).per_interior_edge
-    assert len(shapes) == 4
-    for z in shapes.values():
+    def shapes(t, apex=None):
+        _, out = optimum(t, apex=apex)
+        payload = cli.optimize_payload(t, out.angles.link.apex, out, 100, 1e-10)
+        return [complex(z["re"], z["im"]) for z in payload["shape_parameters"]]
+
+    shapes6 = shapes(triang.octahedron())
+    assert len(shapes6) == 4
+    for z in shapes6:
         assert abs(abs(z) - 1.0) < 1e-12
         assert z == pytest.approx(complex(0.0, 1.0), abs=1e-9)  # exp(i pi/2)
 
-    _, out5 = optimum(triang.bipyramid(), apex=0)
-    shapes = optvol.shape_parameters(out5.angles).per_interior_edge
-    for z in shapes.values():
+    for z in shapes(triang.bipyramid(), apex=0):
         assert z == pytest.approx(
             complex(math.cos(PI / 3), math.sin(PI / 3)), abs=1e-9
         )
+
+
+def test_singular_newton_system_takes_the_gradient_step(monkeypatch):
+    # a LinAlgError from the Newton solve falls back to the gradient step;
+    # the remaining iterations still reach the octahedron's optimum.  The
+    # centered witness is already the optimum, so start off it.
+    res = rivin.is_realizable(triang.octahedron())
+    A_eq, _ = rivin.assemble_constraints(res.link, rivin.DEFAULT_EPSILON).eq_matrix()
+    start = res.witness + 0.1 * optvol._null_space(A_eq)[:, 0]
+    solve = np.linalg.solve
+    raised = []
+
+    def singular_once(a, b):
+        if not raised:
+            raised.append(True)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    out = optvol.maximize_volume(res.link, start=start)
+    assert raised
+    assert out.volume == pytest.approx(8 * specfun.lobachevsky(PI / 4), abs=1e-12)
+    assert out.kkt_residual < 1e-12
 
 
 def test_degenerate_type_reports_boundary_active():
