@@ -84,7 +84,7 @@ def c02_rational_angles():
     t4 = triang.tetrahedron()
     r4 = optvol.maximize_volume(triang.build_link(t4, triang.choose_apex(t4)))
     corners4 = [
-        optvol.detect_rational(v) for v in r4.angles.flat
+        optvol.detect_rational(v) for v in r4.angles.ravel()
     ]
     ok4 = all(r is not None and (r.p, r.q) == (1, 3) for r in corners4)
 
@@ -136,7 +136,7 @@ def c04_uniqueness():
         starts = rivin.random_interior_points(res.system, 10, rng)
         outs = [optvol.maximize_volume(res.link, start=s) for s in starts]
         vols = [o.volume for o in outs]
-        angs = [o.angles.flat for o in outs]
+        angs = [o.angles for o in outs]
         worst_vol = max(worst_vol, max(vols) - min(vols))
         for i in range(len(angs)):
             for j in range(i + 1, len(angs)):
@@ -248,7 +248,7 @@ def c08_layout_round_trip():
         lay = geom.layout(res.link, out.angles)
         again = geom.euclidean_angles(lay.triangulation)
         worst_angle = max(
-            worst_angle, float(np.max(np.abs(again - np.asarray(out.angles.values))))
+            worst_angle, float(np.max(np.abs(again - out.angles)))
         )
         worst_res = max(worst_res, lay.residual)
         count += 1

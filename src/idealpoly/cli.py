@@ -120,8 +120,8 @@ def _common_denominator(rationals):
 
 
 def optimize_payload(t, apex, result, max_denominator, tol):
-    link = result.angles.link
-    values = np.asarray(result.angles.values)
+    link = result.link
+    values = result.angles
     corners = []
     for f in range(values.shape[0]):
         for s in range(3):
@@ -217,7 +217,7 @@ def cmd_search(run):
         "best_triangulation": r.best_triangulation.to_json_dict(),
         "best": optimize_payload(
             r.best_triangulation,
-            r.best_angles.link.apex,
+            r.best_result.link.apex,
             r.best_result,
             run.args.max_denominator,
             run.args.tol,
@@ -460,7 +460,7 @@ def cmd_export(run):
             raise InputError(f"{run.args.angles}: apex {apex!r} is not a vertex id")
         link = triang.build_link(t, apex)
         values = _corner_values(run.args.angles, data["corners"], len(link.bounded_faces))
-        lay = geom.layout(link, optvol.AngleAssignment(link=link, values=values))
+        lay = geom.layout(link, values)
         positions = lay.positions
         residual = lay.residual
 

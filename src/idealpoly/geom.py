@@ -68,10 +68,6 @@ class PointConfiguration:
     def infinity_index(self):
         return len(self.finite)
 
-    def to_json_dict(self):
-        pts = [[w.real, w.imag] for w in self.finite]
-        return {"points": pts + ["inf"]}
-
 
 def _min_separation(points):
     worst = math.inf
@@ -182,12 +178,12 @@ def config_volume(config):
 class LayoutResult:
     positions: dict  # parent vertex id -> complex position
     residual: float  # max disagreement between alternative placements
-    vertices: tuple  # sorted non-apex vertex ids
     triangulation: PlanarTriangulation  # positions reindexed 0..m-1
 
 
 def layout(link, angles):
-    """Reconstruct vertex positions from feasible corner angles.
+    """Reconstruct vertex positions from feasible corner angles, an array of
+    shape (len(link.bounded_faces), 3).
 
     Places the lexicographically smallest bounded face with its first edge on
     0 -> 1, then walks faces breadth-first across shared interior edges,
@@ -195,8 +191,7 @@ def layout(link, angles):
     along several paths must agree within 1e-6 (the closure residual), else
     LayoutInconsistent is raised.
     """
-    th = np.asarray(angles.values if hasattr(angles, "values") else angles,
-                    dtype=float)
+    th = np.asarray(angles, dtype=float)
     faces = link.bounded_faces
     root = min(range(len(faces)), key=lambda f: faces[f])
 
@@ -260,6 +255,4 @@ def layout(link, angles):
         triangles=tuple(tuple(index[v] for v in f) for f in faces),
         hull=(),
     )
-    return LayoutResult(
-        positions=pos, residual=residual, vertices=vertices, triangulation=pt
-    )
+    return LayoutResult(positions=pos, residual=residual, triangulation=pt)

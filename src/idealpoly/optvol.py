@@ -25,21 +25,9 @@ from .triang import edge_key
 BOUNDARY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
-    """Corner angles in radians, indexed like the link's bounded faces."""
-
-    link: object
-    values: object  # ndarray of shape (len(bounded_faces), 3)
-
-    @property
-    def flat(self):
-        return np.asarray(self.values, dtype=float).reshape(-1)
-
-
 def volume(angles):
-    """Hyperbolic volume: the Lobachevsky sum over all corners."""
-    flat = angles.flat
+    """Hyperbolic volume: the Lobachevsky sum over all corner angles."""
+    flat = np.asarray(angles, dtype=float).reshape(-1)
     if np.any(flat <= 0.0) or np.any(flat >= math.pi):
         raise ValueError("corner angles must lie in (0, pi)")
     return _kernels.lobachevsky_sum(flat.tolist())
@@ -78,15 +66,14 @@ def _volume_flat(flat_angles):
     return _kernels.lobachevsky_sum(list(flat_angles))
 
 
-def dihedral_angles(angles):
+def dihedral_angles(link, angles):
     """Dihedral angle in radians per parent edge, as {edge: radians}.
 
     Rule: interior link edge -> sum of the two opposite corners; hull link
     edge -> its single opposite corner; vertical edge above hull vertex w
     -> sum of the corners at w.
     """
-    link = angles.link
-    th = np.asarray(angles.values, dtype=float)
+    th = np.asarray(angles, dtype=float)
     out = {}
     for e in link.interior_edges:
         (f1, s1), (f2, s2) = link.opposite[e]
@@ -143,7 +130,8 @@ def detect_rational(theta, max_denominator=100, tol=1e-10):
 
 @dataclass(frozen=True)
 class OptResult:
-    angles: AngleAssignment
+    link: object
+    angles: object  # ndarray (len(link.bounded_faces), 3) of corner radians
     volume: float
     kkt_residual: float
     dihedrals: dict  # {edge: radians}, as dihedral_angles builds it
@@ -154,19 +142,17 @@ class OptResult:
 
 
 def _constraint_data(system):
-    """Equality matrix and true (epsilon = 0) inequality rows of a system.
+    """Equalities and inequalities G theta <= h of a system at epsilon = 0.
 
-    G stacks -I (corners >= 0) over the 0/1 inequality rows, whose right-hand
-    side is pi: the epsilon relaxation only serves the interior start.
+    G stacks -I (corners >= 0) over the 0/1 inequality rows and h stacks 0
+    over their pi: the epsilon relaxation only serves the interior start.
     """
-    A_eq, b_eq = system.eq_matrix()
-    A_ub, _ = system.ub_matrix()
     m = system.n_vars
-    G = np.vstack([-np.eye(m), A_ub])
-    h = np.concatenate([np.zeros(m), np.full(len(system.ub_rows), math.pi)])
+    G = np.vstack([-np.eye(m), system.A_ub])
+    h = np.concatenate([np.zeros(m), system.b_ub])
     kinds = [("corner", (f, s)) for f in range(m // 3) for s in range(3)]
-    kinds += [(kind, key) for _, _, kind, key in system.ub_rows]
-    return A_eq, b_eq, G, h, kinds
+    kinds += system.ub_kinds
+    return system.A_eq, system.b_eq, G, h, kinds
 
 
 def _null_space(A):
@@ -268,15 +254,14 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     return u, gnorm, iters
 
 
-def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
+def maximize_volume(link, start=None):
     """Unique volume maximizer for one apex link.
 
     ``start`` must be strictly interior (true slacks positive, equalities
-    within 1e-8); when omitted, the centered feasibility witness at
-    ``epsilon`` is used.  Raises InfeasibleStart when no interior start can
-    be produced.
+    within 1e-8); when omitted, the centered witness at the default epsilon
+    is used.  Raises InfeasibleStart when no interior start can be produced.
     """
-    system = rivin.assemble_constraints(link, epsilon)
+    system = rivin.assemble_constraints(link)
     A_eq, b_eq, G, h, kinds = _constraint_data(system)
     m = system.n_vars
 
@@ -284,7 +269,7 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
         res = rivin.check_feasible(system)
         if not res.feasible or res.min_slack <= 0.0:
             raise InfeasibleStart(
-                f"no strictly interior point at epsilon={epsilon:g} "
+                f"no strictly interior point at epsilon={system.epsilon:g} "
                 f"(certificate {res.certificate:g})"
             )
         theta0 = res.witness
@@ -392,15 +377,14 @@ def maximize_volume(link, epsilon=rivin.DEFAULT_EPSILON, start=None):
     final_gnorm = float(np.linalg.norm(N2.T @ volume_gradient(theta)))
     vol = _volume_flat(theta)
 
-    values = theta.reshape(-1, 3)
-    assignment = AngleAssignment(link=link, values=values)
-    active_kinds = tuple(kinds[i] for i in sorted(active))
+    angles = theta.reshape(-1, 3)
     return OptResult(
-        angles=assignment,
+        link=link,
+        angles=angles,
         volume=float(vol),
         kkt_residual=final_gnorm,
-        dihedrals=dihedral_angles(assignment),
-        active_constraints=active_kinds,
+        dihedrals=dihedral_angles(link, angles),
+        active_constraints=tuple(kinds[i] for i in sorted(active)),
         boundary_active=bool(active) or bool(np.any(h - G @ theta < BOUNDARY_TOL)),
         barrier_volumes=tuple(path_volumes),
         newton_iterations=total_iters,

@@ -8,7 +8,7 @@ integer enumeration instead of running the simplex.
 
 import math
 
-from . import rivin
+import numpy as np
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, depth=60):
@@ -73,9 +73,8 @@ def lobachevsky_by_quadrature(theta):
 def reduced_grid_dimension(system):
     """Number of free corners once each triangle's third corner is pinned,
     minus independent interior-vertex rows: the grid oracle's search size."""
-    n_tri = sum(1 for r in system.eq_rows if r[2] == "triangle")
-    n_int = sum(1 for r in system.eq_rows if r[2] == "interior_vertex")
-    return 2 * n_tri - n_int
+    kinds = [kind for kind, _ in system.eq_kinds]
+    return 2 * kinds.count("triangle") - kinds.count("interior_vertex")
 
 
 def grid_feasible(system, steps_per_pi=720):
@@ -91,33 +90,29 @@ def grid_feasible(system, steps_per_pi=720):
     Returns True iff some grid point satisfies every constraint.
     """
     S = int(steps_per_pi)
-    link = system.link
-    n_tri = len(link.bounded_faces)
+    n_tri = len(system.link.bounded_faces)
     m = system.n_vars
 
+    eq_idx = [tuple(np.flatnonzero(row).tolist()) for row in system.A_eq]
+    ub_idx = [tuple(np.flatnonzero(row).tolist()) for row in system.A_ub]
     rows = []  # (indices, lo, hi) as integer constraints on corner units
-    for idx, rhs, kind, _ in system.eq_rows:
+    for idx, (kind, _) in zip(eq_idx, system.eq_kinds):
         total = S if kind == "triangle" else 2 * S
-        rows.append((tuple(idx), total, total))
-    for idx, rhs, kind, _ in system.ub_rows:
-        rows.append((tuple(idx), len(idx), S - 1))
+        rows.append((idx, total, total))
+    for idx in ub_idx:
+        rows.append((idx, len(idx), S - 1))
 
     # assignment order: interior-vertex corners first (their equality rows
     # prune hardest), then the remaining free corners; the slot-2 corner of
     # each triangle is dependent.
     dependent = {3 * f + 2 for f in range(n_tri)}
     priority = set()
-    for idx, rhs, kind, _ in system.eq_rows:
+    for idx, (kind, _) in zip(eq_idx, system.eq_kinds):
         if kind == "interior_vertex":
             priority.update(i for i in idx if i not in dependent)
     free = sorted(priority) + sorted(
         set(range(m)) - dependent - priority
     )
-
-    rows_by_var = [[] for _ in range(m)]
-    for r, (idx, lo, hi) in enumerate(rows):
-        for i in idx:
-            rows_by_var[i].append(r)
 
     lo_v = [1] * m
     hi_v = [S - 1] * m

@@ -32,32 +32,25 @@ DEFAULT_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """0/1 rows over flat corner indices (corner = 3*face + slot).
-
-    ``eq_rows``/``ub_rows`` are (indices, rhs, kind, key) tuples; the epsilon
-    relaxation is already folded into the right-hand sides.  Corner lower
-    bounds theta >= epsilon are kept implicit.
+    """Rivin's polytope of angle structures at epsilon = 0 over flat corner
+    indices (corner = 3*face + slot): A_eq theta = b_eq, A_ub theta <= b_ub,
+    theta >= 0, with 0/1 rows that ``eq_kinds``/``ub_kinds`` name as
+    (kind, key).  ``epsilon`` enters only this module's LPs, through
+    ``_standard_form``.
     """
 
     link: object
     epsilon: float
-    n_vars: int
-    eq_rows: tuple
-    ub_rows: tuple
+    A_eq: object  # ndarray (rows, n_vars)
+    b_eq: object  # ndarray: pi per triangle, 2*pi per interior vertex
+    eq_kinds: tuple
+    A_ub: object
+    b_ub: object  # ndarray of pi
+    ub_kinds: tuple
 
-    def _matrix(self, rows):
-        A = np.zeros((len(rows), self.n_vars))
-        b = np.zeros(len(rows))
-        for i, (idx, rhs, _, _) in enumerate(rows):
-            A[i, list(idx)] = 1.0
-            b[i] = rhs
-        return A, b
-
-    def eq_matrix(self):
-        return self._matrix(self.eq_rows)
-
-    def ub_matrix(self):
-        return self._matrix(self.ub_rows)
+    @property
+    def n_vars(self):
+        return self.A_eq.shape[1]
 
 
 def flat(corner):
@@ -65,33 +58,40 @@ def flat(corner):
     return 3 * f + s
 
 
+def _zero_one(rows, n_vars):
+    """0/1 matrix with a one at every flat index of each row, in one scatter."""
+    A = np.zeros((len(rows), n_vars))
+    row_of = [r for r, idx in enumerate(rows) for _ in idx]
+    A[row_of, [i for idx in rows for i in idx]] = 1.0
+    return A
+
+
 def assemble_constraints(link, epsilon=DEFAULT_EPSILON):
     """Build the constraint system for one apex link."""
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    n_vars = link.n_corners
+    n_faces = len(link.bounded_faces)
+    eq_idx = [(3 * f, 3 * f + 1, 3 * f + 2) for f in range(n_faces)]
+    eq_idx += [[flat(c) for c in link.corners_at[v]] for v in link.interior_vertices]
+    eq_kinds = [("triangle", f) for f in range(n_faces)]
+    eq_kinds += [("interior_vertex", v) for v in link.interior_vertices]
+    b_eq = np.full(len(eq_idx), 2.0 * math.pi)
+    b_eq[:n_faces] = math.pi
 
-    eq_rows = []
-    for f in range(len(link.bounded_faces)):
-        eq_rows.append(((3 * f, 3 * f + 1, 3 * f + 2), math.pi, "triangle", f))
-    for v in link.interior_vertices:
-        idx = tuple(flat(c) for c in link.corners_at[v])
-        eq_rows.append((idx, 2.0 * math.pi, "interior_vertex", v))
-
-    ub_rows = []
-    for e in link.interior_edges:
-        idx = tuple(flat(c) for c in link.opposite[e])
-        ub_rows.append((idx, math.pi - epsilon, "interior_edge", e))
-    for w in link.hull_cycle:
-        idx = tuple(flat(c) for c in link.corners_at[w])
-        ub_rows.append((idx, math.pi - epsilon, "hull_vertex", w))
+    ub_idx = [[flat(c) for c in link.opposite[e]] for e in link.interior_edges]
+    ub_idx += [[flat(c) for c in link.corners_at[w]] for w in link.hull_cycle]
+    ub_kinds = [("interior_edge", e) for e in link.interior_edges]
+    ub_kinds += [("hull_vertex", w) for w in link.hull_cycle]
 
     return ConstraintSystem(
         link=link,
         epsilon=epsilon,
-        n_vars=n_vars,
-        eq_rows=tuple(eq_rows),
-        ub_rows=tuple(ub_rows),
+        A_eq=_zero_one(eq_idx, link.n_corners),
+        b_eq=b_eq,
+        eq_kinds=tuple(eq_kinds),
+        A_ub=_zero_one(ub_idx, link.n_corners),
+        b_ub=np.full(len(ub_idx), math.pi),
+        ub_kinds=tuple(ub_kinds),
     )
 
 
@@ -104,12 +104,12 @@ class FeasibilityResult:
 
 
 def _standard_form(system):
-    """Shift to y = theta - epsilon >= 0 and return (A_eq, b_eq, A_ub, b_ub)."""
+    """Relax to A_ub theta <= pi - epsilon and theta >= epsilon, shift to
+    y = theta - epsilon >= 0 and return (A_eq, b_eq, A_ub, b_ub)."""
     eps = system.epsilon
-    A_eq, b_eq = system.eq_matrix()
-    A_ub, b_ub = system.ub_matrix()
-    b_eq = b_eq - eps * A_eq.sum(axis=1)
-    b_ub = b_ub - eps * A_ub.sum(axis=1)
+    A_eq, A_ub = system.A_eq, system.A_ub
+    b_eq = system.b_eq - eps * A_eq.sum(axis=1)
+    b_ub = (system.b_ub - eps) - eps * A_ub.sum(axis=1)
     return A_eq, b_eq, A_ub, b_ub
 
 

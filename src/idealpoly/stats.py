@@ -7,6 +7,7 @@ summation.  Everything here is bit-reproducible for a fixed seed.
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,31 +57,34 @@ def _volume_for_trial(args):
     return geom.config_volume(geom.random_configuration(n, trial_rng(seed, index)))
 
 
-def sample_volumes(n, count, seed=0, vmax=None, vmax_mode="table", threads=1):
-    """Volumes of ``count`` independent random n-vertex configurations."""
+def sample_volumes(n, count, seed=0, vmax_mode="table", threads=1):
+    """Volumes of ``count`` independent random n-vertex configurations.
+
+    With ``threads`` > 1 the trials run in a process pool of at most
+    ``count`` and ``os.cpu_count()`` workers; each trial draws from its own
+    (seed, index) stream, so the volumes do not depend on the pool size.
+    """
     if n < 4 or count < 1:
         raise InputError(f"need n >= 4 and count >= 1, got n={n}, count={count}")
-    if vmax is None:
-        if vmax_mode == "table":
-            if n not in KNOWN_MAX_VOLUME:
-                raise InputError(
-                    f"no tabulated maximal volume for n={n} (table covers "
-                    f"n = {min(KNOWN_MAX_VOLUME)}..{max(KNOWN_MAX_VOLUME)}); "
-                    "use --vmax search"
-                )
-            vmax = KNOWN_MAX_VOLUME[n]
-        elif vmax_mode == "search":
-            vmax = search_max_volume(n, trials=100, seed=seed).best_volume
-        else:
-            raise InputError(f"unknown vmax mode {vmax_mode!r}")
+    if vmax_mode == "table":
+        if n not in KNOWN_MAX_VOLUME:
+            raise InputError(
+                f"no tabulated maximal volume for n={n} (table covers "
+                f"n = {min(KNOWN_MAX_VOLUME)}..{max(KNOWN_MAX_VOLUME)}); "
+                "use --vmax search"
+            )
+        vmax = KNOWN_MAX_VOLUME[n]
+    elif vmax_mode == "search":
+        vmax = search_max_volume(n, trials=100, seed=seed).best_volume
     else:
-        vmax_mode = "given"
+        raise InputError(f"unknown vmax mode {vmax_mode!r}")
     args = [(n, seed, i) for i in range(count)]
-    if threads > 1:
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it pulls in multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             volumes = np.fromiter(
                 pool.map(_volume_for_trial, args, chunksize=64),
                 dtype=float,
@@ -246,8 +250,7 @@ class SearchResult:
     seed: int
     best_volume: float
     best_triangulation: object
-    best_angles: object  # AngleAssignment at the best type's optimum
-    best_result: object  # full OptResult
+    best_result: object  # full OptResult, with the optimal angles
     per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
 
@@ -295,7 +298,6 @@ def search_max_volume(n, trials, seed=0):
         seed=seed,
         best_volume=best_res.volume,
         best_triangulation=best_t,
-        best_angles=best_res.angles,
         best_result=best_res,
         per_trial=tuple(per_trial),
         unique_types=len(memo),

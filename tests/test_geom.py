@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealpoly import _kernels, geom, optvol, rivin, stats, triang
 from idealpoly.errors import DegenerateSample
@@ -184,8 +186,7 @@ def test_duality_with_realizability_constraints():
 def test_layout_round_trips():
     # single triangle: equilateral up to similarity
     link = triang.build_link(triang.tetrahedron(), 3)
-    a = optvol.AngleAssignment(link=link, values=np.full((1, 3), PI / 3))
-    lay = geom.layout(link, a)
+    lay = geom.layout(link, np.full((1, 3), PI / 3))
     pts = lay.triangulation.points
     assert pts[0] == 0 and pts[1] == 1
     assert pts[2] == pytest.approx(complex(0.5, math.sqrt(3) / 2), abs=1e-12)
@@ -196,7 +197,7 @@ def test_layout_round_trips():
     lay = geom.layout(res.link, out.angles)
     assert lay.residual < 1e-12
     again = geom.euclidean_angles(lay.triangulation)
-    assert np.max(np.abs(again - np.asarray(out.angles.values))) < 1e-10
+    assert np.max(np.abs(again - out.angles)) < 1e-10
 
     # random configurations round trip through layout
     for trial in range(25):
@@ -208,3 +209,22 @@ def test_layout_round_trips():
         assert lay.residual < 1e-6
         again = geom.euclidean_angles(lay.triangulation)
         assert np.max(np.abs(again - angles)) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 14), seed=st.integers(0, 2**32 - 1))
+def test_layout_round_trips_euclidean_angles_and_interior_optima(n, seed):
+    pt = geom.delaunay(geom.random_configuration(n, stats.trial_rng(seed, 0)))
+    _, link = geom.close_with_infinity(pt)
+    angles = geom.euclidean_angles(pt)
+    lay = geom.layout(link, angles)
+    assert lay.residual < 1e-6
+    assert np.max(np.abs(geom.euclidean_angles(lay.triangulation) - angles)) < 1e-8
+
+    # a boundary optimum may collapse a corner to 0, which cannot be laid out
+    out = optvol.maximize_volume(link, start=angles.reshape(-1))
+    if not out.boundary_active:
+        lay = geom.layout(out.link, out.angles)
+        assert lay.residual < 1e-6
+        again = geom.euclidean_angles(lay.triangulation)
+        assert np.max(np.abs(again - out.angles)) < 1e-8

@@ -8,8 +8,8 @@ from idealpoly import corpus, geom, oracles, rivin, simplex, stats, triang
 
 def witness_slacks(system, theta):
     """Minimum slack over all constraints, and max equality residual."""
-    A_eq, b_eq = system.eq_matrix()
-    A_ub, b_ub = system.ub_matrix()
+    A_eq, b_eq = system.A_eq, system.b_eq
+    A_ub, b_ub = system.A_ub, system.b_ub - system.epsilon
     eq_res = 0.0
     if A_eq.shape[0]:
         eq_res = float(np.max(np.abs(A_eq @ theta - b_eq)))
@@ -26,9 +26,9 @@ def tetra_link():
 def test_system_dimensions_tetrahedron():
     system = rivin.assemble_constraints(tetra_link())
     assert system.n_vars == 3
-    kinds = [r[2] for r in system.eq_rows]
+    kinds = [kind for kind, _ in system.eq_kinds]
     assert kinds == ["triangle"]
-    ub_kinds = [r[2] for r in system.ub_rows]
+    ub_kinds = [kind for kind, _ in system.ub_kinds]
     assert ub_kinds.count("interior_edge") == 0
     assert ub_kinds.count("hull_vertex") == 3
 
@@ -37,10 +37,10 @@ def test_system_dimensions_octahedron():
     link = triang.build_link(triang.octahedron(), 0)
     system = rivin.assemble_constraints(link)
     assert system.n_vars == 12
-    eq_kinds = [r[2] for r in system.eq_rows]
+    eq_kinds = [kind for kind, _ in system.eq_kinds]
     assert eq_kinds.count("triangle") == 4
     assert eq_kinds.count("interior_vertex") == 1
-    ub_kinds = [r[2] for r in system.ub_rows]
+    ub_kinds = [kind for kind, _ in system.ub_kinds]
     assert ub_kinds.count("interior_edge") == 4
     assert ub_kinds.count("hull_vertex") == 4
 
@@ -49,10 +49,10 @@ def test_system_dimensions_bipyramid():
     link = triang.build_link(triang.bipyramid(), 0)  # degree-3 apex
     system = rivin.assemble_constraints(link)
     assert system.n_vars == 9
-    eq_kinds = [r[2] for r in system.eq_rows]
+    eq_kinds = [kind for kind, _ in system.eq_kinds]
     assert eq_kinds.count("triangle") == 3
     assert eq_kinds.count("interior_vertex") == 1
-    ub_kinds = [r[2] for r in system.ub_rows]
+    ub_kinds = [kind for kind, _ in system.ub_kinds]
     assert ub_kinds.count("interior_edge") == 3
     assert ub_kinds.count("hull_vertex") == 3
 
@@ -60,14 +60,36 @@ def test_system_dimensions_bipyramid():
 def test_rows_are_zero_one_and_well_formed():
     link = triang.build_link(triang.octahedron(), 2)
     system = rivin.assemble_constraints(link)
-    for idx, rhs, kind, _ in system.eq_rows:
-        assert len(set(idx)) == len(idx)
-        assert all(0 <= i < system.n_vars for i in idx)
-        assert len(idx) == 3 if kind == "triangle" else len(idx) >= 3
-    for idx, rhs, kind, _ in system.ub_rows:
-        assert all(0 <= i < system.n_vars for i in idx)
+    for A, kinds in ((system.A_eq, system.eq_kinds), (system.A_ub, system.ub_kinds)):
+        assert A.shape == (len(kinds), system.n_vars)
+        assert set(np.unique(A)) <= {0.0, 1.0}
+    for row, (kind, _) in zip(system.A_eq, system.eq_kinds):
+        size = np.count_nonzero(row)
+        assert size == 3 if kind == "triangle" else size >= 3
+    for row, (kind, _) in zip(system.A_ub, system.ub_kinds):
         if kind == "interior_edge":
-            assert len(idx) == 2
+            assert np.count_nonzero(row) == 2
+
+
+def test_polytope_arrays_do_not_depend_on_epsilon():
+    # the arrays hold the epsilon = 0 polytope; epsilon enters only in
+    # _standard_form, with the same float expression for every right-hand side
+    links = [triang.build_link(triang.octahedron(), 0), seeded_system(12, 0).link]
+    for link in links:
+        systems = [rivin.assemble_constraints(link, eps) for eps in (1e-8, 1e-6, 0.3)]
+        for system in systems:
+            for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
+                ours, first = getattr(system, name), getattr(systems[0], name)
+                assert ours.shape == first.shape
+                assert ours.tobytes() == first.tobytes()
+            eps = system.epsilon
+            rhs = [math.pi if kind == "triangle" else 2.0 * math.pi
+                   for kind, _ in system.eq_kinds]
+            A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system)
+            eq = np.array(rhs) - eps * A_eq.sum(axis=1)
+            ub = np.full(len(system.ub_kinds), math.pi - eps) - eps * A_ub.sum(axis=1)
+            assert b_eq.tobytes() == eq.tobytes()
+            assert b_ub.tobytes() == ub.tobytes()
 
 
 def test_tetrahedron_feasible_with_centered_witness():

@@ -10,6 +10,36 @@ from idealpoly import oracles, stats, triang
 from idealpoly.errors import FitDiverged, InputError
 
 
+def test_sample_pool_is_capped_by_count_and_cpus(monkeypatch):
+    # an in-process stand-in for the pool: records its size, starts no process
+    import concurrent.futures
+
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    serial = stats.sample_volumes(6, 5, seed=0).volumes
+    assert workers == []
+    cpus = os.cpu_count() or 1
+    for reported in (cpus, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: reported)
+        pooled = stats.sample_volumes(6, 5, seed=0, threads=10**6).volumes
+        assert pooled.tobytes() == serial.tobytes()
+    assert workers == [w for w in (min(5, cpus), 5) if w > 1]
+
+
 def test_sample_volumes_basic():
     s = stats.sample_volumes(5, 1, seed=3)
     assert s.count == 1
