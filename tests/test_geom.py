@@ -198,17 +198,7 @@ def test_layout_round_trips():
     assert lay.residual < 1e-12
     again = geom.euclidean_angles(lay.triangulation)
     assert np.max(np.abs(again - out.angles)) < 1e-10
-
-    # random configurations round trip through layout
-    for trial in range(25):
-        cfg = geom.random_configuration(10, stats.trial_rng(31, trial))
-        pt = geom.delaunay(cfg)
-        _, link = geom.close_with_infinity(pt)
-        angles = geom.euclidean_angles(pt)
-        lay = geom.layout(link, angles)
-        assert lay.residual < 1e-6
-        again = geom.euclidean_angles(lay.triangulation)
-        assert np.max(np.abs(again - angles)) < 1e-8
+    # random configurations: see the property test below
 
 
 @settings(max_examples=30, deadline=None)

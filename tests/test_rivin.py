@@ -57,18 +57,32 @@ def test_system_dimensions_bipyramid():
     assert ub_kinds.count("hull_vertex") == 3
 
 
+def row_indices(link, kind, key):
+    """Flat corner indices a constraint row of this kind and key should hold."""
+    if kind == "triangle":
+        return [3 * key, 3 * key + 1, 3 * key + 2]
+    corners = link.opposite[key] if kind == "interior_edge" else link.corners_at[key]
+    return [rivin.flat(c) for c in corners]
+
+
 def test_rows_are_zero_one_and_well_formed():
     link = triang.build_link(triang.octahedron(), 2)
     system = rivin.assemble_constraints(link)
     for A, kinds in ((system.A_eq, system.eq_kinds), (system.A_ub, system.ub_kinds)):
         assert A.shape == (len(kinds), system.n_vars)
         assert set(np.unique(A)) <= {0.0, 1.0}
-    for row, (kind, _) in zip(system.A_eq, system.eq_kinds):
-        size = np.count_nonzero(row)
-        assert size == 3 if kind == "triangle" else size >= 3
-    for row, (kind, _) in zip(system.A_ub, system.ub_kinds):
-        if kind == "interior_edge":
-            assert np.count_nonzero(row) == 2
+        for row, (kind, key) in zip(A, kinds):
+            idx = row_indices(link, kind, key)
+            assert len(set(idx)) == len(idx)
+            assert all(0 <= i < system.n_vars for i in idx)
+            # a repeated or wrapped index would not survive this comparison
+            assert np.flatnonzero(row).tolist() == sorted(idx)
+            if kind == "triangle":
+                assert len(idx) == 3
+            elif kind == "interior_edge":
+                assert len(idx) == 2
+            elif kind == "interior_vertex":
+                assert len(idx) >= 3
 
 
 def test_polytope_arrays_do_not_depend_on_epsilon():
