@@ -38,7 +38,6 @@ LOB_COEFFS = tuple(
 
 PI = math.pi
 HALF_PI = 0.5 * math.pi
-SNAP_TOL = 1e-14
 GEOM_TOL = 1e-12
 
 
@@ -51,7 +50,7 @@ def lobachevsky(theta):
     if x > HALF_PI:
         x = PI - x
         sign = -1.0
-    if x < SNAP_TOL:
+    if x == 0.0:
         return 0.0
     r2 = (x / PI) * (x / PI)
     acc = 0.0

@@ -4,8 +4,10 @@ digamma/trigamma, Kolmogorov distribution tail.
 All functions are deterministic pure functions with fixed truncation rules.
 The regularized incomplete beta takes a float or an array of points: an
 array is evaluated in fixed blocks of points, each block one masked Lentz
-iteration, and a float is the one-point case of the same code, so the KS
-statistic of a Beta fit costs one call.
+iteration, and a float is the one-point case of the same code.  Each point's
+value depends on that point alone, so the KS statistic of a Beta fit
+evaluates only the few sorted points where its supremum can lie, in a few
+calls (``stats._ks_statistic``).
 """
 
 import math
@@ -91,7 +93,8 @@ def regularized_incomplete_beta(a, b, x):
     x < (a+1)/(a+b+2) use the continued fraction for I_x(a, b), the others
     1 - I_{1-x}(b, a).  The array is evaluated in blocks of ``_BLOCK``
     points, each one masked Lentz iteration, so a call over 10^5 points
-    costs a few array passes per round instead of 10^5 Python loops.
+    costs a few array passes per round instead of 10^5 Python loops.  A
+    point's value does not depend on the other points of the call.
     Raises ValueError for a <= 0, b <= 0, x outside [0, 1] (NaN included)
     or a continued fraction unconverged after 499 rounds.
     """

@@ -116,7 +116,6 @@ class BetaFit:
 
 
 def _beta_mle(x, alpha0, beta0):
-    n = len(x)
     L1 = float(np.mean(np.log(x)))
     L2 = float(np.mean(np.log1p(-x)))
     a, b = alpha0, beta0
@@ -144,13 +143,48 @@ def _beta_mle(x, alpha0, beta0):
     raise FitDiverged("Beta MLE did not converge in 200 iterations")
 
 
+# The KS statistic is a branch-and-bound over the sorted sample. Point i of
+# n sorted points x_i contributes (i+1)/n - F(x_i) and F(x_i) - i/n. The CDF
+# F is evaluated first every _KS_STRIDE points (and at the last one), then
+# every gap lo < hi between evaluated indices is bounded: F is monotone, so
+# each lo < i < hi has
+#     (i+1)/n - F(x_i) <= hi/n - F(x_lo)   and   F(x_i) - i/n <= F(x_hi) - (lo+1)/n.
+# A gap whose bound exceeds best - _KS_MARGIN is split into about _KS_SPLIT
+# pieces and its new points evaluated; the search stops when no gap
+# qualifies. Rounding and the CDF's monotonicity slack are ~1e-15, far
+# below _KS_MARGIN, so a skipped point never holds the maximum. Each
+# evaluated point uses the full evaluation's expressions, and the incomplete
+# beta is elementwise, so the result is the same float. An evaluated F that
+# falls by more than _KS_MARGIN is no CDF (the continued fraction breaks
+# down at alpha ~ 1e15), no bound holds, and every gap is split. A skipped
+# point is never evaluated, so it cannot raise either.
+_KS_STRIDE = 64
+_KS_SPLIT = 8
+_KS_MARGIN = 1e-9
+
+
 def _ks_statistic(x, a, b):
     xs = np.sort(x)
     n = len(xs)
-    cdf = specfun.regularized_incomplete_beta(a, b, xs)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    idx = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    cdf = specfun.regularized_incomplete_beta(a, b, xs[idx])
+    while True:
+        best = max(((idx + 1) / n - cdf).max(), (cdf - idx / n).max())
+        lo, hi = idx[:-1], idx[1:]
+        bound = np.maximum(hi / n - cdf[:-1], cdf[1:] - (lo + 1) / n)
+        if np.any(cdf[1:] < cdf[:-1] - _KS_MARGIN):
+            bound[:] = np.inf
+        split = (hi - lo > 1) & (bound > best - _KS_MARGIN)
+        if not split.any():
+            return float(best)
+        lo, hi = lo[split], hi[split]
+        step = (hi - lo + _KS_SPLIT - 1) // _KS_SPLIT
+        new = lo[:, None] + step[:, None] * np.arange(1, _KS_SPLIT)
+        new = new[new < hi[:, None]]
+        idx = np.concatenate([idx, new])
+        cdf = np.concatenate([cdf, specfun.regularized_incomplete_beta(a, b, xs[new])])
+        order = np.argsort(idx)
+        idx, cdf = idx[order], cdf[order]
 
 
 def fit_beta(sample):
@@ -196,7 +230,7 @@ def fit_beta(sample):
         alpha=float(a),
         beta=float(b),
         mean=mean,
-        std=float(np.std(x)),
+        std=math.sqrt(var),
         ks_stat=ks,
         p_value=p,
         n=sample.n,

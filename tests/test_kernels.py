@@ -45,13 +45,26 @@ def test_delaunay_above_128_points_matches_scipy(m):
     assert math.isfinite(volume) and volume > 0.0
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 6), theta=st.floats(-4.0, 4.0))
-def test_milnor_identity(n, theta):
+def _milnor_gap(n, theta):
     # Milnor 1982: L(n theta) = n * sum_{k<n} L(theta + k pi / n)
     lob = _kernels.lobachevsky
     rhs = n * sum(lob(theta + k * math.pi / n) for k in range(n))
-    assert abs(lob(n * theta) - rhs) <= 1e-12
+    return abs(lob(n * theta) - rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 6), theta=st.floats(-4.0, 4.0))
+def test_milnor_identity(n, theta):
+    assert _milnor_gap(n, theta) <= 1e-12
+
+
+def test_milnor_identity_near_zero():
+    # L(x) ~ x (1 - log 2x) is about 2e-13 here, so zeroing tiny arguments
+    # breaks the identity by more than its 1e-12 bound
+    assert _milnor_gap(5, 6.591800722809236e-15) <= 1e-12
+    assert _kernels.lobachevsky(6.591800722809236e-15) > 0.0
+    assert _kernels.lobachevsky(-0.0) == 0.0
+    assert _kernels.lobachevsky(math.pi) == 0.0
 
 # Differential test of the Delaunay kernel. _ref_delaunay is the kernel as it
 # was before triangle adjacency was kept up to date: it rebuilds an undirected

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idealpoly
-from idealpoly import oracles, stats, triang
+from idealpoly import oracles, specfun, stats, triang
 from idealpoly.errors import FitDiverged, InputError
 
 
@@ -168,6 +170,94 @@ def test_fit_beta_near_constant_sample_diverges(values):
     )
     with pytest.raises(FitDiverged, match="KS statistic failed"):
         stats.fit_beta(sample)
+
+
+# The KS statistic as it was before the branch-and-bound: the CDF at every
+# sorted point. The pruned statistic must return the same float.
+_full_incomplete_beta = specfun.regularized_incomplete_beta
+
+
+def _full_ks_statistic(x, a, b):
+    xs = np.sort(x)
+    n = len(xs)
+    cdf = _full_incomplete_beta(a, b, xs)
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([10, 63, 64, 65, 129]) | st.integers(10, 20000),
+    a=st.floats(0.3, 300.0),
+    b=st.floats(0.3, 300.0),
+    skew=st.floats(0.8, 1.25),
+    decimals=st.sampled_from([None, 1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ks_statistic_matches_full_evaluation(n, a, b, skew, decimals, seed):
+    x = np.random.default_rng(seed).beta(a * skew, b, n)
+    if decimals is not None:
+        x = np.round(x, decimals)  # ties, and points at 0 and 1
+    assert stats._ks_statistic(x, a, b).hex() == _full_ks_statistic(x, a, b).hex()
+
+
+def test_ks_statistic_fit_large_shape(monkeypatch):
+    # 100k Beta(13.3, 6.1) draws at their MLE fit, as in the fit-large load
+    x = np.random.default_rng(21).beta(13.3, 6.1, 100000)
+    points = []
+
+    def counting(a, b, xs):
+        points.append(len(xs))
+        return _full_incomplete_beta(a, b, xs)
+
+    monkeypatch.setattr(specfun, "regularized_incomplete_beta", counting)
+    fit = stats.fit_beta(
+        stats.VolumeSample(n=8, volumes=x, seed=0, vmax=1.0, vmax_mode="given")
+    )
+    assert fit.method == "mle"
+    assert fit.ks_stat.hex() == _full_ks_statistic(x, fit.alpha, fit.beta).hex()
+    assert sum(points) <= 0.05 * len(x)
+
+
+def test_ks_statistic_maximum_on_a_gap_bound():
+    # Grid points 0, 64 and 127. Points 65..127 tie, so the lower deviation
+    # at 65 equals the bound of the gap (64, 127) exactly, and it lies 5e-10
+    # above the best grid value: only a gap within the margin finds it.
+    n = 128
+    x = np.concatenate(
+        [np.linspace(0.001, 0.3, 64), [0.9 - 1 / n - 5e-10], np.full(63, 0.9)]
+    )
+    assert stats._ks_statistic(x, 1.0, 1.0).hex() == _full_ks_statistic(x, 1.0, 1.0).hex()
+
+
+def _fit_outcome(values):
+    sample = stats.VolumeSample(
+        n=4, volumes=np.array(values), seed=0, vmax=1.0, vmax_mode="given"
+    )
+    try:
+        return stats.fit_beta(sample).ks_stat.hex()
+    except FitDiverged as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "values",
+    NEAR_CONSTANT
+    + [[base] * 19 + [base + 10.0**-e] for base in (0.1, 0.5, 0.9) for e in range(2, 10)]
+    + [
+        list(base + 1e-8 * np.linspace(0, 1, m))
+        for base, m in ((0.1, 100), (0.3, 65), (0.7, 200))
+    ],
+)
+def test_ks_statistic_near_constant_matches_full_evaluation(monkeypatch, values):
+    # The moment start lands at alpha ~ 1e3 to 1e20, where the incomplete beta
+    # fails to converge, overflows or stops being monotone. The evenly spread
+    # samples fail only at points between the grid points, which the search
+    # reaches only because the evaluated CDF decreases.
+    pruned = _fit_outcome(values)
+    monkeypatch.setattr(stats, "_ks_statistic", _full_ks_statistic)
+    assert pruned == _fit_outcome(values)
 
 
 def test_fit_beta_clamps_at_one():
