@@ -8,6 +8,7 @@ and input digests; errors are a single JSON line on stderr with a stable
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -131,7 +132,7 @@ def optimize_payload(t, apex, result, max_denominator, tol):
                     "face": f,
                     "slot": s,
                     "vertex": link.bounded_faces[f][s],
-                    "radians": float(f"{radians:.17g}"),
+                    "radians": radians,
                     "over_pi": radians / math.pi,
                     "rational": _rational_dict(radians, max_denominator, tol),
                 }
@@ -142,7 +143,7 @@ def optimize_payload(t, apex, result, max_denominator, tol):
         dihedrals.append(
             {
                 "edge": list(e),
-                "radians": float(f"{radians:.17g}"),
+                "radians": radians,
                 "over_pi": radians / math.pi,
                 "rational": _rational_dict(radians, max_denominator, tol),
             }
@@ -181,7 +182,7 @@ def cmd_check(run):
         "epsilon": run.args.eps,
     }
     if res.realizable:
-        payload["witness"] = [float(f"{v:.17g}") for v in res.witness]
+        payload["witness"] = res.witness.tolist()
     else:
         payload["certificate"] = res.certificate
     run.emit_json(payload, run.args.output)
@@ -294,27 +295,10 @@ def _parse_sample_csv(text, path):
     )
 
 
-def fit_payload(fit):
-    return {
-        "n": fit.n,
-        "count": fit.count,
-        "alpha": fit.alpha,
-        "beta": fit.beta,
-        "mean": fit.mean,
-        "std": fit.std,
-        "ks_stat": fit.ks_stat,
-        "p_value": fit.p_value,
-        "vmax": fit.vmax,
-        "clamped": fit.clamped,
-        "method": fit.method,
-        "caveat": fit.caveat,
-    }
-
-
 def cmd_fit(run):
     sample = _parse_sample_csv(run.read_text(run.args.csv), run.args.csv)
     fit = stats.fit_beta(sample)
-    run.emit_json(fit_payload(fit), run.args.output)
+    run.emit_json(dataclasses.asdict(fit), run.args.output)
     return 0
 
 

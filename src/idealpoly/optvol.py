@@ -269,7 +269,7 @@ def maximize_volume(link, start=None):
         res = rivin.check_feasible(system)
         if not res.feasible or res.min_slack <= 0.0:
             raise InfeasibleStart(
-                f"no strictly interior point at epsilon={system.epsilon:g} "
+                f"no strictly interior point at epsilon={rivin.DEFAULT_EPSILON:g} "
                 f"(certificate {res.certificate:g})"
             )
         theta0 = res.witness
@@ -329,12 +329,11 @@ def maximize_volume(link, start=None):
         h2 = h[inactive]
         u2 = N2.T @ (theta - theta_p2)
         start = theta_p2 + N2 @ u2
-        if inactive.size:
-            s_start = h2 - G2 @ start
-            j = int(np.argmin(s_start))
-            if s_start[j] <= 0.0:
-                active.add(int(inactive[j]))
-                continue
+        s_start = h2 - G2 @ start
+        j = int(np.argmin(s_start))
+        if s_start[j] <= 0.0:
+            active.add(int(inactive[j]))
+            continue
         try:
             u2, gnorm, iters = _newton_max(theta_p2, N2, G2, h2, u2, 0.0, 1e-12, 60)
         except LineSearchStall:
@@ -345,12 +344,11 @@ def maximize_volume(link, start=None):
             continue
         total_iters += iters
         theta = theta_p2 + N2 @ u2
-        if inactive.size:
-            s_in = h2 - G2 @ theta
-            j = int(np.argmin(s_in))
-            if s_in[j] < 1e-12 or (gnorm > 1e-10 and s_in[j] < 1e-6):
-                active.add(int(inactive[j]))
-                continue
+        s_in = h2 - G2 @ theta
+        j = int(np.argmin(s_in))
+        if s_in[j] < 1e-12 or (gnorm > 1e-10 and s_in[j] < 1e-6):
+            active.add(int(inactive[j]))
+            continue
         if act:
             coef, *_ = np.linalg.lstsq(A2.T, volume_gradient(theta), rcond=None)
             lam = coef[A_eq.shape[0]:]

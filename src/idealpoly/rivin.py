@@ -10,12 +10,13 @@ triangles must satisfy:
     edge above it),
   * every corner is positive.
 
-Strict inequalities are relaxed by a tolerance epsilon.  One LP decides
-feasibility and centers the witness: it maximizes the minimum slack t over
-the shifted corners y = theta - epsilon = z + t with z, t >= 0, so the corner
-lower bounds need no rows of their own.  Its phase 1 decides feasibility
-(t = 0 is the plain system), and its optimum is a strictly interior start
-for the downstream barrier method.
+The constraint system is their closed polytope P (epsilon = 0).  Only
+``check_feasible`` relaxes the strict inequalities, by epsilon in (0, pi), in
+one LP that decides feasibility and centers the witness: it maximizes the
+minimum slack t over y = theta - epsilon = z + t with z, t >= 0, so the
+corner lower bounds need no rows of their own.  Its phase 1 decides
+feasibility (t = 0 is the plain system); its optimum is a strictly interior
+start for the downstream barrier method.
 """
 
 import math
@@ -32,15 +33,13 @@ DEFAULT_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Rivin's polytope of angle structures at epsilon = 0 over flat corner
-    indices (corner = 3*face + slot): A_eq theta = b_eq, A_ub theta <= b_ub,
+    """Rivin's closed polytope P of angle structures over flat corner indices
+    (corner = 3*face + slot): A_eq theta = b_eq, A_ub theta <= b_ub,
     theta >= 0, with 0/1 rows that ``eq_kinds``/``ub_kinds`` name as
-    (kind, key).  ``epsilon`` enters only this module's LPs, through
-    ``_standard_form``.
+    (kind, key).  P has no epsilon; ``check_feasible`` takes one.
     """
 
     link: object
-    epsilon: float
     A_eq: object  # ndarray (rows, n_vars)
     b_eq: object  # ndarray: pi per triangle, 2*pi per interior vertex
     eq_kinds: tuple
@@ -66,10 +65,8 @@ def _zero_one(rows, n_vars):
     return A
 
 
-def assemble_constraints(link, epsilon=DEFAULT_EPSILON):
+def assemble_constraints(link):
     """Build the constraint system for one apex link."""
-    if not 0.0 < epsilon < math.pi:
-        raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
     n_faces = len(link.bounded_faces)
     eq_idx = [(3 * f, 3 * f + 1, 3 * f + 2) for f in range(n_faces)]
     eq_idx += [[flat(c) for c in link.corners_at[v]] for v in link.interior_vertices]
@@ -85,7 +82,6 @@ def assemble_constraints(link, epsilon=DEFAULT_EPSILON):
 
     return ConstraintSystem(
         link=link,
-        epsilon=epsilon,
         A_eq=_zero_one(eq_idx, link.n_corners),
         b_eq=b_eq,
         eq_kinds=tuple(eq_kinds),
@@ -103,18 +99,18 @@ class FeasibilityResult:
     min_slack: float  # centered minimum slack when feasible
 
 
-def _standard_form(system):
+def _standard_form(system, epsilon):
     """Relax to A_ub theta <= pi - epsilon and theta >= epsilon, shift to
     y = theta - epsilon >= 0 and return (A_eq, b_eq, A_ub, b_ub)."""
-    eps = system.epsilon
     A_eq, A_ub = system.A_eq, system.A_ub
-    b_eq = system.b_eq - eps * A_eq.sum(axis=1)
-    b_ub = (system.b_ub - eps) - eps * A_ub.sum(axis=1)
+    b_eq = system.b_eq - epsilon * A_eq.sum(axis=1)
+    b_ub = (system.b_ub - epsilon) - epsilon * A_ub.sum(axis=1)
     return A_eq, b_eq, A_ub, b_ub
 
 
-def check_feasible(system):
-    """Feasibility and a slack-centered witness from one LP.
+def check_feasible(system, epsilon=DEFAULT_EPSILON):
+    """Feasibility at a tolerance epsilon in (0, pi) and a slack-centered
+    witness from one LP.
 
     In the variables (z, t) >= 0 with y = z + t, maximize t subject to
     A_eq y = b_eq and A_ub y + t <= b_ub: every inequality slack and every
@@ -128,7 +124,9 @@ def check_feasible(system):
     point makes every slack non-negative.  That is reported infeasible, with
     certificate -t > 0 and ``min_slack`` nan.
     """
-    A_eq, b_eq, A_ub, b_ub = _standard_form(system)
+    if not 0.0 < epsilon < math.pi:
+        raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
+    A_eq, b_eq, A_ub, b_ub = _standard_form(system, epsilon)
     n = system.n_vars
     A_eq2 = np.hstack([A_eq, A_eq.sum(axis=1, keepdims=True)])
     A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
@@ -149,7 +147,7 @@ def check_feasible(system):
         return FeasibilityResult(
             feasible=False, witness=None, certificate=-t, min_slack=float("nan")
         )
-    witness = res.x[:n] + t + system.epsilon
+    witness = res.x[:n] + t + epsilon
     return FeasibilityResult(
         feasible=True, witness=witness, certificate=0.0, min_slack=t
     )
@@ -170,8 +168,8 @@ def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
     if apex is None:
         apex = choose_apex(t)
     link = build_link(t, apex)
-    system = assemble_constraints(link, epsilon)
-    res = check_feasible(system)
+    system = assemble_constraints(link)
+    res = check_feasible(system, epsilon)
     return RealizabilityResult(
         realizable=res.feasible,
         apex=apex,
@@ -186,15 +184,15 @@ def random_interior_points(system, count, rng):
     """Strictly interior points via random convex combinations of LP vertices.
 
     Solves a few LPs with random objectives (simplex returns vertices of the
-    feasible polytope) and mixes them with Dirichlet weights together with the
-    centered witness.
+    polytope relaxed by ``DEFAULT_EPSILON``) and mixes them with Dirichlet
+    weights together with the centered witness.
     """
     base = check_feasible(system)
     if not base.feasible:
         raise InputError("system is infeasible; no interior points exist")
-    A_eq, b_eq, A_ub, b_ub = _standard_form(system)
+    A_eq, b_eq, A_ub, b_ub = _standard_form(system, DEFAULT_EPSILON)
     n = system.n_vars
-    vertices = [base.witness - system.epsilon]
+    vertices = [base.witness - DEFAULT_EPSILON]
     for _ in range(max(4, min(8, n))):
         c = rng.standard_normal(n)
         res = simplex.solve(c, A_eq, b_eq, A_ub, b_ub, maximize=True)
@@ -206,5 +204,5 @@ def random_interior_points(system, count, rng):
         w = rng.dirichlet(np.ones(len(vertices)))
         # anchor a minimum share on the centered witness for strict interiority
         w = 0.25 * np.eye(len(vertices))[0] + 0.75 * w
-        out.append(V.T @ w + system.epsilon)
+        out.append(V.T @ w + DEFAULT_EPSILON)
     return out

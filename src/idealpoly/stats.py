@@ -99,14 +99,16 @@ def sample_volumes(n, count, seed=0, vmax_mode="table", threads=1):
 
 @dataclass(frozen=True)
 class BetaFit:
+    """A Beta fit; its fields, in order, are the ``fit`` command's JSON."""
+
+    n: int
+    count: int
     alpha: float
     beta: float
     mean: float
     std: float
     ks_stat: float
     p_value: float
-    n: int
-    count: int
     vmax: float
     clamped: int
     method: str  # "mle" | "moments"

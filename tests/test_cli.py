@@ -140,6 +140,19 @@ def test_check_and_optimize_empty_by_rounding(tmp_path, capsys):
     assert json.loads(err)["code"] == "NOT_REALIZABLE"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--eps", eps] for eps in ("0", "-1", "3.2", "nan", "inf")]
+    + [["optimize", "--eps", "0"]],
+)
+def test_epsilon_outside_open_interval_is_input_error(tmp_path, capsys, argv):
+    path = write(tmp_path, "octa.json", OCTA)
+    code, out, err = run_cli(argv + [path], capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "INPUT_ERROR"
+
+
 def test_check_invalid_input(tmp_path, capsys):
     path = write(tmp_path, "broken.json", {"n": 4, "faces": [[0, 1, 2]]})
     code, out, err = run_cli(["check", path], capsys)

@@ -497,7 +497,7 @@ def test_singular_newton_system_takes_the_gradient_step(monkeypatch):
     # the remaining iterations still reach the octahedron's optimum.  The
     # centered witness is already the optimum, so start off it.
     res = rivin.is_realizable(triang.octahedron())
-    A_eq = rivin.assemble_constraints(res.link, rivin.DEFAULT_EPSILON).A_eq
+    A_eq = rivin.assemble_constraints(res.link).A_eq
     start = res.witness + 0.1 * optvol._null_space(A_eq)[:, 0]
     solve = np.linalg.solve
     raised = []

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from idealpoly import corpus, geom, oracles, rivin, simplex, stats, triang
+from idealpoly.errors import InputError
 
 
-def witness_slacks(system, theta):
-    """Minimum slack over all constraints, and max equality residual."""
+def witness_slacks(system, epsilon, theta):
+    """Minimum slack over all constraints relaxed by epsilon, and max
+    equality residual."""
     A_eq, b_eq = system.A_eq, system.b_eq
-    A_ub, b_ub = system.A_ub, system.b_ub - system.epsilon
+    A_ub, b_ub = system.A_ub, system.b_ub - epsilon
     eq_res = 0.0
     if A_eq.shape[0]:
         eq_res = float(np.max(np.abs(A_eq @ theta - b_eq)))
-    slacks = [float(np.min(theta) - system.epsilon)]
+    slacks = [float(np.min(theta) - epsilon)]
     if A_ub.shape[0]:
         slacks.append(float(np.min(b_ub - A_ub @ theta)))
     return min(slacks), eq_res
@@ -88,18 +90,15 @@ def test_rows_are_zero_one_and_well_formed():
 def test_polytope_arrays_do_not_depend_on_epsilon():
     # the arrays hold the epsilon = 0 polytope; epsilon enters only in
     # _standard_form, with the same float expression for every right-hand side
-    links = [triang.build_link(triang.octahedron(), 0), seeded_system(12, 0).link]
-    for link in links:
-        systems = [rivin.assemble_constraints(link, eps) for eps in (1e-8, 1e-6, 0.3)]
-        for system in systems:
-            for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
-                ours, first = getattr(system, name), getattr(systems[0], name)
-                assert ours.shape == first.shape
-                assert ours.tobytes() == first.tobytes()
-            eps = system.epsilon
-            rhs = [math.pi if kind == "triangle" else 2.0 * math.pi
-                   for kind, _ in system.eq_kinds]
-            A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system)
+    octahedron = rivin.assemble_constraints(triang.build_link(triang.octahedron(), 0))
+    for system in (octahedron, seeded_system(12, 0)):
+        rhs = [math.pi if kind == "triangle" else 2.0 * math.pi
+               for kind, _ in system.eq_kinds]
+        assert system.b_eq.tolist() == rhs
+        assert system.b_ub.tolist() == [math.pi] * len(system.ub_kinds)
+        for eps in (1e-8, 1e-6, 0.3):
+            A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system, eps)
+            assert A_eq is system.A_eq and A_ub is system.A_ub
             eq = np.array(rhs) - eps * A_eq.sum(axis=1)
             ub = np.full(len(system.ub_kinds), math.pi - eps) - eps * A_ub.sum(axis=1)
             assert b_eq.tobytes() == eq.tobytes()
@@ -114,19 +113,25 @@ def test_tetrahedron_feasible_with_centered_witness():
 
 
 def test_octahedron_feasible():
-    link = triang.build_link(triang.octahedron(), 0)
-    res = rivin.check_feasible(rivin.assemble_constraints(link))
+    system = rivin.assemble_constraints(triang.build_link(triang.octahedron(), 0))
+    res = rivin.check_feasible(system)
     assert res.feasible
-    ms, eq_res = witness_slacks(rivin.assemble_constraints(link), res.witness)
+    ms, eq_res = witness_slacks(system, rivin.DEFAULT_EPSILON, res.witness)
     assert ms > 0
     assert eq_res < 1e-9
 
 
 def test_huge_epsilon_infeasible():
-    system = rivin.assemble_constraints(tetra_link(), 1.1)  # 3 * 1.1 > pi
-    res = rivin.check_feasible(system)
+    system = rivin.assemble_constraints(tetra_link())
+    res = rivin.check_feasible(system, 1.1)  # 3 * 1.1 > pi
     assert not res.feasible
     assert res.certificate > 0.1
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.pi, math.nan, math.inf])
+def test_check_feasible_rejects_epsilon_outside_open_interval(eps):
+    with pytest.raises(InputError):
+        rivin.check_feasible(rivin.assemble_constraints(tetra_link()), eps)
 
 
 def _ulps_from_pi_over_3(k):
@@ -142,8 +147,9 @@ def test_empty_by_rounding_is_infeasible(make, k):
     # for k > 0, 3 * epsilon > pi: no corner assignment meets a triangle row
     # with every corner >= epsilon.  Phase 1 passes the system within its
     # tolerance, and the optimal t comes out negative.
-    res = rivin.is_realizable(make(), epsilon=_ulps_from_pi_over_3(k))
-    feas = rivin.check_feasible(res.system)
+    eps = _ulps_from_pi_over_3(k)
+    res = rivin.is_realizable(make(), epsilon=eps)
+    feas = rivin.check_feasible(res.system, eps)
     assert res.realizable == feas.feasible == (k <= 0)
     if k <= 0:
         assert feas.min_slack >= 0.0
@@ -156,8 +162,9 @@ def test_empty_by_rounding_is_infeasible(make, k):
 def test_epsilon_monotonicity():
     for t in corpus.all_types(6) + corpus.all_types(7):
         link = triang.build_link(t, triang.choose_apex(t))
-        feas6 = rivin.check_feasible(rivin.assemble_constraints(link, 1e-6)).feasible
-        feas8 = rivin.check_feasible(rivin.assemble_constraints(link, 1e-8)).feasible
+        system = rivin.assemble_constraints(link)
+        feas6 = rivin.check_feasible(system, 1e-6).feasible
+        feas8 = rivin.check_feasible(system, 1e-8).feasible
         if feas6:
             assert feas8
 
@@ -174,7 +181,7 @@ def test_witness_validity_over_small_types():
             res = rivin.is_realizable(t)
             if not res.realizable:
                 continue
-            min_slack, eq_res = witness_slacks(res.system, res.witness)
+            min_slack, eq_res = witness_slacks(res.system, rivin.DEFAULT_EPSILON, res.witness)
             assert eq_res < 1e-9
             assert min_slack >= -1e-12
 
@@ -290,7 +297,7 @@ def test_random_interior_points_are_interior():
         if not res.realizable:
             continue
         for theta in rivin.random_interior_points(res.system, 5, rng):
-            min_slack, eq_res = witness_slacks(res.system, theta)
+            min_slack, eq_res = witness_slacks(res.system, rivin.DEFAULT_EPSILON, theta)
             assert min_slack > 0
             assert eq_res < 1e-8
 
@@ -465,11 +472,12 @@ def recorded_lps(run):
 
 
 def corpus_systems(epsilons):
+    """(system, epsilon) for every type at n = 4..8 and every epsilon."""
     for n in (4, 5, 6, 7, 8):
         for t in corpus.all_types(n):
-            link = triang.build_link(t, triang.choose_apex(t))
+            system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
             for eps in epsilons:
-                yield rivin.assemble_constraints(link, eps)
+                yield system, eps
 
 
 def seeded_system(n, seed):
@@ -480,8 +488,8 @@ def seeded_system(n, seed):
 
 def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
     def check_feasible_everywhere():
-        for system in corpus_systems((1e-6, 0.3, 1.1)):
-            rivin.check_feasible(system)
+        for system, eps in corpus_systems((1e-6, 0.3, 1.1)):
+            rivin.check_feasible(system, eps)
         for n in (40, 60):
             for seed in range(3):
                 rivin.check_feasible(seeded_system(n, seed))
@@ -549,10 +557,10 @@ def test_dantzig_pricing_needs_fewer_pivots_at_n40(monkeypatch):
 # -- the two-LP check_feasible, kept as the reference for the compact LP -----
 
 
-def two_lp_check_feasible(system):
+def two_lp_check_feasible(system, epsilon):
     """Zero-objective feasibility LP, then a centering LP with explicit
     lower-bound rows t - y_c <= 0."""
-    A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system)
+    A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system, epsilon)
     n = system.n_vars
     res = simplex.solve(np.zeros(n), A_eq, b_eq, A_ub, b_ub)
     if res.status == "infeasible":
@@ -572,19 +580,19 @@ def two_lp_check_feasible(system):
     res2 = simplex.solve(c2, A_eq2, b_eq, np.vstack(rows), np.concatenate(rhs), maximize=True)
     assert res2.status == "optimal"
     t = float(res2.x[-1])
-    return rivin.FeasibilityResult(True, res2.x[:n] + system.epsilon, 0.0, t)
+    return rivin.FeasibilityResult(True, res2.x[:n] + epsilon, 0.0, t)
 
 
 def test_compact_check_feasible_matches_two_lp_version():
     verdicts = set()
-    for system in corpus_systems((1e-6, 0.3, 1.1)):
-        ref = two_lp_check_feasible(system)
-        res = rivin.check_feasible(system)
+    for system, eps in corpus_systems((1e-6, 0.3, 1.1)):
+        ref = two_lp_check_feasible(system, eps)
+        res = rivin.check_feasible(system, eps)
         assert res.feasible == ref.feasible
         verdicts.add(res.feasible)
         if res.feasible:
             assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
-            min_slack, eq_res = witness_slacks(system, res.witness)
+            min_slack, eq_res = witness_slacks(system, eps, res.witness)
             assert min_slack >= res.min_slack - 1e-12
             assert eq_res < 1e-9
         else:
