@@ -2,6 +2,7 @@
 configuration volumes, implemented in ``_pure``."""
 
 from ._pure import (  # noqa: F401
+    LOB_COEFFS,
     config_volume,
     delaunay_triangles,
     incircle_det,

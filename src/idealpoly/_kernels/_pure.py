@@ -1,6 +1,9 @@
 """Kernels: Lobachevsky function, planar Delaunay, angle/volume.
 
-The hot loops of the package, written in plain Python over floats and lists.
+The loops of configuration sampling, one float at a time in plain Python:
+Delaunay, corner angles and the volume of one configuration.  The volume
+optimizer does not use them; it sums its Lobachevsky terms in one numpy pass
+(``specfun.lobachevsky_array``), from the coefficients defined here.
 The Lobachevsky function is evaluated from the logarithmic singularity
 extraction
 

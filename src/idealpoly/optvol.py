@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, rivin, specfun
+from . import rivin, specfun
 from .errors import InfeasibleStart, LineSearchStall, NumericalFailure
 from .triang import edge_key
 
@@ -30,7 +30,7 @@ def volume(angles):
     flat = np.asarray(angles, dtype=float).reshape(-1)
     if np.any(flat <= 0.0) or np.any(flat >= math.pi):
         raise ValueError("corner angles must lie in (0, pi)")
-    return _kernels.lobachevsky_sum(flat.tolist())
+    return _volume_flat(flat)
 
 
 # Degenerate optima may pin corners to 0 (a collapsing link triangle, which
@@ -40,30 +40,38 @@ def volume(angles):
 _PINNED = 1e-12
 
 
-def volume_gradient(flat_angles):
+def _sine(theta):
+    """The mask of unpinned corners and their sines: the one sin pass that
+    both derivatives at a point share."""
+    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
+    return free, np.sin(theta[free])
+
+
+def volume_gradient(flat_angles, sine=None):
     """d(volume)/d(corner) = -log|2 sin theta| per corner, 0 where pinned.
 
-    The log is libm's, not numpy's: the two differ in the last bit on some
+    ``sine`` is ``_sine`` of the same angles, when the caller has it.  The
+    log is libm's, not numpy's: the two differ in the last bit on some
     points.
     """
     theta = np.asarray(flat_angles, dtype=float)
+    free, sin = _sine(theta) if sine is None else sine
     out = np.zeros_like(theta)
-    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
-    x = 2.0 * np.abs(np.sin(theta[free]))
+    x = 2.0 * np.abs(sin)
     out[free] = -np.fromiter(map(math.log, x.tolist()), float, len(x))
     return out
 
 
-def _hessian_diag(theta):
+def _hessian_diag(theta, sine=None):
     """d2(volume)/d(corner)2 = -cot theta per corner, 0 where pinned."""
+    free, sin = _sine(theta) if sine is None else sine
     out = np.zeros_like(theta)
-    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
-    out[free] = -np.cos(theta[free]) / np.sin(theta[free])
+    out[free] = -np.cos(theta[free]) / sin
     return out
 
 
 def _volume_flat(flat_angles):
-    return _kernels.lobachevsky_sum(list(flat_angles))
+    return float(specfun.lobachevsky_array(flat_angles).sum())
 
 
 def dihedral_angles(link, angles):
@@ -187,7 +195,9 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     round's tolerance; the round would otherwise spend max_iter steps there.
     The next round or the active-set polish carries on from that point.
     """
+    NT = N.T
     GN = G @ N
+    GNT = GN.T
 
     def phi(theta, s):
         barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
@@ -196,25 +206,26 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
     def grad_at(uu):
         theta = theta_p + N @ uu
         s = h - G @ theta
-        if not np.all(s > 0.0):
-            return theta, s, None
-        g = N.T @ volume_gradient(theta)
+        if not s.min() > 0.0:
+            return theta, s, None, None
+        sine = _sine(theta)
+        g = NT @ volume_gradient(theta, sine)
         if mu > 0.0:
-            g = g - mu * (GN.T @ (1.0 / s))
-        return theta, s, g
+            g = g - mu * (GNT @ (1.0 / s))
+        return theta, s, g, sine
 
-    theta, s, g = grad_at(u)
+    theta, s, g, sine = grad_at(u)
     if g is None:
         raise LineSearchStall("current point is not strictly feasible")
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g @ g)
     best, stalled = gnorm, 0
     iters = 0
     for _ in range(max_iter):
         if gnorm < tol or stalled == _STALL_RUN:
             return u, gnorm, iters
-        H = (N.T * _hessian_diag(theta)) @ N
+        H = (NT * _hessian_diag(theta, sine)) @ N
         if mu > 0.0:
-            H = H - mu * (GN.T * (1.0 / (s * s))) @ GN
+            H = H - mu * (GNT * (1.0 / (s * s))) @ GN
         try:
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:  # H singular: take the gradient step
@@ -228,9 +239,9 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
         accepted = False
         while t > 1e-14:
             u_try = u + t * step
-            theta_try, s_try, g_try = grad_at(u_try)
+            theta_try, s_try, g_try, sine_try = grad_at(u_try)
             if g_try is not None:
-                gnorm_try = float(np.linalg.norm(g_try))
+                gnorm_try = math.sqrt(g_try @ g_try)
                 if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
                     accepted = True
                     break
@@ -246,6 +257,7 @@ def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
             )
         # the accepted trial is the next iterate: its gradient is already known
         u, theta, s, g, gnorm = u_try, theta_try, s_try, g_try, gnorm_try
+        sine = sine_try
         iters += 1
         if gnorm < best:
             best, stalled = gnorm, 0
@@ -315,15 +327,18 @@ def maximize_volume(link, start=None):
     dropped = set()
     for _ in range(30):
         act = sorted(active)
-        A2 = np.vstack([A_eq, G[act]])
-        b2 = np.concatenate([b_eq, h[act]])
-        theta_p2 = _particular(A2, b2)
-        if act and float(np.max(np.abs(A2 @ theta_p2 - b2))) > 1e-8:
-            # pinned rows are mutually inconsistent: release the loosest
-            loosest = max(act, key=lambda i: float(h[i] - G[i] @ theta))
-            active.discard(loosest)
-            continue
-        N2 = _null_space(A2)
+        if act:
+            A2 = np.vstack([A_eq, G[act]])
+            b2 = np.concatenate([b_eq, h[act]])
+            theta_p2 = _particular(A2, b2)
+            if float(np.max(np.abs(A2 @ theta_p2 - b2))) > 1e-8:
+                # pinned rows are mutually inconsistent: release the loosest
+                loosest = max(act, key=lambda i: float(h[i] - G[i] @ theta))
+                active.discard(loosest)
+                continue
+            N2 = _null_space(A2)
+        else:  # the barrier's system: reuse its basis and particular point
+            theta_p2, N2 = theta_p, N
         inactive = np.array(sorted(set(range(G.shape[0])) - active), dtype=int)
         G2 = G[inactive]
         h2 = h[inactive]
@@ -346,7 +361,9 @@ def maximize_volume(link, start=None):
         theta = theta_p2 + N2 @ u2
         s_in = h2 - G2 @ theta
         j = int(np.argmin(s_in))
-        if s_in[j] < 1e-12 or (gnorm > 1e-10 and s_in[j] < 1e-6):
+        # a row at rounding distance blocks the polish; so does a row within
+        # 1e-6 when the Newton ran out of iterations short of its tolerance
+        if s_in[j] < 1e-12 or (gnorm >= 1e-12 and s_in[j] < 1e-6):
             active.add(int(inactive[j]))
             continue
         if act:

@@ -157,18 +157,23 @@ def _beta_mle(x, alpha0, beta0):
 # below _KS_MARGIN, so a skipped point never holds the maximum. Each
 # evaluated point uses the full evaluation's expressions, and the incomplete
 # beta is elementwise, so the result is the same float. An evaluated F that
-# falls by more than _KS_MARGIN is no CDF (the continued fraction breaks
-# down at alpha ~ 1e15), no bound holds, and every gap is split. A skipped
-# point is never evaluated, so it cannot raise either.
+# falls by more than _KS_MARGIN is no CDF (the prefactor's rounding grows
+# with the shape parameters), no bound holds, and every gap is split. A skipped
+# point is never evaluated, so it cannot raise either. Each call costs about
+# 1 ms of masked Lentz rounds whatever its size, so below _KS_PRUNE_FROM
+# points the stride is 1: the first call covers every point, no gap is left
+# to split, and one call costs less than the search's three.
 _KS_STRIDE = 64
 _KS_SPLIT = 8
 _KS_MARGIN = 1e-9
+_KS_PRUNE_FROM = 3000
 
 
 def _ks_statistic(x, a, b):
     xs = np.sort(x)
     n = len(xs)
-    idx = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    stride = _KS_STRIDE if n >= _KS_PRUNE_FROM else 1
+    idx = np.append(np.arange(0, n - 1, stride), n - 1)
     cdf = specfun.regularized_incomplete_beta(a, b, xs[idx])
     while True:
         best = max(((idx + 1) / n - cdf).max(), (cdf - idx / n).max())

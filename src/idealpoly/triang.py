@@ -217,43 +217,57 @@ def _codes(t):
     rotation and edge reversal labels vertices in discovery order, tail
     before head.  Once every vertex has a label the labels are final, so the
     traversal stops there.  Each code is the relabeled face list with every
-    face rotated to start at its smallest label, sorted.
+    face rotated to start at its smallest label, sorted.  A face (a, b, c)
+    is held as the integer ``a*n*n + b*n + c``, which orders as the tuple
+    does; ``_decode`` turns a code back into face tuples.
     """
     n = t.n
+    nn = n * n
     faces = t.faces
     tail = [v for f in faces for v in f]
     nxt = [d + 1 if d % 3 < 2 else d - 2 for d in range(len(tail))]
     head = [tail[d] for d in nxt]
     dart = {(u, v): d for d, (u, v) in enumerate(zip(tail, head))}
-    rev = [dart[v, u] for u, v in zip(tail, head)]
+    # per dart: its tail, its head, the next dart of its face, its reverse
+    steps = [(u, v, nxt[d], dart[v, u]) for d, (u, v) in enumerate(zip(tail, head))]
     for d0 in range(len(tail)):
         label = [-1] * n
-        seen = [False] * len(tail)
-        seen[d0] = True
+        seen = bytearray(len(tail))
+        seen[d0] = 1
         order = [d0]
         count = 0
         for x in order:  # the loop also visits darts appended below
-            for v in (tail[x], head[x]):
-                if label[v] < 0:
-                    label[v] = count
-                    count += 1
+            u, v, y, z = steps[x]
+            if label[u] < 0:
+                label[u] = count
+                count += 1
+            if label[v] < 0:
+                label[v] = count
+                count += 1
             if count == n:
                 break
-            for y in (nxt[x], rev[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    order.append(y)
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+            if not seen[z]:
+                seen[z] = 1
+                order.append(z)
         code = []
         for a, b, c in faces:
             a, b, c = label[a], label[b], label[c]
             if a < b and a < c:
-                code.append((a, b, c))
+                code.append(a * nn + b * n + c)
             elif b < c:
-                code.append((b, c, a))
+                code.append(b * nn + c * n + a)
             else:
-                code.append((c, a, b))
+                code.append(c * nn + a * n + b)
         code.sort()
         yield tuple(code)
+
+
+def _decode(code, n):
+    """The face tuples of one code from ``_codes``."""
+    return tuple((k // (n * n), k // n % n, k % n) for k in code)
 
 
 @dataclass(frozen=True)
@@ -276,7 +290,7 @@ def automorphism_counts(t):
     op = codes.count(best)
     return AutomorphismCounts(
         orientation_preserving=op,
-        total=2 * op if canonical_form(mirror(t)) == best else op,
+        total=2 * op if min(_codes(mirror(t))) == best else op,
     )
 
 
@@ -287,7 +301,7 @@ def canonical_form(t):
     ``_codes``).  Two triangulations are orientation-preserving isomorphic
     iff their canonical forms are equal.
     """
-    return min(_codes(t))
+    return _decode(min(_codes(t)), t.n)
 
 
 def mirror(t):

@@ -536,6 +536,19 @@ def test_json_outputs_reproducible_modulo_manifest(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_search_reproducible_modulo_manifest(capsys):
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(
+            ["search", "--n", "8", "--trials", "20", "--seed", "0"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        data.pop("manifest")
+        outs.append(json.dumps(data, sort_keys=True))
+    assert outs[0] == outs[1]
+
+
 def test_export_json_and_obj(tmp_path, capsys):
     octa = write(tmp_path, "octa.json", OCTA)
     opt_path = str(tmp_path / "opt.json")

@@ -197,20 +197,20 @@ def _pinned_types():
 OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1110p+0", "0x1.9e95450b0a3b6p-56", 0),
     "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.2170dae7f6302p-50", 0),
-    "n8-00": ("0x1.44c8043299554p+2", "0x1.9dc40d50af672p-41", 64),
+    "n8-00": ("0x1.44c8043299552p+2", "0x1.9dc40d50af672p-41", 64),
     "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fcb83fdc027p-41", 66),
-    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.cc501ca432b10p-52", 86),
-    "n8-03": ("0x1.3a270531d1209p+2", "0x1.93fa79a02690dp-52", 82),
+    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.3413f20e33f4fp-52", 88),
+    "n8-03": ("0x1.3a270531d120ap+2", "0x1.9426b9b55600fp-53", 82),
     "n8-04": ("0x1.44c8043299555p+2", "0x1.f28ddd0f29be7p-42", 66),
-    "n8-05": ("0x1.69f60748b14bfp+2", "0x1.2cc91f91ab3f6p-52", 68),
-    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.e2ba1a4c6095ep-53", 93),
+    "n8-05": ("0x1.69f60748b14bep+2", "0x1.2cc91f91ab3f6p-52", 68),
+    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.6ddf169738c49p-52", 90),
     "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.3de26a84928bdp-51", 14),
-    "n8-08": ("0x1.6c6653e6b1235p+2", "0x1.38dd3b692d61ap-52", 14),
+    "n8-08": ("0x1.6c6653e6b1234p+2", "0x1.38dd3b692d61ap-52", 14),
     "n8-09": ("0x1.801c197f4e24bp+2", "0x1.5a515994c96eep-52", 14),
-    "n8-10": ("0x1.69f60748b14c4p+2", "0x1.9548fb52116aep-52", 80),
+    "n8-10": ("0x1.69f60748b14c5p+2", "0x1.80dfbed0ab690p-52", 68),
     "n8-11": None,
     "n8-12": ("0x1.9f43136a1496fp+2", "0x1.0250d8bbdf06ap-51", 13),
-    "n8-13": ("0x1.85bcd1d65199fp+2", "0x1.c70048047a94fp-52", 0),
+    "n8-13": ("0x1.85bcd1d65199ep+2", "0x1.c70048047a94fp-52", 0),
 }
 
 # The same volumes from the witness of the LP under Bland's pricing, another
@@ -218,19 +218,19 @@ OPTIMUM_PINS = {
 BLAND_START_VOLUMES = {
     "tetrahedron": "0x1.03d3368ee1110p+0",
     "octahedron": "0x1.d4f9713e8135ep+1",
-    "n8-00": "0x1.44c8043299554p+2",
-    "n8-01": "0x1.44c8043299557p+2",
-    "n8-02": "0x1.3bb8a48b11982p+2",
-    "n8-03": "0x1.3a270531d120ap+2",
+    "n8-00": "0x1.44c8043299552p+2",
+    "n8-01": "0x1.44c8043299556p+2",
+    "n8-02": "0x1.3bb8a48b11983p+2",
+    "n8-03": "0x1.3a270531d1209p+2",
     "n8-04": "0x1.44c8043299555p+2",
     "n8-05": "0x1.69f60748b14bep+2",
     "n8-06": "0x1.279a05fba0e3bp+2",
     "n8-07": "0x1.6c6653e6b1236p+2",
-    "n8-08": "0x1.6c6653e6b1235p+2",
-    "n8-09": "0x1.801c197f4e24cp+2",
-    "n8-10": "0x1.69f60748b14c5p+2",
-    "n8-12": "0x1.9f43136a1496ep+2",
-    "n8-13": "0x1.85bcd1d65199fp+2",
+    "n8-08": "0x1.6c6653e6b1234p+2",
+    "n8-09": "0x1.801c197f4e24bp+2",
+    "n8-10": "0x1.69f60748b14c4p+2",
+    "n8-12": "0x1.9f43136a1496fp+2",
+    "n8-13": "0x1.85bcd1d65199ep+2",
 }
 
 

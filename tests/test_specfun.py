@@ -60,6 +60,43 @@ def test_matches_quadrature_oracle_on_grid():
         ) < 1e-10
 
 
+# Angles where the reduction or the log is delicate: zeros of L, the fold at
+# pi/2, the smallest normal and subnormal magnitudes, and periods away.
+LOB_EDGE_ANGLES = [
+    0.0, -0.0, PI, -PI, 2 * PI, PI / 2, -PI / 2, 3 * PI / 2, 1e-300, -1e-300,
+    5e-324, 1e-15, PI - 1e-15, PI + 1e-15, 7.0, -7.0, 100.0,
+]
+# Bound on |lobachevsky_array - lobachevsky| per angle; the largest gap on
+# the angles below was 4.0e-16 (numpy's log, and y * (1 - log 2y + series)
+# in place of the float function's two products).
+LOB_ARRAY_BOUND = 1e-15
+
+
+def test_lobachevsky_array_matches_float_function():
+    rng = np.random.default_rng(31)
+    theta = np.concatenate(
+        [rng.uniform(0.0, PI, 60_000), rng.uniform(-10.0, 10.0, 40_000), LOB_EDGE_ANGLES]
+    )
+    got = specfun.lobachevsky_array(theta)
+    ref = np.array([specfun.lobachevsky(t) for t in theta.tolist()])
+    assert got.shape == theta.shape
+    assert np.max(np.abs(got - ref)) <= LOB_ARRAY_BOUND
+    # exact zeros where the float function's reduction lands on 0
+    zero = ref == 0.0
+    assert np.all(got[zero] == 0.0)
+
+
+def test_lobachevsky_array_matches_quadrature_oracle():
+    theta = PI * np.arange(1, 100) / 100
+    got = specfun.lobachevsky_array(theta)
+    for t, v in zip(theta.tolist(), got.tolist()):
+        assert abs(v - oracles.lobachevsky_by_quadrature(t)) < 1e-10
+
+
+def test_lobachevsky_array_empty():
+    assert specfun.lobachevsky_array(np.array([])).shape == (0,)
+
+
 def test_incomplete_beta_endpoints_and_symmetry():
     assert specfun.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert specfun.regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
@@ -242,6 +279,42 @@ def test_incomplete_beta_empty_array():
 def test_incomplete_beta_rejects_bad_input(a, b, x):
     with pytest.raises(ValueError):
         specfun.regularized_incomplete_beta(a, b, x)
+
+
+def _moment_shapes(x):
+    mean = float(np.mean(x))
+    common = mean * (1.0 - mean) / float(np.var(x)) - 1.0
+    return mean * common, (1.0 - mean) * common
+
+
+def test_incomplete_beta_converges_at_large_shapes():
+    # A near-constant sample's moment fit: alpha 3.9e5, beta 1.5e6.  Points
+    # near the mean need about 550 Lentz rounds, more than the 499 that fixed
+    # the cap before it grew with sqrt(max(a, b)).
+    scipy_special = pytest.importorskip("scipy.special")
+    x = 0.2 + 1e-3 * np.random.default_rng(0).uniform(0, 1, 4097)
+    a, b = _moment_shapes(x)
+    assert 3e5 < a < 5e5 and 1e6 < b < 2e6
+    got = specfun.regularized_incomplete_beta(a, b, x)
+    assert np.max(np.abs(got - scipy_special.betainc(a, b, x))) < 1e-8
+    # points that converge within 499 rounds keep their bits
+    kept = 0
+    for v, g in zip(x[::41].tolist(), got[::41].tolist()):
+        try:
+            ref = _reference_incomplete_beta(a, b, v)
+        except AssertionError:  # needs more than 499 rounds
+            continue
+        assert g == ref
+        kept += 1
+    assert 0 < kept < len(x[::41])
+
+
+def test_incomplete_beta_rejects_shapes_above_limit():
+    limit = specfun._MAX_SHAPE
+    specfun.regularized_incomplete_beta(limit, 3.0, 0.999)
+    for a, b in ((2.0 * limit, 3.0), (3.0, 2.0 * limit)):
+        with pytest.raises(ValueError, match="must not exceed"):
+            specfun.regularized_incomplete_beta(a, b, 0.5)
 
 
 def test_incomplete_beta_return_types():

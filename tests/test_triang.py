@@ -273,3 +273,79 @@ def test_dart_codes_match_reference_routines():
             key, _ref_canonical_form(triang.mirror(t))
         )
         assert triang.automorphism_counts(t) == _ref_automorphism_counts(t)
+
+
+# Frozen oracle: the dart codes as they were before faces were encoded as
+# integers, with tuple faces, a list of seen flags and parallel dart lists.
+# The integer codes must give the same canonical forms and counts.
+
+
+def _frozen_codes(t):
+    n = t.n
+    faces = t.faces
+    tail = [v for f in faces for v in f]
+    nxt = [d + 1 if d % 3 < 2 else d - 2 for d in range(len(tail))]
+    head = [tail[d] for d in nxt]
+    dart = {(u, v): d for d, (u, v) in enumerate(zip(tail, head))}
+    rev = [dart[v, u] for u, v in zip(tail, head)]
+    for d0 in range(len(tail)):
+        label = [-1] * n
+        seen = [False] * len(tail)
+        seen[d0] = True
+        order = [d0]
+        count = 0
+        for x in order:
+            for v in (tail[x], head[x]):
+                if label[v] < 0:
+                    label[v] = count
+                    count += 1
+            if count == n:
+                break
+            for y in (nxt[x], rev[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+        code = []
+        for a, b, c in faces:
+            a, b, c = label[a], label[b], label[c]
+            if a < b and a < c:
+                code.append((a, b, c))
+            elif b < c:
+                code.append((b, c, a))
+            else:
+                code.append((c, a, b))
+        code.sort()
+        yield tuple(code)
+
+
+def _frozen_canonical_form(t):
+    return min(_frozen_codes(t))
+
+
+def _frozen_automorphism_counts(t):
+    codes = list(_frozen_codes(t))
+    best = min(codes)
+    op = codes.count(best)
+    mirrored = _frozen_canonical_form(triang.mirror(t)) == best
+    return triang.AutomorphismCounts(
+        orientation_preserving=op, total=2 * op if mirrored else op
+    )
+
+
+def test_canonical_form_matches_frozen_oracle_on_all_small_types():
+    for n in range(4, 10):
+        for t in corpus.all_types(n):
+            assert triang.canonical_form(t) == _frozen_canonical_form(t)
+            mirror = triang.mirror(t)
+            assert triang.canonical_form(mirror) == _frozen_canonical_form(mirror)
+            assert triang.automorphism_counts(t) == _frozen_automorphism_counts(t)
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_canonical_form_matches_frozen_oracle_on_delaunay_types(n):
+    for i in range(100):
+        cfg = geom.random_configuration(n, stats.trial_rng(2000 + n, i))
+        t = geom.close_with_infinity(geom.delaunay(cfg))[0]
+        key = triang.canonical_form(t)
+        assert type(key) is tuple and all(type(f) is tuple for f in key)
+        assert key == _frozen_canonical_form(t)
