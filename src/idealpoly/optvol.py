@@ -1,16 +1,16 @@
 """Volume maximization over the realizability polytope of a fixed type.
 
 The objective (the Lobachevsky sum over all corners) is strictly concave on
-the triangle-sum constraint surface, so a deterministic convex method
-suffices: equalities are eliminated onto a reduced coordinate system, a
-logarithmic barrier with geometric continuation follows the central path,
-and an active-set Newton polish drives the KKT residual to ~1e-13 so that
-rational-angle detection at 1e-10 is meaningful.
+the triangle-sum constraint surface, so a convex method suffices: equalities
+are eliminated onto reduced coordinates, a logarithmic barrier with geometric
+continuation follows the central path, and an active-set Newton polish drives
+the KKT residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
 
-Inequalities are barriered at their true (epsilon = 0) positions; the
-epsilon-relaxed system is only used to produce a strictly interior start.
-Optima on the boundary (flat edges) are reported through the active set, and
-angles within 1e-7 of a bound are flagged boundary-active, never clipped.
+Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
+start) as corner bounds theta >= 0, whose slacks are the corners themselves,
+and 0/1 rows U theta <= pi.  One SVD per equality system gives its null
+basis, least-squares point and multipliers.  Boundary optima (flat edges)
+are reported through the active set and flagged boundary-active, never clipped.
 """
 
 import math
@@ -150,114 +150,129 @@ class OptResult:
 
 
 def _constraint_data(system):
-    """Equalities and inequalities G theta <= h of a system at epsilon = 0.
+    """A_eq, b_eq, the 0/1 rows U theta <= b and the kinds of a system.
 
-    G stacks -I (corners >= 0) over the 0/1 inequality rows and h stacks 0
-    over their pi: the epsilon relaxation only serves the interior start.
+    The other inequalities are the corner bounds theta >= 0, which no matrix
+    carries.  ``kinds`` names constraint i as corner i for i < n_vars and as
+    row i - n_vars after; the active set indexes it.
     """
-    m = system.n_vars
-    G = np.vstack([-np.eye(m), system.A_ub])
-    h = np.concatenate([np.zeros(m), system.b_ub])
-    kinds = [("corner", (f, s)) for f in range(m // 3) for s in range(3)]
-    kinds += system.ub_kinds
-    return system.A_eq, system.b_eq, G, h, kinds
+    kinds = [("corner", (f, s)) for f in range(system.n_vars // 3) for s in range(3)]
+    return system.A_eq, system.b_eq, system.A_ub, system.b_ub, kinds + list(system.ub_kinds)
 
 
-def _null_space(A):
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return Vt[rank:].T
+def _slacks(theta, corners, U, b):
+    """Slacks of the bounds theta[corners] >= 0, then of the rows U theta <= b."""
+    return np.concatenate((theta[corners], b - U @ theta))
 
 
-def _particular(A, b):
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol
+def _factor(A, b):
+    """Null basis, least-squares point V_r S_r^-1 U_r^T b (refined once), its
+    largest residual and the multiplier map grad -> U_r S_r^-1 V_r^T grad of
+    A theta = b, from one SVD.  Singular values below 1e-10 of the largest are 0.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    W, Vr = U[:, :r] / s[:r], Vt[:r]  # the pseudo-inverse of A is Vr^T W^T
+    theta_p = Vr.T @ (W.T @ b)
+    theta_p += Vr.T @ (W.T @ (b - A @ theta_p))
+    residual = float(np.max(np.abs(A @ theta_p - b)))
+    return Vt[r:].T, theta_p, residual, lambda grad: W @ (Vr @ grad)
 
 
-# Consecutive accepted steps without a new lowest gradient norm after which a
-# barrier round ends.
+def _ratio_cap(s, rate):
+    """Largest step t at which no slack s + t * rate falls below -1e-10."""
+    fall = rate < 0.0
+    return float(np.min((s[fall] + 1e-10) / -rate[fall], initial=np.inf))
+
+
+# Accepted steps in a row without a new lowest gradient norm that end a barrier round.
 _STALL_RUN = 10
 
 
-def _newton_max(theta_p, N, G, h, u, mu, tol, max_iter):
-    """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks).
+def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
+    """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
+    theta = theta_p + N u, over the slacks ``_slacks(theta, corners, U, b)``.
 
+    Corner barrier terms join the objective's diagonal: the Hessian is
+    N^T diag(-cot theta - mu/theta^2) N - mu (UN)^T diag(1/s_U^2) (UN).
     A step is accepted on either the Armijo condition for phi or a decrease
-    of the gradient norm; near the optimum phi differences sink below float
-    noise, and the gradient-norm test is what carries Newton's quadratic
-    tail down to ~1e-15.
+    of the gradient norm, which carries Newton's quadratic tail to ~1e-15
+    once phi differences sink below float noise.  Trial steps halve from
+    t = 1; after the first trial outside the polytope, halvings past the
+    ratio test's cap (``_ratio_cap``) are not evaluated: those trials have a
+    slack below -1e-10, far beyond the ~1e-15 rounding of the slacks.
 
-    A barrier round (mu > 0) also ends once _STALL_RUN consecutive accepted
-    steps fail to lower the lowest gradient norm it has reached, returning
-    the point it stands on and that point's norm.  At a slack near 1e-8 the
-    ~4e-16 rounding of h - G theta gives the barrier term mu/s a relative
-    error near 6e-8, a floor under the gradient norm that can sit above the
-    round's tolerance; the round would otherwise spend max_iter steps there.
-    The next round or the active-set polish carries on from that point.
+    A barrier round (mu > 0) also ends, at the point it stands on, once
+    _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
+    slack of 1e-8 the slacks' rounding gives mu/s a relative error near 6e-8,
+    a floor that can sit above the round's tolerance.
     """
-    NT = N.T
-    GN = G @ N
-    GNT = GN.T
+    NT, UN = N.T, U @ N
+    UNT, nc = UN.T, theta_p[corners].size  # corners: an index array or a slice
 
     def phi(theta, s):
-        barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
-        return _volume_flat(theta) + barrier
+        return _volume_flat(theta) + (mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0)
 
     def grad_at(uu):
         theta = theta_p + N @ uu
-        s = h - G @ theta
+        s = _slacks(theta, corners, U, b)
         if not s.min() > 0.0:
             return theta, s, None, None
         sine = _sine(theta)
-        g = NT @ volume_gradient(theta, sine)
+        d = volume_gradient(theta, sine)
         if mu > 0.0:
-            g = g - mu * (GNT @ (1.0 / s))
-        return theta, s, g, sine
+            w = mu / s
+            d[corners] += w[:nc]
+            return theta, s, NT @ d - UNT @ w[nc:], sine
+        return theta, s, NT @ d, sine
 
     theta, s, g, sine = grad_at(u)
     if g is None:
         raise LineSearchStall("current point is not strictly feasible")
     gnorm = math.sqrt(g @ g)
-    best, stalled = gnorm, 0
-    iters = 0
+    best, stalled, iters = gnorm, 0, 0
     for _ in range(max_iter):
         if gnorm < tol or stalled == _STALL_RUN:
             return u, gnorm, iters
-        H = (NT * _hessian_diag(theta, sine)) @ N
+        d = _hessian_diag(theta, sine)
         if mu > 0.0:
-            H = H - mu * (GNT * (1.0 / (s * s))) @ GN
+            w = mu / (s * s)
+            d[corners] -= w[:nc]
+            H = (NT * d) @ N - (UNT * w[nc:]) @ UN
+        else:
+            H = (NT * d) @ N
         try:
             step = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:  # H singular: take the gradient step
             step = g
-        phi0 = None  # evaluated once a trial reaches the Armijo test
         slope = float(g @ step)
         if slope <= 0.0:  # not an ascent direction: H lost definiteness
             step = g
             slope = float(g @ g)
-        t = 1.0
-        accepted = False
+        t, cap, phi0 = 1.0, None, None  # cap and phi0 are evaluated on demand
         while t > 1e-14:
             u_try = u + t * step
             theta_try, s_try, g_try, sine_try = grad_at(u_try)
-            if g_try is not None:
-                gnorm_try = math.sqrt(g_try @ g_try)
-                if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
-                    accepted = True
-                    break
-                if phi0 is None:
-                    phi0 = phi(theta, s)
-                if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
-                    accepted = True
-                    break
+            if g_try is None:
+                if cap is None:
+                    rate = np.concatenate(((N @ step)[corners], -(UN @ step)))
+                    cap = _ratio_cap(s, rate)
+                t *= 0.5
+                while t > cap:
+                    t *= 0.5
+                continue
+            gnorm_try = math.sqrt(g_try @ g_try)
+            if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
+                break
+            if phi0 is None:
+                phi0 = phi(theta, s)
+            if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
+                break
             t *= 0.5
-        if not accepted:
-            raise LineSearchStall(
-                f"line search stalled at mu={mu:g}, |grad|={gnorm:g}"
-            )
+        else:
+            raise LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
         # the accepted trial is the next iterate: its gradient is already known
-        u, theta, s, g, gnorm = u_try, theta_try, s_try, g_try, gnorm_try
-        sine = sine_try
+        u, theta, s, g, gnorm, sine = u_try, theta_try, s_try, g_try, gnorm_try, sine_try
         iters += 1
         if gnorm < best:
             best, stalled = gnorm, 0
@@ -274,8 +289,9 @@ def maximize_volume(link, start=None):
     is used.  Raises InfeasibleStart when no interior start can be produced.
     """
     system = rivin.assemble_constraints(link)
-    A_eq, b_eq, G, h, kinds = _constraint_data(system)
+    A_eq, b_eq, A_ub, b_ub, kinds = _constraint_data(system)
     m = system.n_vars
+    corners = slice(None)  # every corner
 
     if start is None:
         res = rivin.check_feasible(system)
@@ -291,21 +307,27 @@ def maximize_volume(link, start=None):
             raise InfeasibleStart(f"start has {theta0.size} corners, expected {m}")
         if np.max(np.abs(A_eq @ theta0 - b_eq)) > 1e-8:
             raise InfeasibleStart("start violates the equality constraints")
-        if np.any(h - G @ theta0 <= 0.0):
+        if np.any(_slacks(theta0, corners, A_ub, b_ub) <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    N = _null_space(A_eq)
-    theta_p = _particular(A_eq, b_eq)
+    systems = {}  # sorted pinned constraints -> _factor of their system
+
+    def pinned(act):  # a pinned corner c is the row -theta_c = 0
+        if act not in systems:
+            c, r = [i for i in act if i < m], [i - m for i in act if i >= m]
+            A = np.vstack([A_eq, -np.eye(m)[c], A_ub[r]])
+            systems[act] = _factor(A, np.concatenate([b_eq, np.zeros(len(c)), b_ub[r]]))
+        return systems[act]
+
+    N, theta_p, _, _ = pinned(())
     u = N.T @ (theta0 - theta_p)
 
-    path_volumes = []
-    total_iters = 0
-    mu = 1e-1
+    path_volumes, total_iters, mu = [], 0, 1e-1
     vol_now = _volume_flat(theta_p + N @ u)
     while mu > 1e-9:
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
         try:
-            u, gnorm, iters = _newton_max(theta_p, N, G, h, u, mu, tol, 200)
+            u, _, iters = _newton_max(theta_p, N, corners, A_ub, b_ub, u, mu, tol, 200)
         except LineSearchStall:
             # parked against the boundary; the active-set polish finishes
             break
@@ -315,92 +337,73 @@ def maximize_volume(link, start=None):
         mu *= 0.2
 
     theta = theta_p + N @ u
-    slacks = h - G @ theta
 
-    # active-set polish: pin near-active rows as equalities, Newton to
-    # machine precision, then verify multiplier signs.  Rows are added when
-    # they block progress and dropped (one per round) on a negative
+    # active-set polish: pin near-active constraints as equalities, Newton to
+    # machine precision, then verify multiplier signs.  Constraints are added
+    # when they block progress and dropped (one per round) on a negative
     # multiplier; inconsistent pinned systems shed their loosest row.  A
     # dropped row sits at slack 0 up to rounding, so the next projected start
     # may violate it and pin it again; it is then kept, which ends that cycle.
-    active = set(int(i) for i in np.flatnonzero(slacks < BOUNDARY_TOL))
+    active = set(np.flatnonzero(_slacks(theta, corners, A_ub, b_ub) < BOUNDARY_TOL).tolist())
     dropped = set()
     for _ in range(30):
-        act = sorted(active)
-        if act:
-            A2 = np.vstack([A_eq, G[act]])
-            b2 = np.concatenate([b_eq, h[act]])
-            theta_p2 = _particular(A2, b2)
-            if float(np.max(np.abs(A2 @ theta_p2 - b2))) > 1e-8:
-                # pinned rows are mutually inconsistent: release the loosest
-                loosest = max(act, key=lambda i: float(h[i] - G[i] @ theta))
-                active.discard(loosest)
-                continue
-            N2 = _null_space(A2)
-        else:  # the barrier's system: reuse its basis and particular point
-            theta_p2, N2 = theta_p, N
-        inactive = np.array(sorted(set(range(G.shape[0])) - active), dtype=int)
-        G2 = G[inactive]
-        h2 = h[inactive]
+        act = tuple(sorted(active))
+        N2, theta_p2, residual, multipliers = pinned(act)
+        if residual > 1e-8:
+            # pinned rows are mutually inconsistent: release the loosest
+            slacks = _slacks(theta, corners, A_ub, b_ub)
+            active.discard(max(act, key=lambda i: slacks[i]))
+            continue
+        free = np.array([i for i in range(len(kinds)) if i not in active], dtype=int)
+        C, R = free[free < m], free[free >= m] - m
+        U2, b2 = A_ub[R], b_ub[R]
         u2 = N2.T @ (theta - theta_p2)
-        start = theta_p2 + N2 @ u2
-        s_start = h2 - G2 @ start
+        s_start = _slacks(theta_p2 + N2 @ u2, C, U2, b2)
         j = int(np.argmin(s_start))
         if s_start[j] <= 0.0:
-            active.add(int(inactive[j]))
+            active.add(int(free[j]))
             continue
         try:
-            u2, gnorm, iters = _newton_max(theta_p2, N2, G2, h2, u2, 0.0, 1e-12, 60)
+            u2, gnorm, iters = _newton_max(theta_p2, N2, C, U2, b2, u2, 0.0, 1e-12, 60)
         except LineSearchStall:
             # blocked by an inactive constraint: pin the tightest one
-            th_try = theta_p2 + N2 @ u2
-            s_try = h2 - G2 @ th_try
-            active.add(int(inactive[int(np.argmin(s_try))]))
+            active.add(int(free[j]))
             continue
         total_iters += iters
         theta = theta_p2 + N2 @ u2
-        s_in = h2 - G2 @ theta
+        s_in = _slacks(theta, C, U2, b2)
         j = int(np.argmin(s_in))
         # a row at rounding distance blocks the polish; so does a row within
         # 1e-6 when the Newton ran out of iterations short of its tolerance
         if s_in[j] < 1e-12 or (gnorm >= 1e-12 and s_in[j] < 1e-6):
-            active.add(int(inactive[j]))
+            active.add(int(free[j]))
             continue
         if act:
-            coef, *_ = np.linalg.lstsq(A2.T, volume_gradient(theta), rcond=None)
-            lam = coef[A_eq.shape[0]:]
-            # corner rows pinned at zero have a divergent slope in theta_c
-            # alone; their multiplier is meaningless, so they are kept
-            def pinned_at_zero(row):
-                kind, key = kinds[row]
-                return kind == "corner" and theta[3 * key[0] + key[1]] < 1e-9
-
+            lam = dict(zip(act, multipliers(volume_gradient(theta))[len(b_eq):]))
+            # corners pinned at zero have a divergent slope in theta_c alone;
+            # their multiplier is meaningless, so they are kept
             droppable = [
-                i for i in range(len(act))
-                if act[i] not in dropped and not pinned_at_zero(act[i])
+                i for i in act if i not in dropped and not (i < m and theta[i] < 1e-9)
             ]
-            if droppable:
-                worst = min(droppable, key=lambda i: lam[i])
-                if lam[worst] < -1e-9:
-                    dropped.add(act[worst])
-                    active.discard(act[worst])
-                    continue
+            worst = min(droppable, key=lam.get, default=None)
+            if worst is not None and lam[worst] < -1e-9:
+                dropped.add(worst)
+                active.discard(worst)
+                continue
         break
     else:
         raise NumericalFailure("active-set polish did not settle")
 
-    final_gnorm = float(np.linalg.norm(N2.T @ volume_gradient(theta)))
-    vol = _volume_flat(theta)
-
+    slacks = _slacks(theta, corners, A_ub, b_ub)
     angles = theta.reshape(-1, 3)
     return OptResult(
         link=link,
         angles=angles,
-        volume=float(vol),
-        kkt_residual=final_gnorm,
+        volume=_volume_flat(theta),
+        kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta))),
         dihedrals=dihedral_angles(link, angles),
-        active_constraints=tuple(kinds[i] for i in sorted(active)),
-        boundary_active=bool(active) or bool(np.any(h - G @ theta < BOUNDARY_TOL)),
+        active_constraints=tuple(kinds[i] for i in act),
+        boundary_active=bool(act) or bool(np.any(slacks < BOUNDARY_TOL)),
         barrier_volumes=tuple(path_volumes),
         newton_iterations=total_iters,
     )

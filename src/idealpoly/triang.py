@@ -210,7 +210,8 @@ def build_link(t, apex):
 
 
 def _codes(t):
-    """The relabeled face list seen from every start dart, in dart order.
+    """The relabeled face list seen from each candidate start dart, in dart
+    order.
 
     Dart ``3 * f + s`` runs from corner ``s`` of face ``f`` to the next
     corner.  From each start dart a breadth-first traversal along face
@@ -220,6 +221,13 @@ def _codes(t):
     face rotated to start at its smallest label, sorted.  A face (a, b, c)
     is held as the integer ``a*n*n + b*n + c``, which orders as the tuple
     does; ``_decode`` turns a code back into face tuples.
+
+    The candidates are the darts leaving a vertex of degree 3 when there is
+    one, else every dart.  Every start labels its own face (0, 1, 2) and the
+    third vertex of the face across its dart 3, so a start at a degree-3
+    vertex has (0, 2, 3) as its second face and any other start (0, 2, a)
+    with a >= 4.  The smallest code, and every code equal to it, therefore
+    comes from a degree-3 start when one exists.
     """
     n = t.n
     nn = n * n
@@ -230,7 +238,9 @@ def _codes(t):
     dart = {(u, v): d for d, (u, v) in enumerate(zip(tail, head))}
     # per dart: its tail, its head, the next dart of its face, its reverse
     steps = [(u, v, nxt[d], dart[v, u]) for d, (u, v) in enumerate(zip(tail, head))]
-    for d0 in range(len(tail)):
+    degree = t.degrees()
+    starts = [d for d, v in enumerate(tail) if degree[v] == 3] or range(len(tail))
+    for d0 in starts:
         label = [-1] * n
         seen = bytearray(len(tail))
         seen[d0] = 1

@@ -195,42 +195,64 @@ def _pinned_types():
 # from the centered witness (None: not realizable).  Taken with numpy 2.4 on
 # OpenBLAS 0.3.31; another LAPACK build may round the SVD differently.
 OPTIMUM_PINS = {
-    "tetrahedron": ("0x1.03d3368ee1110p+0", "0x1.9e95450b0a3b6p-56", 0),
-    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.2170dae7f6302p-50", 0),
-    "n8-00": ("0x1.44c8043299552p+2", "0x1.9dc40d50af672p-41", 64),
-    "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fcb83fdc027p-41", 66),
-    "n8-02": ("0x1.3bb8a48b11982p+2", "0x1.3413f20e33f4fp-52", 88),
-    "n8-03": ("0x1.3a270531d120ap+2", "0x1.9426b9b55600fp-53", 82),
-    "n8-04": ("0x1.44c8043299555p+2", "0x1.f28ddd0f29be7p-42", 66),
-    "n8-05": ("0x1.69f60748b14bep+2", "0x1.2cc91f91ab3f6p-52", 68),
-    "n8-06": ("0x1.279a05fba0e3bp+2", "0x1.6ddf169738c49p-52", 90),
-    "n8-07": ("0x1.6c6653e6b1236p+2", "0x1.3de26a84928bdp-51", 14),
-    "n8-08": ("0x1.6c6653e6b1234p+2", "0x1.38dd3b692d61ap-52", 14),
-    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.5a515994c96eep-52", 14),
-    "n8-10": ("0x1.69f60748b14c5p+2", "0x1.80dfbed0ab690p-52", 68),
+    "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.8e1f0c1b745c8p-56", 0),
+    "octahedron": ("0x1.d4f9713e8135dp+1", "0x1.8a85c24f70659p-53", 0),
+    "n8-00": ("0x1.44c8043299555p+2", "0x1.9da81fa1acfcbp-41", 64),
+    "n8-01": ("0x1.44c8043299557p+2", "0x1.d1eea29024d72p-41", 66),
+    "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.2f281f2397b1dp-52", 89),
+    "n8-03": ("0x1.3a270531d120bp+2", "0x1.2f36b69fdf2a5p-52", 90),
+    "n8-04": ("0x1.44c8043299556p+2", "0x1.f34a6607fa8acp-42", 66),
+    "n8-05": ("0x1.69f60748b14bep+2", "0x1.6905518317054p-53", 68),
+    "n8-06": ("0x1.279a05fba0e3dp+2", "0x1.4ecb98b295d88p-52", 86),
+    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.1e9f1b8d2c5e1p-52", 14),
+    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.d240ce724d029p-53", 14),
+    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.9f00ece046936p-52", 14),
+    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.01f613a774dfbp-52", 66),
     "n8-11": None,
-    "n8-12": ("0x1.9f43136a1496fp+2", "0x1.0250d8bbdf06ap-51", 13),
-    "n8-13": ("0x1.85bcd1d65199ep+2", "0x1.c70048047a94fp-52", 0),
+    "n8-12": ("0x1.9f43136a14977p+2", "0x1.efd41ba9f6c33p-52", 13),
+    "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.d82089b9d6a11p-52", 0),
 }
 
 # The same volumes from the witness of the LP under Bland's pricing, another
 # optimal vertex: the optimum does not depend on the start beyond rounding.
 BLAND_START_VOLUMES = {
-    "tetrahedron": "0x1.03d3368ee1110p+0",
-    "octahedron": "0x1.d4f9713e8135ep+1",
-    "n8-00": "0x1.44c8043299552p+2",
+    "tetrahedron": "0x1.03d3368ee1111p+0",
+    "octahedron": "0x1.d4f9713e8135dp+1",
+    "n8-00": "0x1.44c8043299555p+2",
     "n8-01": "0x1.44c8043299556p+2",
-    "n8-02": "0x1.3bb8a48b11983p+2",
-    "n8-03": "0x1.3a270531d1209p+2",
-    "n8-04": "0x1.44c8043299555p+2",
-    "n8-05": "0x1.69f60748b14bep+2",
-    "n8-06": "0x1.279a05fba0e3bp+2",
-    "n8-07": "0x1.6c6653e6b1236p+2",
-    "n8-08": "0x1.6c6653e6b1234p+2",
+    "n8-02": "0x1.3bb8a48b11985p+2",
+    "n8-03": "0x1.3a270531d120ap+2",
+    "n8-04": "0x1.44c8043299556p+2",
+    "n8-05": "0x1.69f60748b14bfp+2",
+    "n8-06": "0x1.279a05fba0e3dp+2",
+    "n8-07": "0x1.6c6653e6b1237p+2",
+    "n8-08": "0x1.6c6653e6b1237p+2",
     "n8-09": "0x1.801c197f4e24bp+2",
-    "n8-10": "0x1.69f60748b14c4p+2",
-    "n8-12": "0x1.9f43136a1496fp+2",
-    "n8-13": "0x1.85bcd1d65199ep+2",
+    "n8-10": "0x1.69f60748b14bfp+2",
+    "n8-12": "0x1.9f43136a14975p+2",
+    "n8-13": "0x1.85bcd1d65199ap+2",
+}
+
+# The exact optima to 25 digits: 40-digit volumes (Clausen's function) of the
+# optimizer's points projected onto their equality and active constraints in
+# 40-digit arithmetic.  The volume is stationary there, so the projection
+# moves it only to second order.
+EXACT_VOLUMES = {
+    "tetrahedron": "1.014941606409653625021203",
+    "octahedron": "3.663862376708876060218414",
+    "n8-00": "5.074708032048268125106012",
+    "n8-01": "5.074708032048268125106012",
+    "n8-02": "4.933144698914820670434693",
+    "n8-03": "4.908631609582253517635966",
+    "n8-04": "5.074708032048268125106013",
+    "n8-05": "5.65564138506778087394403",
+    "n8-06": "4.61877584050267654355993",
+    "n8-07": "5.693745589528183310260819",
+    "n8-08": "5.693745589528183310260819",
+    "n8-09": "6.00171506340172751835762",
+    "n8-10": "5.65564138506778087394403",
+    "n8-12": "6.488468984216855345754985",
+    "n8-13": "6.089649638457921750127215",
 }
 
 
@@ -245,6 +267,8 @@ def test_optimum_pinned_bitwise(name):
     assert got == OPTIMUM_PINS[name]
     other = float.fromhex(BLAND_START_VOLUMES[name])
     assert abs(out.volume - other) <= 2 * math.ulp(other)
+    exact = float(EXACT_VOLUMES[name])
+    assert abs(out.volume - exact) <= 3 * math.ulp(exact)
 
 
 # Types and apexes whose active-set polish takes its rare branches, found by
@@ -311,13 +335,14 @@ STALLED_ROUND_ACTIVE_SETS = {
 }
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 10))
 def test_barrier_rounds_end_before_the_iteration_cap(n, monkeypatch):
     rounds = []
     newton_max = optvol._newton_max
 
-    def recording(theta_p, N, G, h, u, mu, tol, max_iter):
-        out = newton_max(theta_p, N, G, h, u, mu, tol, max_iter)
+    def recording(*args):
+        out = newton_max(*args)
+        mu, _, max_iter = args[-3:]
         rounds.append((mu, out[2], max_iter))
         return out
 
@@ -331,8 +356,8 @@ def test_barrier_rounds_end_before_the_iteration_cap(n, monkeypatch):
         out = optvol.maximize_volume(res.link, start=res.witness)
         if any(mu > 0.0 and iters == cap for mu, iters, cap in rounds):
             capped.append(i)
+        assert out.kkt_residual <= 1e-12
         if (n, i) in STALLED_ROUND_ACTIVE_SETS:
-            assert out.kkt_residual < 1e-12
             assert out.active_constraints == STALLED_ROUND_ACTIVE_SETS[n, i]
     assert capped == []
 
@@ -352,6 +377,88 @@ def test_constraints_assembled_once_per_optimization(monkeypatch):
     witness = rivin.check_feasible(assemble(link)).witness
     optvol.maximize_volume(link, start=witness)
     assert len(calls) == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _polish_links():
+    """Links of the rare-branch types at their apex and of every realizable
+    type with n <= 8 at the default apex."""
+    links = []
+    for n, faces, apex in RARE_BRANCH_TYPES:
+        links.append(rivin.is_realizable(triang.validate(n, faces), apex=apex).link)
+    for n in range(4, 9):
+        for t in corpus.all_types(n):
+            res = rivin.is_realizable(t)
+            if res.realizable:
+                links.append(res.link)
+    return links
+
+
+def test_line_search_skips_only_infeasible_trials(monkeypatch):
+    # Run every optimization again with the ratio test's cap raised to
+    # infinity, which halves from t = 1 and evaluates every trial.  The
+    # optimum must not move, and every trial the cap would have skipped
+    # (t = 2^-k above the cap, following the trial at t = 1 that set it)
+    # must lie outside the polytope when evaluated.
+    links = _polish_links()
+    skipped = 0
+    results = [optvol.maximize_volume(link) for link in links]
+    events = []
+    ratio_cap, slacks = optvol._ratio_cap, optvol._slacks
+
+    def uncapped(s, rate):
+        events.append(("cap", ratio_cap(s, rate)))
+        return math.inf
+
+    def recording(*args):
+        out = slacks(*args)
+        events.append(("slacks", float(out.min())))
+        return out
+
+    monkeypatch.setattr(optvol, "_ratio_cap", uncapped)
+    monkeypatch.setattr(optvol, "_slacks", recording)
+    for link, ref in zip(links, results):
+        events.clear()
+        out = optvol.maximize_volume(link)
+        assert out.volume == ref.volume
+        assert np.array_equal(out.angles, ref.angles)
+        assert out.newton_iterations == ref.newton_iterations
+        assert out.active_constraints == ref.active_constraints
+        for i, (kind, cap) in enumerate(events):
+            if kind != "cap":
+                continue
+            k = 1
+            while 0.5**k > max(cap, 1e-14):
+                assert events[i + k][0] == "slacks"
+                assert events[i + k][1] < 0.0
+                skipped += 1
+                k += 1
+    assert skipped > 1000
+
+
+def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
+    factored = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        factored.append((a.shape, a.tobytes()))
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("maximize_volume called np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    pinned_systems = 0
+    for link in _polish_links():
+        factored.clear()
+        out = optvol.maximize_volume(link)
+        assert len(factored) == len(set(factored))
+        assert 1 <= len(factored) <= 31  # the barrier's and one per polish round
+        pinned_systems += len(factored) - 1
+        if out.active_constraints:
+            assert len(factored) >= 2
+    assert pinned_systems > 0
 
 
 def _configuration_start(name):
@@ -497,8 +604,8 @@ def test_singular_newton_system_takes_the_gradient_step(monkeypatch):
     # the remaining iterations still reach the octahedron's optimum.  The
     # centered witness is already the optimum, so start off it.
     res = rivin.is_realizable(triang.octahedron())
-    A_eq = rivin.assemble_constraints(res.link).A_eq
-    start = res.witness + 0.1 * optvol._null_space(A_eq)[:, 0]
+    system = rivin.assemble_constraints(res.link)
+    start = res.witness + 0.1 * optvol._factor(system.A_eq, system.b_eq)[0][:, 0]
     solve = np.linalg.solve
     raised = []
 

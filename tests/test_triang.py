@@ -333,7 +333,9 @@ def _frozen_automorphism_counts(t):
 
 
 def test_canonical_form_matches_frozen_oracle_on_all_small_types():
-    for n in range(4, 10):
+    # the frozen oracle starts from every dart, _codes only from darts at a
+    # degree-3 vertex when there is one
+    for n in range(4, 11):
         for t in corpus.all_types(n):
             assert triang.canonical_form(t) == _frozen_canonical_form(t)
             mirror = triang.mirror(t)
@@ -349,3 +351,27 @@ def test_canonical_form_matches_frozen_oracle_on_delaunay_types(n):
         key = triang.canonical_form(t)
         assert type(key) is tuple and all(type(f) is tuple for f in key)
         assert key == _frozen_canonical_form(t)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_degree_three_starts_match_all_darts_on_delaunay_types(n):
+    for i in range(100):
+        cfg = geom.random_configuration(n, stats.trial_rng(3000 + n, i))
+        t = geom.close_with_infinity(geom.delaunay(cfg))[0]
+        assert triang.canonical_form(t) == _frozen_canonical_form(t)
+        mirror = triang.mirror(t)
+        assert triang.canonical_form(mirror) == _frozen_canonical_form(mirror)
+        assert triang.automorphism_counts(t) == _frozen_automorphism_counts(t)
+
+
+def test_minimum_degree_four_type_starts_at_a_higher_degree():
+    # with no degree-3 vertex every dart is a candidate: the canonical start
+    # of this type lies at a vertex of degree 6 or more, so restricting the
+    # starts to vertices of minimum degree would change its canonical form
+    t = corpus.all_types(10)[221]
+    degree = t.degrees()
+    assert min(degree) == 4
+    codes = list(_frozen_codes(t))
+    start = codes.index(min(codes))
+    assert degree[t.faces[start // 3][start % 3]] >= 6
+    assert triang.canonical_form(t) == _frozen_canonical_form(t)
