@@ -1,10 +1,10 @@
 """Volume maximization over the realizability polytope of a fixed type.
 
-The objective (the Lobachevsky sum over all corners) is strictly concave on
-the triangle-sum constraint surface, so a convex method suffices: equalities
-are eliminated onto reduced coordinates, a logarithmic barrier with geometric
-continuation follows the central path, and an active-set Newton polish drives
-the KKT residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
+The objective (the Lobachevsky sum over all corners) is strictly concave on the
+triangle-sum constraint surface, so a convex method suffices: equalities are
+eliminated onto reduced coordinates, a logarithmic barrier follows the central
+path from secant-predicted starts, and an active-set Newton polish drives the
+KKT residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
 
 Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
@@ -28,7 +28,7 @@ BOUNDARY_TOL = 1e-7
 def volume(angles):
     """Hyperbolic volume: the Lobachevsky sum over all corner angles."""
     flat = np.asarray(angles, dtype=float).reshape(-1)
-    if np.any(flat <= 0.0) or np.any(flat >= math.pi):
+    if not np.all((flat > 0.0) & (flat < math.pi)):  # NaN fails both
         raise ValueError("corner angles must lie in (0, pi)")
     return _volume_flat(flat)
 
@@ -281,6 +281,10 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
     return u, gnorm, iters
 
 
+def _secant(u_prev, u):  # the central path to first order in mu, which falls by 0.2
+    return u + 0.2 * (u - u_prev)
+
+
 def maximize_volume(link, start=None):
     """Unique volume maximizer for one apex link.
 
@@ -303,8 +307,8 @@ def maximize_volume(link, start=None):
         theta0 = res.witness
     else:
         theta0 = np.asarray(start, dtype=float).reshape(-1)
-        if theta0.size != m:
-            raise InfeasibleStart(f"start has {theta0.size} corners, expected {m}")
+        if theta0.size != m or not np.all(np.isfinite(theta0)):
+            raise InfeasibleStart(f"start must be {m} finite corners, got {theta0.size} values")
         if np.max(np.abs(A_eq @ theta0 - b_eq)) > 1e-8:
             raise InfeasibleStart("start violates the equality constraints")
         if np.any(_slacks(theta0, corners, A_ub, b_ub) <= 0.0):
@@ -326,8 +330,14 @@ def maximize_volume(link, start=None):
     vol_now = _volume_flat(theta_p + N @ u)
     while mu > 1e-9:
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
+        guess = _secant(u_last, u) if len(path_volumes) >= 2 else None
+        u0 = u_last = u
+        if guess is not None:  # the secant start, kept if interior and no lower in volume
+            th = theta_p + N @ guess
+            if _slacks(th, corners, A_ub, b_ub).min() > 0.0 and _volume_flat(th) >= vol_now:
+                u0 = guess
         try:
-            u, _, iters = _newton_max(theta_p, N, corners, A_ub, b_ub, u, mu, tol, 200)
+            u, _, iters = _newton_max(theta_p, N, corners, A_ub, b_ub, u0, mu, tol, 200)
         except LineSearchStall:
             # parked against the boundary; the active-set polish finishes
             break
