@@ -1,13 +1,11 @@
-"""Numerical kernels: Lobachevsky sums, planar Delaunay, corner angles and
-configuration volumes, implemented in ``_pure``."""
+"""Numerical kernels of configuration sampling: planar Delaunay and corner
+angles, implemented in ``_pure``.  ``lobachevsky_sum`` is ``specfun``'s,
+re-exported here with ``BACKEND`` for the benchmark, which reads both."""
 
+from ..specfun import lobachevsky_sum  # noqa: F401
 from ._pure import (  # noqa: F401
-    LOB_COEFFS,
-    config_volume,
     delaunay_triangles,
     incircle_det,
-    lobachevsky,
-    lobachevsky_sum,
     orient2d,
     triangle_angles,
 )

@@ -1,15 +1,9 @@
-"""Kernels: Lobachevsky function, planar Delaunay, angle/volume.
+"""Kernels: planar Delaunay triangulation and corner angles.
 
 The loops of configuration sampling, one float at a time in plain Python:
-Delaunay, corner angles and the volume of one configuration.  The volume
-optimizer does not use them; it sums its Lobachevsky terms in one numpy pass
-(``specfun.lobachevsky_array``), from the coefficients defined here.
-The Lobachevsky function is evaluated from the logarithmic singularity
-extraction
-
-    L(x) = x*(1 - log(2x)) + x * sum_{k>=1} c_k * (x/pi)^(2k),   0 < x <= pi/2
-
-with c_k = zeta(2k) / (k*(2k+1)), truncated at ``N_TERMS`` terms.
+the Delaunay triangulation of a configuration's finite points and the
+Euclidean corner angles of its triangles.  The Lobachevsky sum over those
+angles, the configuration's volume, lives in ``specfun``.
 
 Geometric tolerances are absolute and intended for coordinates of order
 1..1e3 in generic position (which is what stereographic projection of
@@ -19,60 +13,7 @@ non-degenerate sphere samples produces).
 import itertools
 import math
 
-N_TERMS = 48
-
-
-def _zeta_even(s):
-    # Direct sum plus Euler-Maclaurin tail; s >= 2 gives ~1e-16 accuracy.
-    total = 0.0
-    for k in range(1, 100):
-        total += float(k) ** (-s)
-    big = 100.0
-    total += big ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * big ** (-s)
-    total += s * big ** (-s - 1.0) / 12.0
-    total -= s * (s + 1.0) * (s + 2.0) * big ** (-s - 3.0) / 720.0
-    return total
-
-
-LOB_COEFFS = tuple(
-    _zeta_even(2.0 * k) / (k * (2.0 * k + 1.0)) for k in range(1, N_TERMS + 1)
-)
-
-PI = math.pi
-HALF_PI = 0.5 * math.pi
 GEOM_TOL = 1e-12
-
-
-def lobachevsky(theta):
-    """Lobachevsky function: odd, pi-periodic, zero at multiples of pi."""
-    x = math.fmod(theta, PI)
-    if x < 0.0:
-        x += PI
-    sign = 1.0
-    if x > HALF_PI:
-        x = PI - x
-        sign = -1.0
-    if x == 0.0:
-        return 0.0
-    r2 = (x / PI) * (x / PI)
-    acc = 0.0
-    p = 1.0
-    for c in LOB_COEFFS:
-        p *= r2
-        t = c * p
-        acc += t
-        if t < 1e-17:
-            break
-    return sign * (x * (1.0 - math.log(x + x)) + x * acc)
-
-
-def lobachevsky_sum(values):
-    """Sum of lobachevsky() over a flat sequence, accumulated left to right."""
-    total = 0.0
-    for v in values:
-        total += lobachevsky(v)
-    return total
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -263,17 +204,3 @@ def triangle_angles(xs, ys, tris):
             row.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
         out.append((row[0], row[1], row[2]))
     return out
-
-
-def config_volume(xs, ys):
-    """Hyperbolic volume of the cone from infinity over the Delaunay
-    triangulation of the given finite points: Delaunay, then the Lobachevsky
-    sum over all corner angles."""
-    tris, _ = delaunay_triangles(xs, ys)
-    angles = triangle_angles(xs, ys, tris)
-    total = 0.0
-    for row in angles:
-        total += lobachevsky(row[0])
-        total += lobachevsky(row[1])
-        total += lobachevsky(row[2])
-    return total

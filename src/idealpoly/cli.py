@@ -96,7 +96,14 @@ def load_configuration(run, path):
             and len(item) == 2
             and all(isinstance(c, (int, float)) for c in item)
         ):
-            finite.append(complex(item[0], item[1]))
+            try:
+                x, y = float(item[0]), float(item[1])
+            except OverflowError:  # an int beyond the float range
+                x = y = math.inf
+            # the ball coordinates of the export are computed from |w|^2
+            if not math.isfinite(x * x + y * y):
+                raise InputError(f"{path}: point {item!r} is not finite or is too large")
+            finite.append(complex(x, y))
         else:
             raise InputError(f'{path}: point {item!r} is neither [x, y] nor "inf"')
     if inf_seen != 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, triang
+from . import _kernels, specfun, triang
 from .errors import DegenerateSample, DegenerateTriangle, LayoutInconsistent
 
 MIN_SEPARATION = 1e-6
@@ -165,13 +165,10 @@ def close_with_infinity(pt):
 
 
 def config_volume(config):
-    """Hyperbolic volume of the ideal polyhedron spanned by a configuration."""
-    xs = [w.real for w in config.finite]
-    ys = [w.imag for w in config.finite]
-    try:
-        return float(_kernels.config_volume(xs, ys))
-    except ValueError as exc:
-        raise DegenerateSample(str(exc)) from exc
+    """Hyperbolic volume of the ideal polyhedron spanned by a configuration:
+    the Lobachevsky sum over the corner angles of its Delaunay triangulation.
+    """
+    return specfun.lobachevsky_sum(euclidean_angles(delaunay(config)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def volume(angles):
     flat = np.asarray(angles, dtype=float).reshape(-1)
     if not np.all((flat > 0.0) & (flat < math.pi)):  # NaN fails both
         raise ValueError("corner angles must lie in (0, pi)")
-    return _volume_flat(flat)
+    return specfun.lobachevsky_sum(flat)
 
 
 # Degenerate optima may pin corners to 0 (a collapsing link triangle, which
@@ -68,10 +68,6 @@ def _hessian_diag(theta, sine=None):
     out = np.zeros_like(theta)
     out[free] = -np.cos(theta[free]) / sin
     return out
-
-
-def _volume_flat(flat_angles):
-    return float(specfun.lobachevsky_array(flat_angles).sum())
 
 
 def dihedral_angles(link, angles):
@@ -211,7 +207,8 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
     UNT, nc = UN.T, theta_p[corners].size  # corners: an index array or a slice
 
     def phi(theta, s):
-        return _volume_flat(theta) + (mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0)
+        barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
+        return specfun.lobachevsky_sum(theta) + barrier
 
     def grad_at(uu):
         theta = theta_p + N @ uu
@@ -327,14 +324,15 @@ def maximize_volume(link, start=None):
     u = N.T @ (theta0 - theta_p)
 
     path_volumes, total_iters, mu = [], 0, 1e-1
-    vol_now = _volume_flat(theta_p + N @ u)
+    vol_now = specfun.lobachevsky_sum(theta_p + N @ u)
     while mu > 1e-9:
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
         guess = _secant(u_last, u) if len(path_volumes) >= 2 else None
         u0 = u_last = u
         if guess is not None:  # the secant start, kept if interior and no lower in volume
             th = theta_p + N @ guess
-            if _slacks(th, corners, A_ub, b_ub).min() > 0.0 and _volume_flat(th) >= vol_now:
+            interior = _slacks(th, corners, A_ub, b_ub).min() > 0.0
+            if interior and specfun.lobachevsky_sum(th) >= vol_now:
                 u0 = guess
         try:
             u, _, iters = _newton_max(theta_p, N, corners, A_ub, b_ub, u0, mu, tol, 200)
@@ -342,7 +340,7 @@ def maximize_volume(link, start=None):
             # parked against the boundary; the active-set polish finishes
             break
         total_iters += iters
-        vol_now = _volume_flat(theta_p + N @ u)  # opens the next round
+        vol_now = specfun.lobachevsky_sum(theta_p + N @ u)  # opens the next round
         path_volumes.append(vol_now)
         mu *= 0.2
 
@@ -409,7 +407,7 @@ def maximize_volume(link, start=None):
     return OptResult(
         link=link,
         angles=angles,
-        volume=_volume_flat(theta),
+        volume=specfun.lobachevsky_sum(theta),
         kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta))),
         dihedrals=dihedral_angles(link, angles),
         active_constraints=tuple(kinds[i] for i in act),

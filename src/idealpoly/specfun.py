@@ -2,8 +2,10 @@
 digamma/trigamma, Kolmogorov distribution tail.
 
 All functions are deterministic pure functions with fixed truncation rules.
-The Lobachevsky function comes as a float function and as an array function
-(``lobachevsky_array``), which the volume optimizer sums in one numpy pass.
+This module is the one home of the Lobachevsky series: ``lobachevsky_array``
+evaluates it over an array in one numpy pass, ``lobachevsky`` is its
+one-element case and ``lobachevsky_sum`` is the volume of a set of corner
+angles, which the volume optimizer and configuration sampling both use.
 The regularized incomplete beta takes a float or an array of points: an
 array is evaluated in fixed blocks of points, each block one masked Lentz
 iteration, and a float is the one-point case of the same code.  Each point's
@@ -16,25 +18,41 @@ import math
 
 import numpy as np
 
-from . import _kernels
 
-lobachevsky = _kernels.lobachevsky
+def _zeta_even(s):
+    # Direct sum plus Euler-Maclaurin tail; s >= 2 gives ~1e-16 accuracy.
+    total = 0.0
+    for k in range(1, 100):
+        total += float(k) ** (-s)
+    big = 100.0
+    total += big ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * big ** (-s)
+    total += s * big ** (-s - 1.0) / 12.0
+    total -= s * (s + 1.0) * (s + 2.0) * big ** (-s - 3.0) / 720.0
+    return total
 
-# Series terms of the array Lobachevsky function.  On [0, pi/2] the powers
-# (x/pi)^(2k) are at most 4^-k and c_k < 1/k^2, so the first omitted term
-# is below 4^-27 / 27^2, about 1e-19 of x: far below one ulp of L.
+
+# The Lobachevsky function from its logarithmic singularity extraction
+#
+#     L(x) = x*(1 - log(2x)) + x * sum_{k>=1} c_k * (x/pi)^(2k),   0 <= x <= pi/2
+#
+# with c_k = zeta(2k) / (k*(2k+1)).  On [0, pi/2] the powers (x/pi)^(2k) are
+# at most 4^-k and c_k < 1/k^2, so the first omitted term is below
+# 4^-27 / 27^2, about 1e-19 of x: far below one ulp of L.
 _LOB_TERMS = 26
-_LOB_COEFFS = np.array(_kernels.LOB_COEFFS[:_LOB_TERMS])
+_LOB_COEFFS = np.array(
+    [_zeta_even(2.0 * k) / (k * (2.0 * k + 1.0)) for k in range(1, _LOB_TERMS + 1)]
+)
 
 
 def lobachevsky_array(theta):
     """The Lobachevsky function at every element of a 1-D float array.
 
-    The same reduction and series as ``lobachevsky``, evaluated in one pass:
-    the powers of (x/pi)^2 come from a cumulative product and meet the first
-    ``_LOB_TERMS`` coefficients in one matrix product.  numpy's log and the
-    order of operations put it within 1e-15 of the float function, not on
-    its bits.
+    L is odd and pi-periodic, so each angle is reduced to y in [0, pi/2]
+    with L(pi - y) = -L(y), and the series is evaluated in one pass: the
+    powers of (y/pi)^2 come from a cumulative product and meet the
+    ``_LOB_TERMS`` coefficients in one matrix product.  L is exactly 0 where
+    the reduction lands on a multiple of pi.
     """
     x = np.mod(theta, math.pi)
     y = np.minimum(x, math.pi - x)  # L(pi - y) = -L(y)
@@ -44,6 +62,18 @@ def lobachevsky_array(theta):
     # at y = 0 the log reads the smallest subnormal, finite, so L = 0 there
     val = y * (1.0 - np.log(np.maximum(y + y, 5e-324)) + series)
     return np.copysign(val, 0.5 * math.pi - x)
+
+
+def lobachevsky(theta):
+    """The Lobachevsky function at one float: the one-element case of
+    ``lobachevsky_array``."""
+    return float(lobachevsky_array(np.array([theta], dtype=float))[0])
+
+
+def lobachevsky_sum(values):
+    """The Lobachevsky sum over the angles in ``values``, any shape, read in
+    row-major order: the hyperbolic volume of those corners."""
+    return float(lobachevsky_array(np.asarray(values, dtype=float).reshape(-1)).sum())
 
 
 # Points per block of the array incomplete beta: the Lentz state of one

@@ -66,6 +66,8 @@ def sample_volumes(n, count, seed=0, vmax_mode="table", threads=1):
     """
     if n < 4 or count < 1:
         raise InputError(f"need n >= 4 and count >= 1, got n={n}, count={count}")
+    if threads < 1:
+        raise InputError(f"need threads >= 1, got {threads}")
     if vmax_mode == "table":
         if n not in KNOWN_MAX_VOLUME:
             raise InputError(

@@ -227,6 +227,8 @@ def error_line(err):
         ["sample", "--n", "6", "--count", "0"],
         ["search", "--n", "3"],
         ["search", "--n", "6", "--trials", "0"],
+        ["sample", "--n", "6", "--count", "5", "--threads", "0"],
+        ["sample", "--n", "6", "--count", "5", "--threads", "-2"],
     ],
 )
 def test_sample_and_search_reject_bad_sizes(argv, capsys):
@@ -346,6 +348,29 @@ def test_export_config_malformed_point(tmp_path, capsys):
     payload = error_line(err)
     assert payload["code"] == "INPUT_ERROR"
     assert "[1]" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "point", [[math.nan, 2.0], [math.inf, 2.0], [1e308, 1e308]], ids=["nan", "inf", "huge"]
+)
+def test_export_config_non_finite_point(tmp_path, capsys, point):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    config = write(tmp_path, "config.json", {"points": [[0, 0], [1, 0], [0, 1], point, "inf"]})
+    code, out, err = run_cli(["export", "--config", config], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert repr(point) in payload["message"]
+
+
+def test_export_config_large_finite_point(tmp_path, capsys):
+    config = write(
+        tmp_path, "config.json", {"points": [[0, 0], [1, 0], [0, 1], [1e150, 1e150], "inf"]}
+    )
+    code, out, _ = run_cli(["export", "--config", config], capsys)
+    assert code == 0
+    assert json.loads(out)["n"] == 5
 
 
 def test_check_non_integer_vertex(tmp_path, capsys):

@@ -149,7 +149,7 @@ def test_gradient_matches_finite_differences():
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        fd = (optvol._volume_flat(up) - optvol._volume_flat(dn)) / (2 * h)
+        fd = (specfun.lobachevsky_sum(up) - specfun.lobachevsky_sum(dn)) / (2 * h)
         assert abs(fd - g[i]) < 1e-6
 
 
@@ -517,7 +517,7 @@ def _configuration_start(name):
     return link, geom.euclidean_angles(pt).reshape(-1)
 
 
-# (volume_gradient calls, _volume_flat calls, newton_iterations) of one
+# (volume_gradient calls, lobachevsky_sum calls, newton_iterations) of one
 # maximize_volume from a configuration's own angles, which does not depend on
 # the LP.  The Newton loop evaluates each accepted point once, the barrier
 # objective only at the Armijo test, and each round's closing volume once;
@@ -534,21 +534,21 @@ EVALUATION_COUNTS = {
 @pytest.mark.parametrize("name", sorted(EVALUATION_COUNTS))
 def test_optimizer_evaluates_each_point_once(name, monkeypatch):
     link, start = _configuration_start(name)
-    calls = {"volume_gradient": 0, "_volume_flat": 0}
+    calls = {"volume_gradient": 0, "lobachevsky_sum": 0}
 
-    def counting(fname):
-        f = getattr(optvol, fname)
+    def counting(module, fname):
+        f = getattr(module, fname)
 
         def counted(*args):
             calls[fname] += 1
             return f(*args)
 
-        return counted
+        monkeypatch.setattr(module, fname, counted)
 
-    for fname in calls:
-        monkeypatch.setattr(optvol, fname, counting(fname))
+    counting(optvol, "volume_gradient")
+    counting(specfun, "lobachevsky_sum")
     out = optvol.maximize_volume(link, start=start)
-    got = (calls["volume_gradient"], calls["_volume_flat"], out.newton_iterations)
+    got = (calls["volume_gradient"], calls["lobachevsky_sum"], out.newton_iterations)
     assert got == EVALUATION_COUNTS[name]
 
 
@@ -610,21 +610,19 @@ def test_barrier_path_volumes_nondecreasing():
 
 
 def test_optimizer_against_grid_oracle_tetrahedron():
-    # brute force over the reduced simplex at step pi/2000
+    # brute force over the reduced simplex at step pi/2000, a row of the grid
+    # per array call
     _, out = optimum(triang.tetrahedron())
     step = PI / 2000
     best = (-1.0, None)
-    for i in range(1, 2000):
-        for j in range(1, 2000 - i):
-            a, b = i * step, j * step
-            c = PI - a - b
-            v = (
-                specfun.lobachevsky(a)
-                + specfun.lobachevsky(b)
-                + specfun.lobachevsky(c)
-            )
-            if v > best[0]:
-                best = (v, (a, b, c))
+    for i in range(1, 1999):
+        a = i * step
+        b = np.arange(1, 2000 - i) * step
+        c = PI - a - b
+        v = specfun.lobachevsky(a) + specfun.lobachevsky_array(b) + specfun.lobachevsky_array(c)
+        j = int(np.argmax(v))
+        if v[j] > best[0]:
+            best = (float(v[j]), (a, b[j], c[j]))
     assert out.volume >= best[0] - 1e-12
     assert np.max(np.abs(np.sort(out.angles.ravel()) - np.sort(best[1]))) <= step
 

@@ -66,23 +66,26 @@ LOB_EDGE_ANGLES = [
     0.0, -0.0, PI, -PI, 2 * PI, PI / 2, -PI / 2, 3 * PI / 2, 1e-300, -1e-300,
     5e-324, 1e-15, PI - 1e-15, PI + 1e-15, 7.0, -7.0, 100.0,
 ]
-# Bound on |lobachevsky_array - lobachevsky| per angle; the largest gap on
-# the angles below was 4.0e-16 (numpy's log, and y * (1 - log 2y + series)
-# in place of the float function's two products).
-LOB_ARRAY_BOUND = 1e-15
+# Bound on |lobachevsky_array - L| per angle against 40-digit mpmath.  The
+# largest gap on the angles below was 8.9e-15, at the float 2*pi: the
+# reduction maps it to 0, but L(2 fl(pi)) is near 8.9e-15.  Random angles in
+# [-10, 10] stayed within 2.5e-15.
+LOB_ORACLE_BOUND = 1e-14
 
 
-def test_lobachevsky_array_matches_float_function():
+def test_lobachevsky_array_matches_mpmath():
+    # L(theta) = Cl_2(2 theta) / 2, the Clausen function (Milnor 1982)
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(31)
-    theta = np.concatenate(
-        [rng.uniform(0.0, PI, 60_000), rng.uniform(-10.0, 10.0, 40_000), LOB_EDGE_ANGLES]
-    )
+    theta = np.concatenate([rng.uniform(-10.0, 10.0, 500), LOB_EDGE_ANGLES])
     got = specfun.lobachevsky_array(theta)
-    ref = np.array([specfun.lobachevsky(t) for t in theta.tolist()])
     assert got.shape == theta.shape
-    assert np.max(np.abs(got - ref)) <= LOB_ARRAY_BOUND
-    # exact zeros where the float function's reduction lands on 0
-    zero = ref == 0.0
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.clsin(2, 2 * mpmath.mpf(t)) / 2) for t in theta.tolist()])
+    assert np.max(np.abs(got - ref)) <= LOB_ORACLE_BOUND
+    # exact zeros where the reduction lands on a multiple of pi
+    zero = np.mod(theta, PI) == 0.0
+    assert zero.sum() == 5
     assert np.all(got[zero] == 0.0)
 
 

@@ -54,6 +54,8 @@ def test_sample_and_search_reject_bad_sizes():
         lambda: stats.sample_volumes(3, 10),
         lambda: stats.sample_volumes(6, 0),
         lambda: stats.sample_volumes(13, 10),
+        lambda: stats.sample_volumes(6, 10, threads=0),
+        lambda: stats.sample_volumes(6, 10, threads=-1),
         lambda: stats.search_max_volume(3, 10),
         lambda: stats.search_max_volume(6, 0),
     ):
