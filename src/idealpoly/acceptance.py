@@ -91,7 +91,8 @@ def c02_rational_angles():
     t6 = triang.octahedron()
     r6 = optvol.maximize_volume(triang.build_link(t6, triang.choose_apex(t6)))
     dihedrals6 = [
-        optvol.detect_rational(v) for v in r6.dihedrals.values()
+        optvol.detect_rational(v)
+        for v in optvol.dihedral_angles(r6.link, r6.angles).values()
     ]
     ok6 = all(r is not None and (r.p, r.q) == (1, 2) for r in dihedrals6)
     return CriterionResult(

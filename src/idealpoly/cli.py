@@ -68,11 +68,15 @@ class Run:
 
     @staticmethod
     def _write(text, path):
-        if path:
+        """Write ``text`` to ``path``, or to stdout when no path is given."""
+        if not path:
+            sys.stdout.write(text)
+            return
+        try:
             with open(path, "w") as fh:
                 fh.write(text)
-        else:
-            sys.stdout.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_triangulation(run, path):
@@ -144,9 +148,9 @@ def optimize_payload(t, apex, result, max_denominator, tol):
                     "rational": _rational_dict(radians, max_denominator, tol),
                 }
             )
+    by_edge = optvol.dihedral_angles(link, values)
     dihedrals = []
-    for e in sorted(result.dihedrals):
-        radians = result.dihedrals[e]
+    for e, radians in sorted(by_edge.items()):
         dihedrals.append(
             {
                 "edge": list(e),
@@ -157,7 +161,7 @@ def optimize_payload(t, apex, result, max_denominator, tol):
         )
     shapes = []  # edge shape parameter exp(i * dihedral) per interior link edge
     for e in sorted(link.interior_edges):
-        radians = result.dihedrals[e]
+        radians = by_edge[e]
         shapes.append({"edge": list(e), "re": math.cos(radians), "im": math.sin(radians)})
     v4 = optvol.regular_tetrahedron_volume()
     return {
@@ -360,8 +364,7 @@ def cmd_scaling(run):
         ],
     }
     if run.args.svg:
-        with open(run.args.svg, "w") as fh:
-            fh.write(svgplot.scaling_panels(sc))
+        Run._write(svgplot.scaling_panels(sc), run.args.svg)
     run.emit_json(payload, run.args.output)
     return 0
 
@@ -432,6 +435,8 @@ def _corner_values(path, corners, n_faces):
 def cmd_export(run):
     if bool(run.args.config) == bool(run.args.triangulation):
         raise InputError("provide either --config or --triangulation with --angles")
+    if run.args.config and run.args.angles:
+        raise InputError("--angles goes with --triangulation, not --config")
     if run.args.config:
         config = load_configuration(run, run.args.config)
         pt = geom.delaunay(config)
@@ -499,13 +504,12 @@ def cmd_selftest(run):
 
     results = acceptance.run_all(only=run.args.only)
     width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
-        if not r.passed:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} criteria passed")
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}" for r in results
+    ]
+    failed = sum(not r.passed for r in results)
+    lines.append(f"{len(results) - failed}/{len(results)} criteria passed")
+    Run._write("\n".join(lines) + "\n", run.args.output)
     return 0 if failed == 0 else 3
 
 

@@ -73,22 +73,16 @@ def _hessian_diag(theta, sine=None):
 def dihedral_angles(link, angles):
     """Dihedral angle in radians per parent edge, as {edge: radians}.
 
-    Rule: interior link edge -> sum of the two opposite corners; hull link
-    edge -> its single opposite corner; vertical edge above hull vertex w
-    -> sum of the corners at w.
+    ``angles`` holds the corner angles of ``link`` in any shape, read in
+    row-major order, so the link's flat corner ids index it.  Rule: link
+    edge -> sum of its opposite corners (two for an interior edge, one for
+    a hull edge); vertical edge above hull vertex w -> sum of the corners
+    at w.
     """
-    th = np.asarray(angles, dtype=float)
-    out = {}
-    for e in link.interior_edges:
-        (f1, s1), (f2, s2) = link.opposite[e]
-        out[e] = float(th[f1, s1] + th[f2, s2])
-    for e in link.hull_edges:
-        ((f, s),) = link.opposite[e]
-        out[e] = float(th[f, s])
+    th = np.asarray(angles, dtype=float).reshape(-1)
+    out = {e: float(sum(th[c] for c in cs)) for e, cs in link.opposite.items()}
     for w in link.hull_cycle:
-        out[edge_key(link.apex, w)] = float(
-            sum(th[f, s] for f, s in link.corners_at[w])
-        )
+        out[edge_key(link.apex, w)] = float(sum(th[c] for c in link.corners_at[w]))
     assert set(out) == set(link.parent.edges())
     return out
 
@@ -134,26 +128,17 @@ def detect_rational(theta, max_denominator=100, tol=1e-10):
 
 @dataclass(frozen=True)
 class OptResult:
+    """The volume maximizer of one apex link.  Its dihedral angles are
+    ``dihedral_angles(result.link, result.angles)``."""
+
     link: object
     angles: object  # ndarray (len(link.bounded_faces), 3) of corner radians
     volume: float
     kkt_residual: float
-    dihedrals: dict  # {edge: radians}, as dihedral_angles builds it
     active_constraints: tuple  # (kind, key) rows binding at the optimum
     boundary_active: bool
     barrier_volumes: tuple  # central-path volumes, nondecreasing
     newton_iterations: int
-
-
-def _constraint_data(system):
-    """A_eq, b_eq, the 0/1 rows U theta <= b and the kinds of a system.
-
-    The other inequalities are the corner bounds theta >= 0, which no matrix
-    carries.  ``kinds`` names constraint i as corner i for i < n_vars and as
-    row i - n_vars after; the active set indexes it.
-    """
-    kinds = [("corner", (f, s)) for f in range(system.n_vars // 3) for s in range(3)]
-    return system.A_eq, system.b_eq, system.A_ub, system.b_ub, kinds + list(system.ub_kinds)
 
 
 def _slacks(theta, corners, U, b):
@@ -290,8 +275,8 @@ def maximize_volume(link, start=None):
     is used.  Raises InfeasibleStart when no interior start can be produced.
     """
     system = rivin.assemble_constraints(link)
-    A_eq, b_eq, A_ub, b_ub, kinds = _constraint_data(system)
-    m = system.n_vars
+    A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
+    m = system.n_vars  # constraint i < m is the bound theta_i >= 0, i >= m row i - m
     corners = slice(None)  # every corner
 
     if start is None:
@@ -362,20 +347,16 @@ def maximize_volume(link, start=None):
             slacks = _slacks(theta, corners, A_ub, b_ub)
             active.discard(max(act, key=lambda i: slacks[i]))
             continue
-        free = np.array([i for i in range(len(kinds)) if i not in active], dtype=int)
+        free = np.array([i for i in range(m + len(b_ub)) if i not in active], dtype=int)
         C, R = free[free < m], free[free >= m] - m
         U2, b2 = A_ub[R], b_ub[R]
         u2 = N2.T @ (theta - theta_p2)
-        s_start = _slacks(theta_p2 + N2 @ u2, C, U2, b2)
-        j = int(np.argmin(s_start))
-        if s_start[j] <= 0.0:
-            active.add(int(free[j]))
-            continue
         try:
             u2, gnorm, iters = _newton_max(theta_p2, N2, C, U2, b2, u2, 0.0, 1e-12, 60)
         except LineSearchStall:
-            # blocked by an inactive constraint: pin the tightest one
-            active.add(int(free[j]))
+            # the projected start violates an inactive constraint, or one
+            # blocks progress: pin the tightest one at the start
+            active.add(int(free[np.argmin(_slacks(theta_p2 + N2 @ u2, C, U2, b2))]))
             continue
         total_iters += iters
         theta = theta_p2 + N2 @ u2
@@ -403,14 +384,14 @@ def maximize_volume(link, start=None):
         raise NumericalFailure("active-set polish did not settle")
 
     slacks = _slacks(theta, corners, A_ub, b_ub)
-    angles = theta.reshape(-1, 3)
     return OptResult(
         link=link,
-        angles=angles,
+        angles=theta.reshape(-1, 3),
         volume=specfun.lobachevsky_sum(theta),
         kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta))),
-        dihedrals=dihedral_angles(link, angles),
-        active_constraints=tuple(kinds[i] for i in act),
+        active_constraints=tuple(
+            ("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m] for i in act
+        ),
         boundary_active=bool(act) or bool(np.any(slacks < BOUNDARY_TOL)),
         barrier_volumes=tuple(path_volumes),
         newton_iterations=total_iters,

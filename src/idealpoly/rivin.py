@@ -52,11 +52,6 @@ class ConstraintSystem:
         return self.A_eq.shape[1]
 
 
-def flat(corner):
-    f, s = corner
-    return 3 * f + s
-
-
 def _zero_one(rows, n_vars):
     """0/1 matrix with a one at every flat index of each row, in one scatter."""
     A = np.zeros((len(rows), n_vars))
@@ -69,14 +64,14 @@ def assemble_constraints(link):
     """Build the constraint system for one apex link."""
     n_faces = len(link.bounded_faces)
     eq_idx = [(3 * f, 3 * f + 1, 3 * f + 2) for f in range(n_faces)]
-    eq_idx += [[flat(c) for c in link.corners_at[v]] for v in link.interior_vertices]
+    eq_idx += [link.corners_at[v] for v in link.interior_vertices]
     eq_kinds = [("triangle", f) for f in range(n_faces)]
     eq_kinds += [("interior_vertex", v) for v in link.interior_vertices]
     b_eq = np.full(len(eq_idx), 2.0 * math.pi)
     b_eq[:n_faces] = math.pi
 
-    ub_idx = [[flat(c) for c in link.opposite[e]] for e in link.interior_edges]
-    ub_idx += [[flat(c) for c in link.corners_at[w]] for w in link.hull_cycle]
+    ub_idx = [link.opposite[e] for e in link.interior_edges]
+    ub_idx += [link.corners_at[w] for w in link.hull_cycle]
     ub_kinds = [("interior_edge", e) for e in link.interior_edges]
     ub_kinds += [("hull_vertex", w) for w in link.hull_cycle]
 

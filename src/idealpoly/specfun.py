@@ -6,10 +6,10 @@ This module is the one home of the Lobachevsky series: ``lobachevsky_array``
 evaluates it over an array in one numpy pass, ``lobachevsky`` is its
 one-element case and ``lobachevsky_sum`` is the volume of a set of corner
 angles, which the volume optimizer and configuration sampling both use.
-The regularized incomplete beta takes a float or an array of points: an
-array is evaluated in fixed blocks of points, each block one masked Lentz
-iteration, and a float is the one-point case of the same code.  Each point's
-value depends on that point alone, so the KS statistic of a Beta fit
+The regularized incomplete beta takes a float or an array of points: each
+side of its symmetry split is one masked Lentz iteration over all of that
+side's points, and a float is the one-point case of the same code.  Each
+point's value depends on that point alone, so the KS statistic of a Beta fit
 evaluates only the few sorted points where its supremum can lie, in a few
 calls (``stats._ks_statistic``).
 """
@@ -76,9 +76,6 @@ def lobachevsky_sum(values):
     return float(lobachevsky_array(np.asarray(values, dtype=float).reshape(-1)).sum())
 
 
-# Points per block of the array incomplete beta: the Lentz state of one
-# block is a handful of arrays this long, so memory stays flat in len(x).
-_BLOCK = 4096
 _TINY = 1e-300
 # Largest shape parameter.  The prefactor's exponent sums terms near
 # (a + b) log(a + b), whose rounding grows with them: near the mean, against
@@ -132,33 +129,16 @@ def _lentz(a, b, x):
     raise ValueError("incomplete beta continued fraction did not converge")
 
 
-def _incomplete_beta_block(a, b, c0, split, x):
-    """I_x(a, b) on one block; ``c0`` is log(Gamma(a+b) / Gamma(a) Gamma(b))."""
-    out = np.where(x == 0.0, 0.0, 1.0)
-    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
-    xi = x[inner]
-    # libm, not numpy's log/exp: the two differ in the last bit on some points.
-    log_x = np.fromiter(map(math.log, xi.tolist()), float, len(xi))
-    log1p_neg_x = np.fromiter(map(math.log1p, (-xi).tolist()), float, len(xi))
-    lbeta = c0 + a * log_x + b * log1p_neg_x
-    front = np.fromiter(map(math.exp, lbeta.tolist()), float, len(xi))
-    left = xi < split
-    right = ~left
-    out[inner[left]] = front[left] * _lentz(a, b, xi[left]) / a
-    out[inner[right]] = 1.0 - front[right] * _lentz(b, a, 1.0 - xi[right]) / b
-    return out
-
-
 def regularized_incomplete_beta(a, b, x):
     """I_x(a, b) via the continued fraction with the symmetry reduction.
 
     ``x`` is a float or an array of floats in [0, 1]; a float gives a float
     and an array gives an array of the same shape.  Points with
     x < (a+1)/(a+b+2) use the continued fraction for I_x(a, b), the others
-    1 - I_{1-x}(b, a).  The array is evaluated in blocks of ``_BLOCK``
-    points, each one masked Lentz iteration, so a call over 10^5 points
-    costs a few array passes per round instead of 10^5 Python loops.  A
-    point's value does not depend on the other points of the call.
+    1 - I_{1-x}(b, a).  Each side is one masked Lentz iteration over all
+    its points, so a call over 10^4 points costs a few array passes per
+    round instead of 10^4 Python loops.  A point's value does not depend on
+    the other points of the call.
     Raises ValueError for a <= 0, b <= 0, a or b above ``_MAX_SHAPE``, x
     outside [0, 1] (NaN included) or a continued fraction unconverged after
     499 + sqrt(max(a, b)) rounds.
@@ -173,10 +153,18 @@ def regularized_incomplete_beta(a, b, x):
         raise ValueError("x must lie in [0, 1]")
     c0 = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     split = (a + 1.0) / (a + b + 2.0)
-    out = np.empty(len(flat))
-    for start in range(0, len(flat), _BLOCK):
-        stop = start + _BLOCK
-        out[start:stop] = _incomplete_beta_block(a, b, c0, split, flat[start:stop])
+    out = np.where(flat == 0.0, 0.0, 1.0)
+    inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    xi = flat[inner]
+    # libm, not numpy's log/exp: the two differ in the last bit on some points.
+    log_x = np.fromiter(map(math.log, xi.tolist()), float, len(xi))
+    log1p_neg_x = np.fromiter(map(math.log1p, (-xi).tolist()), float, len(xi))
+    lbeta = c0 + a * log_x + b * log1p_neg_x
+    front = np.fromiter(map(math.exp, lbeta.tolist()), float, len(xi))
+    left = xi < split
+    right = ~left
+    out[inner[left]] = front[left] * _lentz(a, b, xi[left]) / a
+    out[inner[right]] = 1.0 - front[right] * _lentz(b, a, 1.0 - xi[right]) / b
     if xs.ndim == 0:
         return float(out[0])
     return out.reshape(xs.shape)

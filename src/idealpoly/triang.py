@@ -129,10 +129,11 @@ def choose_apex(t):
 class ApexLink:
     """The planar triangulation left after deleting the open star of ``apex``.
 
-    Corners are (face, slot) pairs indexing ``bounded_faces``; they carry all
-    angle variables downstream.  ``opposite`` maps each link edge to the
-    corners opposite it (two for interior edges, one for hull edges);
-    ``corners_at`` maps each link vertex to its corners.
+    A corner is the flat id ``3 * face + slot`` of slot ``slot`` of
+    ``bounded_faces[face]``, the index of its angle in every flat angle
+    array downstream.  ``opposite`` maps each link edge to the corners
+    opposite it (two for interior edges, one for hull edges); ``corners_at``
+    maps each link vertex to its corners.
     """
 
     parent: SphereTriangulation
@@ -179,7 +180,7 @@ def build_link(t, apex):
     corners_at = {}
     for fi, (a, b, c) in enumerate(bounded):
         for s, (v, e0, e1) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-            corner = (fi, s)  # one tuple for both maps: a kept link is smaller
+            corner = 3 * fi + s
             corners_at.setdefault(v, []).append(corner)
             opposite.setdefault(edge_key(e0, e1), []).append(corner)
 

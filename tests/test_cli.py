@@ -364,6 +364,17 @@ def test_export_config_non_finite_point(tmp_path, capsys, point):
     assert repr(point) in payload["message"]
 
 
+def test_export_config_rejects_angles(tmp_path, capsys):
+    config = write(tmp_path, "config.json", {"points": [[0, 0], [1, 0], [0, 1], "inf"]})
+    absent = str(tmp_path / "absent.json")
+    code, out, err = run_cli(["export", "--config", config, "--angles", absent], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "--angles" in payload["message"]
+
+
 def test_export_config_large_finite_point(tmp_path, capsys):
     config = write(
         tmp_path, "config.json", {"points": [[0, 0], [1, 0], [0, 1], [1e150, 1e150], "inf"]}
@@ -624,6 +635,36 @@ def test_selftest_subset(capsys):
     code, out, _ = run_cli(["selftest", "--only", "c03"], capsys)
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_selftest_writes_output_file(tmp_path, capsys):
+    path = str(tmp_path / "selftest.txt")
+    code, out, _ = run_cli(["selftest", "--only", "c03", "-o", path], capsys)
+    assert code == 0
+    assert out == ""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0].startswith("[PASS] closed-form cross-checks")
+    assert lines[-1] == "1/1 criteria passed"
+
+
+@pytest.mark.parametrize("case", ["json", "csv", "svg"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, case):
+    bad = str(tmp_path / "missing" / "out")
+    fit = {"alpha": 2.0, "beta": 3.0, "mean": 0.4, "std": 0.1,
+           "ks_stat": 0.01, "p_value": 0.9, "count": 100, "vmax": 2.0}
+    argv = {
+        "json": ["check", write(tmp_path, "octa.json", OCTA), "-o", bad],
+        "csv": ["sample", "--n", "6", "--count", "5", "--threads", "1", "-o", bad],
+        "svg": ["scaling", "--svg", bad]
+        + [write(tmp_path, f"f{n}.json", dict(fit, n=n)) for n in (5, 6, 7)],
+    }[case]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert payload["message"] == f"cannot write {bad}: No such file or directory"
 
 
 @pytest.mark.parametrize("only", ["c99", "c01,c99"])

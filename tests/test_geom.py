@@ -178,10 +178,10 @@ def test_duality_with_realizability_constraints():
         pt = geom.delaunay(cfg)
         t, link = geom.close_with_infinity(pt)
         th = geom.euclidean_angles(pt).reshape(-1)
-        A_eq, b_eq, U, b, _ = optvol._constraint_data(rivin.assemble_constraints(link))
-        assert np.max(np.abs(A_eq @ th - b_eq)) < 1e-9
+        system = rivin.assemble_constraints(link)
+        assert np.max(np.abs(system.A_eq @ th - system.b_eq)) < 1e-9
         assert np.min(th) > 0
-        assert np.min(b - U @ th) > 0
+        assert np.min(system.b_ub - system.A_ub @ th) > 0
 
 
 def test_layout_round_trips():

@@ -40,7 +40,7 @@ def test_maximize_tetrahedron():
     assert out.volume == pytest.approx(1.014942, abs=5e-6)
     assert np.allclose(out.angles.ravel(), PI / 3, atol=1e-9)
     assert out.kkt_residual < 1e-10
-    for e, v in out.dihedrals.items():
+    for e, v in optvol.dihedral_angles(out.link, out.angles).items():
         assert v == pytest.approx(PI / 3, abs=1e-9)
 
 
@@ -48,16 +48,17 @@ def test_maximize_bipyramid():
     _, out = optimum(triang.bipyramid(), apex=0)
     assert out.volume == pytest.approx(2.029883, abs=5e-6)
     # equator edges open to 2 pi/3, edges into either tip to pi/3
+    dihedrals = optvol.dihedral_angles(out.link, out.angles)
     for e in ((1, 2), (2, 3), (1, 3)):
-        assert out.dihedrals[e] == pytest.approx(2 * PI / 3, abs=1e-9)
+        assert dihedrals[e] == pytest.approx(2 * PI / 3, abs=1e-9)
     for e in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)):
-        assert out.dihedrals[e] == pytest.approx(PI / 3, abs=1e-9)
+        assert dihedrals[e] == pytest.approx(PI / 3, abs=1e-9)
 
 
 def test_maximize_octahedron():
     _, out = optimum(triang.octahedron())
     assert out.volume == pytest.approx(3.663862, abs=5e-6)
-    for v in out.dihedrals.values():
+    for v in optvol.dihedral_angles(out.link, out.angles).values():
         assert v == pytest.approx(PI / 2, abs=1e-9)
     # interior corners pi/2, hull corners pi/4
     vals = sorted(round(x, 9) for x in out.angles.ravel())
@@ -555,7 +556,9 @@ def test_optimizer_evaluates_each_point_once(name, monkeypatch):
 def _active_rows_differ_only_at_their_bound(link, out, ref):
     """Whether every constraint active at one optimum and not the other is
     within 2e-12 of its bound at both."""
-    _, _, U, b, kinds = optvol._constraint_data(rivin.assemble_constraints(link))
+    system = rivin.assemble_constraints(link)
+    U, b, m = system.A_ub, system.b_ub, system.n_vars
+    kinds = [("corner", divmod(i, 3)) for i in range(m)] + list(system.ub_kinds)
     at = [optvol._slacks(o.angles.reshape(-1), slice(None), U, b) for o in (out, ref)]
     differ = set(out.active_constraints) ^ set(ref.active_constraints)
     return all(max(abs(s[kinds.index(k)]) for s in at) <= 2e-12 for k in differ)
@@ -629,13 +632,15 @@ def test_optimizer_against_grid_oracle_tetrahedron():
 
 def test_dihedral_totality_and_rationality():
     _, out4 = optimum(triang.tetrahedron())
-    assert set(out4.dihedrals) == set(triang.tetrahedron().edges())
-    rats = [optvol.detect_rational(v) for v in out4.dihedrals.values()]
+    dihedrals4 = optvol.dihedral_angles(out4.link, out4.angles)
+    assert set(dihedrals4) == set(triang.tetrahedron().edges())
+    rats = [optvol.detect_rational(v) for v in dihedrals4.values()]
     assert all(r is not None and (r.p, r.q) == (1, 3) for r in rats)
 
     _, out6 = optimum(triang.octahedron())
-    assert set(out6.dihedrals) == set(triang.octahedron().edges())
-    rats = [optvol.detect_rational(v) for v in out6.dihedrals.values()]
+    dihedrals6 = optvol.dihedral_angles(out6.link, out6.angles)
+    assert set(dihedrals6) == set(triang.octahedron().edges())
+    rats = [optvol.detect_rational(v) for v in dihedrals6.values()]
     assert all(r is not None and (r.p, r.q) == (1, 2) for r in rats)
 
 
@@ -727,4 +732,8 @@ def test_degenerate_type_reports_boundary_active():
     out = optvol.maximize_volume(res.link)
     assert out.boundary_active
     assert any(kind == "corner" for kind, _ in out.active_constraints)
+    for kind, key in out.active_constraints:
+        if kind == "corner":
+            f, s = key
+            assert key == (f, s) and out.angles[f, s] < 1e-9
     assert out.volume == pytest.approx(3 * 1.0149416064096537, abs=1e-9)

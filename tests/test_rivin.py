@@ -63,8 +63,7 @@ def row_indices(link, kind, key):
     """Flat corner indices a constraint row of this kind and key should hold."""
     if kind == "triangle":
         return [3 * key, 3 * key + 1, 3 * key + 2]
-    corners = link.opposite[key] if kind == "interior_edge" else link.corners_at[key]
-    return [rivin.flat(c) for c in corners]
+    return list(link.opposite[key] if kind == "interior_edge" else link.corners_at[key])
 
 
 def test_rows_are_zero_one_and_well_formed():

@@ -107,6 +107,15 @@ def test_build_link_counting_invariants():
                 assert len(link.opposite[e]) == 2
             for e in link.hull_edges:
                 assert len(link.opposite[e]) == 1
+            # corners are flat ids 3 * face + slot
+            for v, corners in link.corners_at.items():
+                for c in corners:
+                    assert type(c) is int
+                    assert link.bounded_faces[c // 3][c % 3] == v
+            for e, corners in link.opposite.items():
+                for c in corners:
+                    face = link.bounded_faces[c // 3]
+                    assert set(e) <= set(face) and face[c % 3] not in e
 
 
 def test_build_link_invalid_vertex():
