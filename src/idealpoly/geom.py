@@ -179,8 +179,8 @@ class LayoutResult:
 
 
 def layout(link, angles):
-    """Reconstruct vertex positions from feasible corner angles, an array of
-    shape (len(link.bounded_faces), 3).
+    """Reconstruct vertex positions from feasible corner angles, indexed by
+    the link's flat corner ids (any shape, read in row-major order).
 
     Places the lexicographically smallest bounded face with its first edge on
     0 -> 1, then walks faces breadth-first across shared interior edges,
@@ -188,14 +188,9 @@ def layout(link, angles):
     along several paths must agree within 1e-6 (the closure residual), else
     LayoutInconsistent is raised.
     """
-    th = np.asarray(angles, dtype=float)
+    th = np.asarray(angles, dtype=float).reshape(-1)  # indexed by flat corner id
     faces = link.bounded_faces
     root = min(range(len(faces)), key=lambda f: faces[f])
-
-    by_edge = {}
-    for f, (a, b, c) in enumerate(faces):
-        for e in ((a, b), (b, c), (c, a)):
-            by_edge.setdefault(triang.edge_key(*e), []).append(f)
 
     pos = {}
     residual = 0.0
@@ -209,13 +204,11 @@ def layout(link, angles):
 
     def third_vertex(f, u, v):
         """Place the corner of face f opposite its directed edge (u, v)."""
-        fa, fb, fc = faces[f]
-        rotations = {fa: (fa, fb, fc), fb: (fb, fc, fa), fc: (fc, fa, fb)}
-        p, q, w = rotations[u]
-        assert q == v
-        idx = {fa: 0, fb: 1, fc: 2}
-        tp, tq, tw = th[f][idx[p]], th[f][idx[q]], th[f][idx[w]]
-        pu, pv = pos[p], pos[q]
+        i = faces[f].index(u)
+        assert faces[f][(i + 1) % 3] == v
+        w = faces[f][(i + 2) % 3]
+        tp, tq, tw = (th[3 * f + (i + k) % 3] for k in range(3))
+        pu, pv = pos[u], pos[v]
         scale = abs(pv - pu) * math.sin(tq) / math.sin(tw)
         direction = (pv - pu) / abs(pv - pu)
         place(w, pu + scale * direction * complex(math.cos(tp), math.sin(tp)))
@@ -231,7 +224,7 @@ def layout(link, angles):
         f = queue.pop(0)
         fa, fb, fc = faces[f]
         for u, v in ((fa, fb), (fb, fc), (fc, fa)):
-            for g in by_edge[triang.edge_key(u, v)]:
+            for g in [c // 3 for c in link.opposite[triang.edge_key(u, v)]]:
                 if g not in done:
                     # g holds the reversed directed edge (v, u)
                     third_vertex(g, v, u)

@@ -8,9 +8,11 @@ KKT residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
 
 Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
-and 0/1 rows U theta <= pi.  One SVD per equality system gives its null
-basis, least-squares point and multipliers.  Boundary optima (flat edges)
-are reported through the active set and flagged boundary-active, never clipped.
+and 0/1 rows U theta <= pi.  The polish pins a corner by removing it from the
+variables at exactly 0 and a row by adding it to the equalities.  One SVD per
+equality system gives its null basis, least-squares point and multipliers.
+Boundary optima (flat edges, collapsed link triangles) are reported through
+the active set and flagged boundary-active, never clipped.
 """
 
 import math
@@ -33,41 +35,21 @@ def volume(angles):
     return specfun.lobachevsky_sum(flat)
 
 
-# Degenerate optima may pin corners to 0 (a collapsing link triangle, which
-# contributes zero volume in the limit).  The null basis of the pinned system
-# has no component along such coordinates, so the derivatives of corners
-# within _PINNED of 0 or pi are masked to 0 rather than evaluated.
-_PINNED = 1e-12
+def volume_gradient(flat_angles, sin=None):
+    """d(volume)/d(corner) = -log|2 sin theta| per corner in (0, pi].
 
-
-def _sine(theta):
-    """The mask of unpinned corners and their sines: the one sin pass that
-    both derivatives at a point share."""
-    free = (theta > _PINNED) & (theta < math.pi - _PINNED)
-    return free, np.sin(theta[free])
-
-
-def volume_gradient(flat_angles, sine=None):
-    """d(volume)/d(corner) = -log|2 sin theta| per corner, 0 where pinned.
-
-    ``sine`` is ``_sine`` of the same angles, when the caller has it.  The
+    ``sin`` is ``np.sin`` of the same angles, when the caller has it.  The
     log is libm's, not numpy's: the two differ in the last bit on some
     points.
     """
     theta = np.asarray(flat_angles, dtype=float)
-    free, sin = _sine(theta) if sine is None else sine
-    out = np.zeros_like(theta)
-    x = 2.0 * np.abs(sin)
-    out[free] = -np.fromiter(map(math.log, x.tolist()), float, len(x))
-    return out
+    x = 2.0 * np.abs(np.sin(theta) if sin is None else sin)
+    return -np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
-def _hessian_diag(theta, sine=None):
-    """d2(volume)/d(corner)2 = -cot theta per corner, 0 where pinned."""
-    free, sin = _sine(theta) if sine is None else sine
-    out = np.zeros_like(theta)
-    out[free] = -np.cos(theta[free]) / sin
-    return out
+def _hessian_diag(theta, sin=None):
+    """d2(volume)/d(corner)2 = -cot theta per corner in (0, pi]."""
+    return -np.cos(theta) / (np.sin(theta) if sin is None else sin)
 
 
 def dihedral_angles(link, angles):
@@ -141,9 +123,9 @@ class OptResult:
     newton_iterations: int
 
 
-def _slacks(theta, corners, U, b):
-    """Slacks of the bounds theta[corners] >= 0, then of the rows U theta <= b."""
-    return np.concatenate((theta[corners], b - U @ theta))
+def _slacks(theta, U, b):
+    """Slacks of the bounds theta >= 0, then of the rows U theta <= b."""
+    return np.concatenate((theta, b - U @ theta))
 
 
 def _factor(A, b):
@@ -170,9 +152,9 @@ def _ratio_cap(s, rate):
 _STALL_RUN = 10
 
 
-def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
+def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
-    theta = theta_p + N u, over the slacks ``_slacks(theta, corners, U, b)``.
+    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)``.
 
     Corner barrier terms join the objective's diagonal: the Hessian is
     N^T diag(-cot theta - mu/theta^2) N - mu (UN)^T diag(1/s_U^2) (UN).
@@ -189,7 +171,7 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
     a floor that can sit above the round's tolerance.
     """
     NT, UN = N.T, U @ N
-    UNT, nc = UN.T, theta_p[corners].size  # corners: an index array or a slice
+    UNT, nc = UN.T, theta_p.size
 
     def phi(theta, s):
         barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
@@ -197,18 +179,18 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
 
     def grad_at(uu):
         theta = theta_p + N @ uu
-        s = _slacks(theta, corners, U, b)
+        s = _slacks(theta, U, b)
         if not s.min() > 0.0:
             return theta, s, None, None
-        sine = _sine(theta)
-        d = volume_gradient(theta, sine)
+        sin = np.sin(theta)
+        d = volume_gradient(theta, sin)
         if mu > 0.0:
             w = mu / s
-            d[corners] += w[:nc]
-            return theta, s, NT @ d - UNT @ w[nc:], sine
-        return theta, s, NT @ d, sine
+            d += w[:nc]
+            return theta, s, NT @ d - UNT @ w[nc:], sin
+        return theta, s, NT @ d, sin
 
-    theta, s, g, sine = grad_at(u)
+    theta, s, g, sin = grad_at(u)
     if g is None:
         raise LineSearchStall("current point is not strictly feasible")
     gnorm = math.sqrt(g @ g)
@@ -216,10 +198,10 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
     for _ in range(max_iter):
         if gnorm < tol or stalled == _STALL_RUN:
             return u, gnorm, iters
-        d = _hessian_diag(theta, sine)
+        d = _hessian_diag(theta, sin)
         if mu > 0.0:
             w = mu / (s * s)
-            d[corners] -= w[:nc]
+            d -= w[:nc]
             H = (NT * d) @ N - (UNT * w[nc:]) @ UN
         else:
             H = (NT * d) @ N
@@ -234,10 +216,10 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
         t, cap, phi0 = 1.0, None, None  # cap and phi0 are evaluated on demand
         while t > 1e-14:
             u_try = u + t * step
-            theta_try, s_try, g_try, sine_try = grad_at(u_try)
+            theta_try, s_try, g_try, sin_try = grad_at(u_try)
             if g_try is None:
                 if cap is None:
-                    rate = np.concatenate(((N @ step)[corners], -(UN @ step)))
+                    rate = np.concatenate((N @ step, -(UN @ step)))
                     cap = _ratio_cap(s, rate)
                 t *= 0.5
                 while t > cap:
@@ -254,7 +236,7 @@ def _newton_max(theta_p, N, corners, U, b, u, mu, tol, max_iter):
         else:
             raise LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
         # the accepted trial is the next iterate: its gradient is already known
-        u, theta, s, g, gnorm, sine = u_try, theta_try, s_try, g_try, gnorm_try, sine_try
+        u, theta, s, g, gnorm, sin = u_try, theta_try, s_try, g_try, gnorm_try, sin_try
         iters += 1
         if gnorm < best:
             best, stalled = gnorm, 0
@@ -277,7 +259,6 @@ def maximize_volume(link, start=None):
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
     m = system.n_vars  # constraint i < m is the bound theta_i >= 0, i >= m row i - m
-    corners = slice(None)  # every corner
 
     if start is None:
         res = rivin.check_feasible(system)
@@ -293,19 +274,20 @@ def maximize_volume(link, start=None):
             raise InfeasibleStart(f"start must be {m} finite corners, got {theta0.size} values")
         if np.max(np.abs(A_eq @ theta0 - b_eq)) > 1e-8:
             raise InfeasibleStart("start violates the equality constraints")
-        if np.any(_slacks(theta0, corners, A_ub, b_ub) <= 0.0):
+        if np.any(_slacks(theta0, A_ub, b_ub) <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    systems = {}  # sorted pinned constraints -> _factor of their system
+    systems = {}  # sorted pinned constraints -> kept corners and _factor of their system
 
-    def pinned(act):  # a pinned corner c is the row -theta_c = 0
+    def pinned(act):  # a pinned corner leaves the variables at 0; a pinned row joins A_eq
         if act not in systems:
-            c, r = [i for i in act if i < m], [i - m for i in act if i >= m]
-            A = np.vstack([A_eq, -np.eye(m)[c], A_ub[r]])
-            systems[act] = _factor(A, np.concatenate([b_eq, np.zeros(len(c)), b_ub[r]]))
+            keep = np.delete(np.arange(m), [i for i in act if i < m])
+            r = [i - m for i in act if i >= m]
+            A = np.vstack([A_eq, A_ub[r]]).take(keep, axis=1)
+            systems[act] = (keep, *_factor(A, np.concatenate([b_eq, b_ub[r]])))
         return systems[act]
 
-    N, theta_p, _, _ = pinned(())
+    _, N, theta_p, _, _ = pinned(())
     u = N.T @ (theta0 - theta_p)
 
     path_volumes, total_iters, mu = [], 0, 1e-1
@@ -316,11 +298,11 @@ def maximize_volume(link, start=None):
         u0 = u_last = u
         if guess is not None:  # the secant start, kept if interior and no lower in volume
             th = theta_p + N @ guess
-            interior = _slacks(th, corners, A_ub, b_ub).min() > 0.0
+            interior = _slacks(th, A_ub, b_ub).min() > 0.0
             if interior and specfun.lobachevsky_sum(th) >= vol_now:
                 u0 = guess
         try:
-            u, _, iters = _newton_max(theta_p, N, corners, A_ub, b_ub, u0, mu, tol, 200)
+            u, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200)
         except LineSearchStall:
             # parked against the boundary; the active-set polish finishes
             break
@@ -337,44 +319,42 @@ def maximize_volume(link, start=None):
     # multiplier; inconsistent pinned systems shed their loosest row.  A
     # dropped row sits at slack 0 up to rounding, so the next projected start
     # may violate it and pin it again; it is then kept, which ends that cycle.
-    active = set(np.flatnonzero(_slacks(theta, corners, A_ub, b_ub) < BOUNDARY_TOL).tolist())
+    active = set(np.flatnonzero(_slacks(theta, A_ub, b_ub) < BOUNDARY_TOL).tolist())
     dropped = set()
     for _ in range(30):
         act = tuple(sorted(active))
-        N2, theta_p2, residual, multipliers = pinned(act)
+        keep, N2, theta_p2, residual, multipliers = pinned(act)
         if residual > 1e-8:
             # pinned rows are mutually inconsistent: release the loosest
-            slacks = _slacks(theta, corners, A_ub, b_ub)
+            slacks = _slacks(theta, A_ub, b_ub)
             active.discard(max(act, key=lambda i: slacks[i]))
             continue
-        free = np.array([i for i in range(m + len(b_ub)) if i not in active], dtype=int)
-        C, R = free[free < m], free[free >= m] - m
-        U2, b2 = A_ub[R], b_ub[R]
-        u2 = N2.T @ (theta - theta_p2)
+        R = np.array([i for i in range(len(b_ub)) if i + m not in active], dtype=int)
+        free = np.concatenate((keep, R + m))  # the constraint of each slack
+        U2, b2 = A_ub[R].take(keep, axis=1), b_ub[R]
+        u2 = N2.T @ (theta[keep] - theta_p2)
         try:
-            u2, gnorm, iters = _newton_max(theta_p2, N2, C, U2, b2, u2, 0.0, 1e-12, 60)
+            u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60)
         except LineSearchStall:
             # the projected start violates an inactive constraint, or one
             # blocks progress: pin the tightest one at the start
-            active.add(int(free[np.argmin(_slacks(theta_p2 + N2 @ u2, C, U2, b2))]))
+            active.add(int(free[np.argmin(_slacks(theta_p2 + N2 @ u2, U2, b2))]))
             continue
         total_iters += iters
-        theta = theta_p2 + N2 @ u2
-        s_in = _slacks(theta, C, U2, b2)
+        theta_k = theta_p2 + N2 @ u2
+        theta = np.zeros(m)
+        theta[keep] = theta_k
+        s_in = _slacks(theta_k, U2, b2)
         j = int(np.argmin(s_in))
         # a row at rounding distance blocks the polish; so does a row within
         # 1e-6 when the Newton ran out of iterations short of its tolerance
         if s_in[j] < 1e-12 or (gnorm >= 1e-12 and s_in[j] < 1e-6):
             active.add(int(free[j]))
             continue
-        if act:
-            lam = dict(zip(act, multipliers(volume_gradient(theta))[len(b_eq):]))
-            # corners pinned at zero have a divergent slope in theta_c alone;
-            # their multiplier is meaningless, so they are kept
-            droppable = [
-                i for i in act if i not in dropped and not (i < m and theta[i] < 1e-9)
-            ]
-            worst = min(droppable, key=lam.get, default=None)
+        rows = [i for i in act if i >= m]  # a pinned corner has no multiplier and stays
+        if rows:
+            lam = dict(zip(rows, multipliers(volume_gradient(theta_k))[len(b_eq):]))
+            worst = min((i for i in rows if i not in dropped), key=lam.get, default=None)
             if worst is not None and lam[worst] < -1e-9:
                 dropped.add(worst)
                 active.discard(worst)
@@ -383,12 +363,12 @@ def maximize_volume(link, start=None):
     else:
         raise NumericalFailure("active-set polish did not settle")
 
-    slacks = _slacks(theta, corners, A_ub, b_ub)
+    slacks = _slacks(theta, A_ub, b_ub)
     return OptResult(
         link=link,
         angles=theta.reshape(-1, 3),
         volume=specfun.lobachevsky_sum(theta),
-        kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta))),
+        kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta_k))),
         active_constraints=tuple(
             ("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m] for i in act
         ),

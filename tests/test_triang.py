@@ -116,6 +116,9 @@ def test_build_link_counting_invariants():
                 for c in corners:
                     face = link.bounded_faces[c // 3]
                     assert set(e) <= set(face) and face[c % 3] not in e
+                # the faces across e in face order, as geom.layout walks them
+                on_e = [f for f, face in enumerate(link.bounded_faces) if set(e) <= set(face)]
+                assert [c // 3 for c in corners] == on_e
 
 
 def test_build_link_invalid_vertex():
