@@ -3,7 +3,8 @@
 The loops of configuration sampling, one float at a time in plain Python:
 the Delaunay triangulation of a configuration's finite points and the
 Euclidean corner angles of its triangles.  The Lobachevsky sum over those
-angles, the configuration's volume, lives in ``specfun``.
+angles, the configuration's volume, is ``specfun``'s, re-exported here with
+``BACKEND`` for the benchmark, which reads both.
 
 Geometric tolerances are absolute and intended for coordinates of order
 1..1e3 in generic position (which is what stereographic projection of
@@ -13,6 +14,9 @@ non-degenerate sphere samples produces).
 import itertools
 import math
 
+from .specfun import lobachevsky_sum  # noqa: F401
+
+BACKEND = "pure"
 GEOM_TOL = 1e-12
 
 

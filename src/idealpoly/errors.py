@@ -50,11 +50,6 @@ class InfeasibleStart(IdealPolyError):
     exit_code = 3
 
 
-class LineSearchStall(IdealPolyError):
-    code = "LINE_SEARCH_STALL"
-    exit_code = 3
-
-
 class DegenerateSample(IdealPolyError):
     code = "DEGENERATE_SAMPLE"
     exit_code = 3

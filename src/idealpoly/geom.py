@@ -69,21 +69,10 @@ class PointConfiguration:
         return len(self.finite)
 
 
-def _min_separation(points):
-    worst = math.inf
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            worst = min(worst, abs(points[i] - points[j]))
-    return worst
-
-
 def make_configuration(finite_points):
-    pts = tuple(complex(w) for w in finite_points)
-    if len(pts) < 3:
-        raise DegenerateSample("need at least 3 finite points")
-    if _min_separation(pts) <= 1e-9:
-        raise DegenerateSample("finite points are not pairwise separated")
-    return PointConfiguration(finite=pts)
+    """Degenerate points (fewer than 3, duplicate or collinear) are rejected
+    by ``delaunay``, which every configuration passes through."""
+    return PointConfiguration(finite=tuple(complex(w) for w in finite_points))
 
 
 def random_configuration(n, rng):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rivin, specfun
-from .errors import InfeasibleStart, LineSearchStall, NumericalFailure
+from .errors import InfeasibleStart, NumericalFailure
 from .triang import edge_key
 
 BOUNDARY_TOL = 1e-7
@@ -148,6 +148,10 @@ def _ratio_cap(s, rate):
     return float(np.min((s[fall] + 1e-10) / -rate[fall], initial=np.inf))
 
 
+class _LineSearchStall(Exception):
+    """``_newton_max`` has no interior start or no step; both its calls catch it."""
+
+
 # Accepted steps in a row without a new lowest gradient norm that end a barrier round.
 _STALL_RUN = 10
 
@@ -192,7 +196,7 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
 
     theta, s, g, sin = grad_at(u)
     if g is None:
-        raise LineSearchStall("current point is not strictly feasible")
+        raise _LineSearchStall("current point is not strictly feasible")
     gnorm = math.sqrt(g @ g)
     best, stalled, iters = gnorm, 0, 0
     for _ in range(max_iter):
@@ -234,7 +238,7 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
                 break
             t *= 0.5
         else:
-            raise LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
+            raise _LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
         # the accepted trial is the next iterate: its gradient is already known
         u, theta, s, g, gnorm, sin = u_try, theta_try, s_try, g_try, gnorm_try, sin_try
         iters += 1
@@ -303,7 +307,7 @@ def maximize_volume(link, start=None):
                 u0 = guess
         try:
             u, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200)
-        except LineSearchStall:
+        except _LineSearchStall:
             # parked against the boundary; the active-set polish finishes
             break
         total_iters += iters
@@ -335,7 +339,7 @@ def maximize_volume(link, start=None):
         u2 = N2.T @ (theta[keep] - theta_p2)
         try:
             u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60)
-        except LineSearchStall:
+        except _LineSearchStall:
             # the projected start violates an inactive constraint, or one
             # blocks progress: pin the tightest one at the start
             active.add(int(free[np.argmin(_slacks(theta_p2 + N2 @ u2, U2, b2))]))

@@ -89,9 +89,6 @@ def validate(n, faces):
         if (v, u) not in directed:
             raise NonManifoldEdge(f"edge {(u, v)} has no oppositely oriented twin")
 
-    if len(directed) != 2 * (3 * n - 6):
-        raise EulerViolation("edge count != 3n-6")
-
     used = set()
     for f in clean:
         used.update(f)
@@ -142,7 +139,6 @@ class ApexLink:
     hull_cycle: tuple
     interior_vertices: tuple
     interior_edges: tuple
-    hull_edges: tuple
     opposite: dict = field(repr=False)
     corners_at: dict = field(repr=False)
 
@@ -185,13 +181,10 @@ def build_link(t, apex):
             opposite.setdefault(edge_key(e0, e1), []).append(corner)
 
     interior_edges = []
-    hull_edges = []
     for e, corners in sorted(opposite.items()):
         if len(corners) == 2:
             interior_edges.append(e)
-        elif len(corners) == 1:
-            hull_edges.append(e)
-        else:
+        elif len(corners) != 1:
             raise NonManifoldEdge(f"link edge {e} opposite {len(corners)} corners")
 
     link = ApexLink(
@@ -201,7 +194,6 @@ def build_link(t, apex):
         hull_cycle=hull_cycle,
         interior_vertices=interior_vertices,
         interior_edges=tuple(interior_edges),
-        hull_edges=tuple(hull_edges),
         opposite={e: tuple(cs) for e, cs in opposite.items()},
         corners_at={v: tuple(cs) for v, cs in corners_at.items()},
     )

@@ -53,9 +53,11 @@ def test_random_configuration_counts_and_separation():
             assert abs(pts[i] - pts[j]) > 1e-6
 
 
-def test_make_configuration_rejects_collisions():
-    with pytest.raises(DegenerateSample):
-        geom.make_configuration([0, 1, 1 + 1e-12j])
+def test_delaunay_rejects_duplicate_and_too_few_points():
+    with pytest.raises(DegenerateSample, match="duplicate points"):
+        geom.delaunay(geom.make_configuration([0, 1, 1 + 1e-12j]))
+    with pytest.raises(DegenerateSample, match="at least 3 points"):
+        geom.delaunay(geom.make_configuration([0, 1]))
 
 
 def test_delaunay_single_triangle():

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealpoly import _kernels, geom, specfun, stats
-from idealpoly._kernels import _pure
 
 
 def test_backend_reported():
@@ -72,7 +71,7 @@ def test_milnor_identity_near_zero():
 # the branches it takes in _REF_BRANCHES, so the corpus can show that it
 # reaches on-edge insertion and cocircular ties.
 
-_TOL = _pure.GEOM_TOL
+_TOL = _kernels.GEOM_TOL
 _REF_BRANCHES = collections.Counter()
 
 

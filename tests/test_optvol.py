@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealpoly import cli, corpus, geom, optvol, rivin, specfun, stats, triang
+from idealpoly import cli, geom, optvol, rivin, specfun, stats, triang
 from idealpoly.errors import InfeasibleStart
+
+from catalog import all_types
 
 PI = math.pi
 
@@ -68,7 +70,7 @@ def test_maximize_octahedron():
 
 def test_restart_stability_is_certified_by_uniqueness():
     rng = np.random.default_rng(12)
-    t = corpus.all_types(7)[3]
+    t = all_types(7)[3]
     res = rivin.is_realizable(t)
     outs = [
         optvol.maximize_volume(res.link, start=s)
@@ -82,7 +84,7 @@ def test_restart_stability_is_certified_by_uniqueness():
 
 
 def test_apex_invariance_of_max_volume():
-    for t in corpus.all_types(6):
+    for t in all_types(6):
         vols = []
         for apex in range(t.n):
             res = rivin.is_realizable(t, apex=apex)
@@ -212,7 +214,7 @@ def test_hessian_diag_matches_central_differences_of_gradient():
 @functools.lru_cache(maxsize=None)
 def _pinned_types():
     types = {"tetrahedron": triang.tetrahedron(), "octahedron": triang.octahedron()}
-    for i, t in enumerate(corpus.all_types(8)):
+    for i, t in enumerate(all_types(8)):
         types[f"n8-{i:02d}"] = t
     return types
 
@@ -374,7 +376,7 @@ def test_barrier_rounds_end_before_the_iteration_cap(n, monkeypatch):
 
     monkeypatch.setattr(optvol, "_newton_max", recording)
     capped = []
-    for i, t in enumerate(corpus.all_types(n)):
+    for i, t in enumerate(all_types(n)):
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
@@ -415,7 +417,7 @@ def _polish_links():
     for n, faces, apex in RARE_BRANCH_TYPES:
         links.append(rivin.is_realizable(triang.validate(n, faces), apex=apex).link)
     for n in range(4, 9):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             res = rivin.is_realizable(t)
             if res.realizable:
                 links.append(res.link)
@@ -589,7 +591,7 @@ def test_barrier_path_volumes_nondecreasing():
     # n = 10 #230: without the volume test on the secant start, its rounds
     # 4-6 closed up to 2.7e-9 below round 3
     for n, index in ((7, 2), (10, 230)):
-        res = rivin.is_realizable(corpus.all_types(n)[index])
+        res = rivin.is_realizable(all_types(n)[index])
         pv = optvol.maximize_volume(res.link).barrier_volumes
         assert len(pv) >= 3
         assert all(pv[i + 1] >= pv[i] - 1e-12 for i in range(len(pv) - 1))
@@ -729,13 +731,13 @@ COLLAPSED_OPTIMA = [(9, 0), (10, 0), (10, 1), (10, 14), (10, 81), (10, 146)]
 
 @functools.lru_cache(maxsize=None)
 def _witness_optimum(n, index):
-    res = rivin.is_realizable(corpus.all_types(n)[index])
+    res = rivin.is_realizable(all_types(n)[index])
     return optvol.maximize_volume(res.link, start=res.witness) if res.realizable else None
 
 
 @pytest.mark.parametrize(
     "cases",
-    [[(n, i) for i in range(len(corpus.all_types(n)))] for n in range(4, 10)]
+    [[(n, i) for i in range(len(all_types(n)))] for n in range(4, 10)]
     + [[nt for nt in COLLAPSED_OPTIMA if nt[0] == 10]],
     ids=["n4", "n5", "n6", "n7", "n8", "n9", "n10-collapsed"],
 )

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from idealpoly import corpus, geom, oracles, rivin, simplex, stats, triang
+from idealpoly import geom, oracles, rivin, simplex, stats, triang
 from idealpoly.errors import InputError
+
+from catalog import all_types
 
 
 def witness_slacks(system, epsilon, theta):
@@ -160,7 +162,7 @@ def test_empty_by_rounding_is_infeasible(make, k):
 
 
 def test_epsilon_monotonicity():
-    for t in corpus.all_types(6) + corpus.all_types(7):
+    for t in all_types(6) + all_types(7):
         link = triang.build_link(t, triang.choose_apex(t))
         system = rivin.assemble_constraints(link)
         feas6 = rivin.check_feasible(system, 1e-6).feasible
@@ -203,7 +205,7 @@ def test_realizability_against_combinatorial_oracles():
     no_separating = {n: 0 for n in range(4, 10)}
     large_independent, undecided = [], []
     for n in range(4, 10):
-        for i, t in enumerate(corpus.all_types(n)):
+        for i, t in enumerate(all_types(n)):
             realizable = rivin.is_realizable(t).realizable
             if not _separating_triangles(t):
                 no_separating[n] += 1
@@ -228,7 +230,7 @@ def test_realizability_against_combinatorial_oracles():
 
 def test_witness_validity_over_small_types():
     for n in (4, 5, 6, 7):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             res = rivin.is_realizable(t)
             if not res.realizable:
                 continue
@@ -240,7 +242,7 @@ def test_witness_validity_over_small_types():
 def test_apex_invariance_enumerated_and_random():
     cases = []
     for n in (4, 5, 6, 7):
-        cases.extend(corpus.all_types(n))
+        cases.extend(all_types(n))
     # 100 random Delaunay types with at most 10 vertices (weighted toward
     # n = 8..10, where the type counts are large)
     seen = set()
@@ -261,7 +263,7 @@ def test_apex_invariance_enumerated_and_random():
 
 
 def test_two_n6_types_against_coarse_grid_oracle():
-    for t in corpus.all_types(6):
+    for t in all_types(6):
         link = triang.build_link(t, triang.choose_apex(t))
         system = rivin.assemble_constraints(link)
         lp = rivin.check_feasible(system).feasible
@@ -272,7 +274,7 @@ def test_two_n6_types_against_coarse_grid_oracle():
 def test_grid_oracle_agreement_low_dimension():
     checked = 0
     for n in (4, 5, 6, 7):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             for apex in range(t.n):
                 system = rivin.assemble_constraints(triang.build_link(t, apex))
                 if oracles.reduced_grid_dimension(system) > 5:
@@ -281,6 +283,21 @@ def test_grid_oracle_agreement_low_dimension():
                 assert oracles.grid_feasible(system, 720) == lp
                 checked += 1
     assert checked >= 9
+
+
+def test_grid_oracle_matches_lp_on_every_n8_and_n9_type():
+    # 12 steps per pi, not c12's 720: the search over an infeasible type
+    # grows steeply with the steps, and a type whose polytope has no
+    # interior point (t* = 0) is infeasible at every resolution
+    infeasible = []
+    for n in (8, 9):
+        for i, t in enumerate(all_types(n)):
+            system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
+            lp = rivin.check_feasible(system).feasible
+            assert oracles.grid_feasible(system, 12) == lp, (n, i)
+            if not lp:
+                infeasible.append((n, i))
+    assert infeasible == [(8, 11), (9, 30)]
 
 
 def random_lps():
@@ -343,7 +360,7 @@ def test_simplex_against_scipy():
 
 def test_random_interior_points_are_interior():
     rng = np.random.default_rng(9)
-    for t in corpus.all_types(6):
+    for t in all_types(6):
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
@@ -525,7 +542,7 @@ def recorded_lps(run):
 def corpus_systems(epsilons):
     """(system, epsilon) for every type at n = 4..8 and every epsilon."""
     for n in (4, 5, 6, 7, 8):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
             for eps in epsilons:
                 yield system, eps

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idealpoly import corpus, geom, stats, triang
+from idealpoly import geom, stats, triang
 from idealpoly.errors import (
     DegenerateFace,
     Disconnected,
@@ -9,6 +9,8 @@ from idealpoly.errors import (
     InvalidVertex,
     NonManifoldEdge,
 )
+
+from catalog import all_types
 
 TETRA_FACES = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
 
@@ -69,13 +71,17 @@ def test_choose_apex_prefers_degree_then_id():
     assert triang.choose_apex(t) == 0
 
 
+def _hull_edge_count(link):
+    return sum(len(cs) == 1 for cs in link.opposite.values())
+
+
 def test_build_link_tetrahedron():
     link = triang.build_link(triang.tetrahedron(), 3)
     assert link.bounded_faces == ((0, 1, 2),)
     assert len(link.hull_cycle) == 3
     assert link.interior_vertices == ()
     assert link.interior_edges == ()
-    assert len(link.hull_edges) == 3
+    assert _hull_edge_count(link) == 3
 
 
 def test_build_link_octahedron():
@@ -85,7 +91,7 @@ def test_build_link_octahedron():
         assert len(link.bounded_faces) == 4
         assert len(link.interior_vertices) == 1
         assert len(link.interior_edges) == 4
-        assert len(link.hull_edges) == 4
+        assert _hull_edge_count(link) == 4
 
 
 def test_build_link_bipyramid_degree3_apex():
@@ -93,11 +99,11 @@ def test_build_link_bipyramid_degree3_apex():
     assert len(link.bounded_faces) == 3
     assert link.interior_vertices == (4,)
     assert len(link.interior_edges) == 3
-    assert len(link.hull_edges) == 3
+    assert _hull_edge_count(link) == 3
 
 
 def test_build_link_counting_invariants():
-    for t in corpus.all_types(7):
+    for t in all_types(7):
         deg = t.degrees()
         for apex in range(t.n):
             link = triang.build_link(t, apex)
@@ -105,8 +111,10 @@ def test_build_link_counting_invariants():
             assert len(link.interior_vertices) + len(link.hull_cycle) + 1 == t.n
             for e in link.interior_edges:
                 assert len(link.opposite[e]) == 2
-            for e in link.hull_edges:
-                assert len(link.opposite[e]) == 1
+            # the edges with one opposite corner are exactly the hull cycle's
+            cyc = link.hull_cycle
+            hull = {triang.edge_key(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])}
+            assert {e for e, cs in link.opposite.items() if len(cs) == 1} == hull
             # corners are flat ids 3 * face + slot
             for v, corners in link.corners_at.items():
                 for c in corners:
@@ -138,7 +146,7 @@ def test_automorphism_counts():
 
 def test_trivial_symmetry_triangulation():
     # an 8-vertex type with no symmetry at all (found by scanning the catalog)
-    for t in corpus.all_types(8):
+    for t in all_types(8):
         if triang.automorphism_counts(t).total == 1:
             break
     else:
@@ -164,19 +172,19 @@ def test_canonical_form_detects_isomorphism():
         perm = rng.permutation(6)
         faces = [[int(perm[v]) for v in f] for f in t.faces]
         assert triang.canonical_form(triang.validate(6, faces)) == key
-    other = corpus.all_types(6)[0]
+    other = all_types(6)[0]
     if triang.canonical_form(other) == key:
-        other = corpus.all_types(6)[1]
+        other = all_types(6)[1]
     assert triang.canonical_form(other) != key
 
 
 def test_type_counts_small_n():
-    assert [len(corpus.all_types(n)) for n in (4, 5, 6, 7, 8)] == [1, 1, 2, 5, 14]
+    assert [len(all_types(n)) for n in (4, 5, 6, 7, 8)] == [1, 1, 2, 5, 14]
 
 
 def test_euler_relation_over_corpus():
     for n in (4, 5, 6, 7):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             v, e, f = t.n, len(t.edges()), len(t.faces)
             assert v - e + f == 2
             assert e == 3 * t.n - 6
@@ -268,7 +276,7 @@ def _relabeled(t, rng):
 
 
 def _code_corpus():
-    types = [t for n in range(4, 10) for t in corpus.all_types(n)]
+    types = [t for n in range(4, 10) for t in all_types(n)]
     for n in (5, 8, 12, 20, 40):
         for i in range(4):
             cfg = geom.random_configuration(n, stats.trial_rng(1000 + n, i))
@@ -348,7 +356,7 @@ def test_canonical_form_matches_frozen_oracle_on_all_small_types():
     # the frozen oracle starts from every dart, _codes only from darts at a
     # degree-3 vertex when there is one
     for n in range(4, 11):
-        for t in corpus.all_types(n):
+        for t in all_types(n):
             assert triang.canonical_form(t) == _frozen_canonical_form(t)
             mirror = triang.mirror(t)
             assert triang.canonical_form(mirror) == _frozen_canonical_form(mirror)
@@ -380,7 +388,7 @@ def test_minimum_degree_four_type_starts_at_a_higher_degree():
     # with no degree-3 vertex every dart is a candidate: the canonical start
     # of this type lies at a vertex of degree 6 or more, so restricting the
     # starts to vertices of minimum degree would change its canonical form
-    t = corpus.all_types(10)[221]
+    t = all_types(10)[221]
     degree = t.degrees()
     assert min(degree) == 4
     codes = list(_frozen_codes(t))
