@@ -336,7 +336,7 @@ def c12_grid_oracle():
             system = rivin.assemble_constraints(link)
             if oracles.reduced_grid_dimension(system) > 5:
                 continue
-            lp = rivin.check_feasible(system).feasible
+            lp = rivin.check_feasible(system).realizable
             grid = oracles.grid_feasible(system, 720)
             agreed = agreed and (lp == grid)
             checked += 1

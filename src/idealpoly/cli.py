@@ -531,15 +531,16 @@ def build_parser():
         if threads:
             p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
+    eps_help = "realizable iff the centring LP's largest minimum slack is at least EPS"
     p = sub.add_parser("check", help="decide realizability of a triangulation")
     p.add_argument("triangulation")
-    p.add_argument("--eps", type=float, default=rivin.DEFAULT_EPSILON)
+    p.add_argument("--eps", type=float, default=rivin.DEFAULT_EPSILON, help=eps_help)
     add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("optimize", help="maximal volume for one triangulation")
     p.add_argument("triangulation")
-    p.add_argument("--eps", type=float, default=rivin.DEFAULT_EPSILON)
+    p.add_argument("--eps", type=float, default=rivin.DEFAULT_EPSILON, help=eps_help)
     p.add_argument("--tol", type=float, default=1e-10, help="rational detection tolerance")
     p.add_argument("--max-denominator", type=int, default=100)
     add_common(p)

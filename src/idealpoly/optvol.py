@@ -266,7 +266,7 @@ def maximize_volume(link, start=None):
 
     if start is None:
         res = rivin.check_feasible(system)
-        if not res.feasible or res.min_slack <= 0.0:
+        if not res.realizable:
             raise InfeasibleStart(
                 f"no strictly interior point at epsilon={rivin.DEFAULT_EPSILON:g} "
                 f"(certificate {res.certificate:g})"

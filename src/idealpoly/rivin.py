@@ -10,13 +10,13 @@ triangles must satisfy:
     edge above it),
   * every corner is positive.
 
-The constraint system is their closed polytope P (epsilon = 0).  Only
-``check_feasible`` relaxes the strict inequalities, by epsilon in (0, pi), in
-one LP that decides feasibility and centers the witness: it maximizes the
-minimum slack t over y = theta - epsilon = z + t with z, t >= 0, so the
-corner lower bounds need no rows of their own.  Its phase 1 decides
-feasibility (t = 0 is the plain system); its optimum is a strictly interior
-start for the downstream barrier method.
+The constraint system is their closed polytope P.  The strict inequalities
+ask for an interior point, so ``check_feasible`` solves one LP on P itself:
+it maximizes the minimum slack t over theta = z + t with z, t >= 0, so the
+corner lower bounds need no rows of their own.  Its phase 1 decides whether
+P is empty; its optimum t* is the largest minimum slack of any point of P,
+and its theta a strictly interior start for the downstream barrier method
+when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.
 """
 
 import math
@@ -36,7 +36,8 @@ class ConstraintSystem:
     """Rivin's closed polytope P of angle structures over flat corner indices
     (corner = 3*face + slot): A_eq theta = b_eq, A_ub theta <= b_ub,
     theta >= 0, with 0/1 rows that ``eq_kinds``/``ub_kinds`` name as
-    (kind, key).  P has no epsilon; ``check_feasible`` takes one.
+    (kind, key).  P has no epsilon; ``check_feasible`` only thresholds
+    its largest minimum slack by one.
     """
 
     link: object
@@ -87,110 +88,73 @@ def assemble_constraints(link):
 
 
 @dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: object  # flat ndarray of corner angles, or None
-    certificate: float  # phase-1 objective (or -t > 0) when infeasible
-    min_slack: float  # centered minimum slack when feasible
+class RealizabilityResult:
+    realizable: bool
+    system: ConstraintSystem
+    witness: object  # flat ndarray of corner angles when realizable, else None
+    certificate: float  # epsilon - t* > 0, or the phase-1 residual when P is empty
+    min_slack: float  # t*, nan when P is empty
 
+    @property
+    def link(self):
+        return self.system.link
 
-def _standard_form(system, epsilon):
-    """Relax to A_ub theta <= pi - epsilon and theta >= epsilon, shift to
-    y = theta - epsilon >= 0 and return (A_eq, b_eq, A_ub, b_ub)."""
-    A_eq, A_ub = system.A_eq, system.A_ub
-    b_eq = system.b_eq - epsilon * A_eq.sum(axis=1)
-    b_ub = (system.b_ub - epsilon) - epsilon * A_ub.sum(axis=1)
-    return A_eq, b_eq, A_ub, b_ub
+    @property
+    def apex(self):
+        return self.system.link.apex
 
 
 def check_feasible(system, epsilon=DEFAULT_EPSILON):
-    """Feasibility at a tolerance epsilon in (0, pi) and a slack-centered
-    witness from one LP.
+    """Realizability at a tolerance epsilon in (0, pi) and a slack-centered
+    witness from one LP over P.
 
-    In the variables (z, t) >= 0 with y = z + t, maximize t subject to
-    A_eq y = b_eq and A_ub y + t <= b_ub: every inequality slack and every
-    corner lower-bound slack is then >= t.  The witness is z + t + epsilon
-    and ``min_slack`` is the optimal t.  When the system is infeasible, the
-    LP's phase-1 optimum is the certificate; it equals the plain system's,
-    because t = 0 recovers that system and t > 0 only tightens it.
-
-    Phase 1 accepts a residual up to the simplex tolerance, so a system that
-    is empty only by rounding can reach phase 2 with an optimal t < 0: no
-    point makes every slack non-negative.  That is reported infeasible, with
-    certificate -t > 0 and ``min_slack`` nan.
+    In the variables (z, t) >= 0 with theta = z + t, maximize t subject to
+    A_eq theta = b_eq and A_ub theta + t <= b_ub: every inequality slack and
+    every corner is then >= t.  The optimum t* is ``min_slack``, and the link
+    is realizable iff t* >= epsilon, with witness z + t*.  Otherwise the
+    certificate is epsilon - t*, or the phase-1 residual when P is empty.
     """
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    A_eq, b_eq, A_ub, b_ub = _standard_form(system, epsilon)
+    A_eq, A_ub = system.A_eq, system.A_ub
     n = system.n_vars
     A_eq2 = np.hstack([A_eq, A_eq.sum(axis=1, keepdims=True)])
     A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    res = simplex.solve(c, A_eq2, b_eq, A_ub2, b_ub, maximize=True)
+    res = simplex.solve(c, A_eq2, system.b_eq, A_ub2, system.b_ub, maximize=True)
     if res.status == "infeasible":
-        return FeasibilityResult(
-            feasible=False,
-            witness=None,
-            certificate=float(res.phase1_objective),
-            min_slack=float("nan"),
-        )
+        return RealizabilityResult(False, system, None, float(res.phase1_objective), math.nan)
     if res.status != "optimal":
         raise NumericalFailure(f"centering LP status {res.status}")
     t = float(res.x[-1])
-    if t < 0.0:
-        return FeasibilityResult(
-            feasible=False, witness=None, certificate=-t, min_slack=float("nan")
-        )
-    witness = res.x[:n] + t + epsilon
-    return FeasibilityResult(
-        feasible=True, witness=witness, certificate=0.0, min_slack=t
-    )
-
-
-@dataclass(frozen=True)
-class RealizabilityResult:
-    realizable: bool
-    apex: int
-    link: object
-    system: ConstraintSystem
-    witness: object
-    certificate: float
+    if t < epsilon:
+        return RealizabilityResult(False, system, None, epsilon - t, t)
+    return RealizabilityResult(True, system, res.x[:n] + t, 0.0, t)
 
 
 def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
     """Realizability of a sphere triangulation as a convex ideal polyhedron."""
     if apex is None:
         apex = choose_apex(t)
-    link = build_link(t, apex)
-    system = assemble_constraints(link)
-    res = check_feasible(system, epsilon)
-    return RealizabilityResult(
-        realizable=res.feasible,
-        apex=apex,
-        link=link,
-        system=system,
-        witness=res.witness,
-        certificate=res.certificate,
-    )
+    return check_feasible(assemble_constraints(build_link(t, apex)), epsilon)
 
 
 def random_interior_points(system, count, rng):
     """Strictly interior points via random convex combinations of LP vertices.
 
-    Solves a few LPs with random objectives (simplex returns vertices of the
-    polytope relaxed by ``DEFAULT_EPSILON``) and mixes them with Dirichlet
-    weights together with the centered witness.
+    Solves a few LPs with random objectives (simplex returns vertices of P)
+    and mixes them with Dirichlet weights together with the centered witness,
+    which keeps a 25% share, so every slack is at least t*/4 > 0.
     """
     base = check_feasible(system)
-    if not base.feasible:
+    if not base.realizable:
         raise InputError("system is infeasible; no interior points exist")
-    A_eq, b_eq, A_ub, b_ub = _standard_form(system, DEFAULT_EPSILON)
     n = system.n_vars
-    vertices = [base.witness - DEFAULT_EPSILON]
+    vertices = [base.witness]
     for _ in range(max(4, min(8, n))):
         c = rng.standard_normal(n)
-        res = simplex.solve(c, A_eq, b_eq, A_ub, b_ub, maximize=True)
+        res = simplex.solve(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub, maximize=True)
         if res.status == "optimal":
             vertices.append(res.x)
     V = np.array(vertices)
@@ -199,5 +163,5 @@ def random_interior_points(system, count, rng):
         w = rng.dirichlet(np.ones(len(vertices)))
         # anchor a minimum share on the centered witness for strict interiority
         w = 0.25 * np.eye(len(vertices))[0] + 0.75 * w
-        out.append(V.T @ w + DEFAULT_EPSILON)
+        out.append(V.T @ w)
     return out

@@ -111,61 +111,37 @@ class _Unbounded(Exception):
     pass
 
 
-def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=False):
-    """Solve min (or max) c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+def solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
+    """Solve min (or max) c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
+    for right-hand sides b_eq, b_ub >= 0.
 
     Returns an LPResult; when infeasible, ``phase1_objective`` carries the
     residual infeasibility (the positive phase-1 optimum).
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    if A_eq is None:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    if A_ub is None:
-        A_ub = np.zeros((0, n))
-        b_ub = np.zeros(0)
     A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
     A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
+    rhs = np.concatenate([b_eq, b_ub], axis=None)
+    if np.any(rhs < 0.0):
+        raise ValueError("negative right-hand side")
 
     m_eq = A_eq.shape[0]
     m_ub = A_ub.shape[0]
     m = m_eq + m_ub
 
-    # rows: [A_eq | 0] and [A_ub | I_slack]; flip rows to make rhs >= 0
-    A = np.zeros((m, n + m_ub))
-    rhs = np.zeros(m)
-    A[:m_eq, :n] = A_eq
-    rhs[:m_eq] = b_eq
-    A[m_eq:, :n] = A_ub
-    A[m_eq:, n:] = np.eye(m_ub)
-    rhs[m_eq:] = b_ub
-    flip = rhs < 0.0
-    A[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    # artificial variables (ids from ncols): every equality row, plus flipped
-    # inequality rows (their slack entered with coefficient -1 and cannot
-    # start basic); the other slacks start basic
-    art_rows = list(range(m_eq)) + [m_eq + i for i in range(m_ub) if flip[m_eq + i]]
+    # rows [A_eq | 0] start on artificials (ids from ncols), rows [A_ub | I]
+    # on their slacks; the dictionary stores the n structural columns
     ncols = n + m_ub
-    basis = [-1] * m
-    for k, r in enumerate(art_rows):
-        basis[r] = ncols + k
-    for i in range(m_ub):
-        if not flip[m_eq + i]:
-            basis[m_eq + i] = n + i
-    ids = np.array(
-        [j for j in range(ncols) if j < n or flip[m_eq + j - n]], dtype=np.int64
-    )
-    D = np.zeros((m + 1, ids.size + 1))
-    D[:m, :-1] = A[:, ids]
+    basis = list(range(ncols, ncols + m_eq)) + list(range(n, ncols))
+    ids = np.arange(n, dtype=np.int64)
+    D = np.zeros((m + 1, n + 1))
+    D[:m_eq, :n] = A_eq
+    D[m_eq:m, :n] = A_ub
     D[:m, -1] = rhs
 
     # phase 1: minimize the sum of artificials
-    for r in art_rows:
+    for r in range(m_eq):
         D[-1] -= D[r]
     try:
         _simplex_iterate(D, ids, basis)

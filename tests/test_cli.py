@@ -126,7 +126,7 @@ def test_check_not_realizable_exit_code(tmp_path, capsys):
 
 
 def test_check_and_optimize_empty_by_rounding(tmp_path, capsys):
-    # two ulps above pi/3: 3 * eps > pi, so the relaxed system is empty
+    # two ulps above pi/3, the tetrahedron's largest minimum slack t*
     path = write(tmp_path, "tetra.json", TETRA)
     code, out, _ = run_cli(["check", "--eps", "1.047197551196598", path], capsys)
     assert code == 2

@@ -226,18 +226,18 @@ OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.8e1f0c1b745c8p-56", 0),
     "octahedron": ("0x1.d4f9713e8135dp+1", "0x1.8a85c24f70659p-53", 0),
     "n8-00": ("0x1.44c8043299555p+2", "0x1.9d8e3fe84a925p-41", 58),
-    "n8-01": ("0x1.44c8043299556p+2", "0x1.d1f85919b51f5p-41", 60),
-    "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.a000000000000p-53", 41),
-    "n8-03": ("0x1.3a270531d120bp+2", "0x1.998a0080c4e77p-53", 39),
-    "n8-04": ("0x1.44c8043299556p+2", "0x1.f3773cf248e96p-42", 61),
-    "n8-05": ("0x1.69f60748b14bfp+2", "0x1.54453e383eb45p-52", 25),
-    "n8-06": ("0x1.279a05fba0e3cp+2", "0x1.4f897e97d23f7p-52", 60),
-    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.062aa86056cc0p-51", 9),
-    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.8d7dfcc657edap-53", 9),
-    "n8-09": ("0x1.801c197f4e24ap+2", "0x1.981f5e2aaf615p-52", 9),
-    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.47ce08ae9760bp-53", 25),
+    "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fc73b3571b8p-41", 60),
+    "n8-02": ("0x1.3bb8a48b11986p+2", "0x1.007fe00ff6070p-52", 45),
+    "n8-03": ("0x1.3a270531d120ap+2", "0x1.ef50f9e4d02d4p-53", 40),
+    "n8-04": ("0x1.44c8043299556p+2", "0x1.f329d2c546198p-42", 61),
+    "n8-05": ("0x1.69f60748b14bfp+2", "0x1.982aa86fc7af9p-52", 25),
+    "n8-06": ("0x1.279a05fba0e3dp+2", "0x1.37370b49194f8p-52", 47),
+    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.3e3a6c5e1cf36p-51", 9),
+    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.7645caf1462e1p-53", 9),
+    "n8-09": ("0x1.801c197f4e24ap+2", "0x1.6728fe5f6234cp-52", 9),
+    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.671c29ae4cb02p-53", 25),
     "n8-11": None,
-    "n8-12": ("0x1.9f43136a14977p+2", "0x1.ab1d112d62b8ap-52", 9),
+    "n8-12": ("0x1.9f43136a14977p+2", "0x1.28fe971d03f7ap-52", 8),
     "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.d82089b9d6a11p-52", 0),
 }
 

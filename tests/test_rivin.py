@@ -90,26 +90,24 @@ def test_rows_are_zero_one_and_well_formed():
 
 
 def test_polytope_arrays_do_not_depend_on_epsilon():
-    # the arrays hold the epsilon = 0 polytope; epsilon enters only in
-    # _standard_form, with the same float expression for every right-hand side
+    # the arrays hold the polytope P, and check_feasible's LP has P's own
+    # right-hand sides at every epsilon: epsilon only thresholds its optimum
     octahedron = rivin.assemble_constraints(triang.build_link(triang.octahedron(), 0))
     for system in (octahedron, seeded_system(12, 0)):
         rhs = [math.pi if kind == "triangle" else 2.0 * math.pi
                for kind, _ in system.eq_kinds]
         assert system.b_eq.tolist() == rhs
         assert system.b_ub.tolist() == [math.pi] * len(system.ub_kinds)
-        for eps in (1e-8, 1e-6, 0.3):
-            A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system, eps)
-            assert A_eq is system.A_eq and A_ub is system.A_ub
-            eq = np.array(rhs) - eps * A_eq.sum(axis=1)
-            ub = np.full(len(system.ub_kinds), math.pi - eps) - eps * A_ub.sum(axis=1)
-            assert b_eq.tobytes() == eq.tobytes()
-            assert b_ub.tobytes() == ub.tobytes()
+        for eps in (1e-8, 1e-6, 0.3, 1.1):
+            (args, kwargs), = recorded_lps(lambda: rivin.check_feasible(system, eps))
+            _, _, b_eq, _, b_ub = args
+            assert b_eq.tobytes() == system.b_eq.tobytes()
+            assert b_ub.tobytes() == system.b_ub.tobytes()
 
 
 def test_tetrahedron_feasible_with_centered_witness():
     res = rivin.check_feasible(rivin.assemble_constraints(tetra_link()))
-    assert res.feasible
+    assert res.realizable
     assert res.witness == pytest.approx([math.pi / 3] * 3, abs=1e-9)
     assert res.min_slack > 1.0
 
@@ -117,7 +115,7 @@ def test_tetrahedron_feasible_with_centered_witness():
 def test_octahedron_feasible():
     system = rivin.assemble_constraints(triang.build_link(triang.octahedron(), 0))
     res = rivin.check_feasible(system)
-    assert res.feasible
+    assert res.realizable
     ms, eq_res = witness_slacks(system, rivin.DEFAULT_EPSILON, res.witness)
     assert ms > 0
     assert eq_res < 1e-9
@@ -126,8 +124,9 @@ def test_octahedron_feasible():
 def test_huge_epsilon_infeasible():
     system = rivin.assemble_constraints(tetra_link())
     res = rivin.check_feasible(system, 1.1)  # 3 * 1.1 > pi
-    assert not res.feasible
-    assert res.certificate > 0.1
+    assert not res.realizable
+    assert res.min_slack == pytest.approx(math.pi / 3, abs=1e-12)
+    assert res.certificate == pytest.approx(1.1 - math.pi / 3, abs=1e-12)  # 0.0528
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.pi, math.nan, math.inf])
@@ -147,26 +146,25 @@ def _ulps_from_pi_over_3(k):
 @pytest.mark.parametrize("make", [triang.tetrahedron, triang.bipyramid])
 def test_empty_by_rounding_is_infeasible(make, k):
     # for k > 0, 3 * epsilon > pi: no corner assignment meets a triangle row
-    # with every corner >= epsilon.  Phase 1 passes the system within its
-    # tolerance, and the optimal t comes out negative.
+    # with every corner >= epsilon.  The largest minimum slack t* of P is
+    # pi/3 in floats too, so the verdict turns exactly at epsilon = pi/3.
     eps = _ulps_from_pi_over_3(k)
     res = rivin.is_realizable(make(), epsilon=eps)
-    feas = rivin.check_feasible(res.system, eps)
-    assert res.realizable == feas.feasible == (k <= 0)
+    assert res.realizable == (k <= 0)
     if k <= 0:
-        assert feas.min_slack >= 0.0
+        assert res.min_slack >= eps
     else:
         assert res.witness is None
-        assert feas.certificate > 0.0
-        assert math.isnan(feas.min_slack)
+        assert res.min_slack == float(math.pi / 3)
+        assert res.certificate == eps - res.min_slack > 0.0
 
 
 def test_epsilon_monotonicity():
     for t in all_types(6) + all_types(7):
         link = triang.build_link(t, triang.choose_apex(t))
         system = rivin.assemble_constraints(link)
-        feas6 = rivin.check_feasible(system, 1e-6).feasible
-        feas8 = rivin.check_feasible(system, 1e-8).feasible
+        feas6 = rivin.check_feasible(system, 1e-6).realizable
+        feas8 = rivin.check_feasible(system, 1e-8).realizable
         if feas6:
             assert feas8
 
@@ -266,7 +264,7 @@ def test_two_n6_types_against_coarse_grid_oracle():
     for t in all_types(6):
         link = triang.build_link(t, triang.choose_apex(t))
         system = rivin.assemble_constraints(link)
-        lp = rivin.check_feasible(system).feasible
+        lp = rivin.check_feasible(system).realizable
         grid = oracles.grid_feasible(system, 24)
         assert lp == grid
 
@@ -279,7 +277,7 @@ def test_grid_oracle_agreement_low_dimension():
                 system = rivin.assemble_constraints(triang.build_link(t, apex))
                 if oracles.reduced_grid_dimension(system) > 5:
                     continue
-                lp = rivin.check_feasible(system).feasible
+                lp = rivin.check_feasible(system).realizable
                 assert oracles.grid_feasible(system, 720) == lp
                 checked += 1
     assert checked >= 9
@@ -293,11 +291,55 @@ def test_grid_oracle_matches_lp_on_every_n8_and_n9_type():
     for n in (8, 9):
         for i, t in enumerate(all_types(n)):
             system = rivin.assemble_constraints(triang.build_link(t, triang.choose_apex(t)))
-            lp = rivin.check_feasible(system).feasible
+            lp = rivin.check_feasible(system).realizable
             assert oracles.grid_feasible(system, 12) == lp, (n, i)
             if not lp:
                 infeasible.append((n, i))
     assert infeasible == [(8, 11), (9, 30)]
+
+
+def test_largest_minimum_slack_at_the_default_apex():
+    # min_slack is t*, the largest minimum slack over P: pi/3 for the
+    # tetrahedron, pi/q at the least centred type of each n, and 0 up to
+    # rounding exactly where P has no interior point (ROADMAP item 7's hard
+    # cases: n = 8 #11, n = 9 #30 and the nine non-inscribable n = 10 types)
+    tetra = rivin.is_realizable(triang.tetrahedron())
+    assert tetra.min_slack == pytest.approx(math.pi / 3, abs=1e-12)
+    smallest = {6: 4, 7: 6, 8: 8, 9: 10, 10: 16}
+    zero = {}
+    for n in range(4, 11):
+        results = [rivin.is_realizable(t) for t in all_types(n)]
+        slacks = [res.min_slack for res in results]
+        flat = [i for i, s in enumerate(slacks) if abs(s) <= 1e-12]
+        assert flat == [i for i, res in enumerate(results) if not res.realizable], n
+        if flat:
+            zero[n] = len(flat)
+        if n in smallest:
+            least = min(s for s in slacks if s > 1e-12)
+            assert least == pytest.approx(math.pi / smallest[n], abs=1e-12), n
+    assert zero == {8: 1, 9: 1, 10: 9}
+
+
+# n = 11 #1189: the one type with n <= 11 whose polytope P is empty at the
+# default apex, so the LP's phase 1 ends with a positive residual
+N11_EMPTY_POLYTOPE = [
+    [0, 2, 5], [2, 3, 5], [3, 0, 5], [0, 3, 6], [3, 1, 6], [1, 0, 6],
+    [1, 3, 7], [3, 2, 7], [2, 1, 7], [0, 1, 8], [1, 4, 8], [4, 0, 8],
+    [1, 2, 9], [2, 4, 9], [4, 1, 9], [2, 0, 10], [0, 4, 10], [4, 2, 10],
+]
+
+
+def test_empty_polytope_certificate_is_phase1_residual():
+    res = rivin.is_realizable(triang.validate(11, N11_EMPTY_POLYTOPE))
+    assert not res.realizable
+    assert res.witness is None
+    assert math.isnan(res.min_slack)
+    assert res.certificate == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_simplex_rejects_negative_right_hand_side():
+    with pytest.raises(ValueError):
+        simplex.solve([1.0], np.zeros((0, 1)), np.zeros(0), [[-1.0]], [-1.0])
 
 
 def random_lps():
@@ -311,8 +353,8 @@ def random_lps():
         c = rng.standard_normal(n)
         A_ub = rng.standard_normal((m_ub, n))
         b_ub = rng.uniform(0.5, 2.0, m_ub)
-        A_eq = rng.standard_normal((m_eq, n)) if m_eq else None
-        b_eq = rng.uniform(0.1, 1.0, m_eq) if m_eq else None
+        A_eq = rng.standard_normal((m_eq, n))
+        b_eq = rng.uniform(0.1, 1.0, m_eq)
         lps.append((c, A_eq, b_eq, A_ub, b_ub))
     return lps
 
@@ -425,58 +467,33 @@ def _scalar_simplex_iterate(T, basis, ncols, degenerate_run):
             raise simplex.NumericalFailure("simplex pivot cap exceeded")
 
 
-def full_tableau_solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, maximize=False):
+def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
     """The two-phase simplex on the full tableau, every basic column stored,
-    with the module's tolerances and _DEGENERATE_RUN; returns (LPResult,
-    pivot count)."""
+    with the module's tolerances and _DEGENERATE_RUN, for right-hand sides
+    >= 0; returns (LPResult, pivot count)."""
     run = simplex._DEGENERATE_RUN
     c = np.asarray(c, dtype=float)
     n = c.size
-    if A_eq is None:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    if A_ub is None:
-        A_ub = np.zeros((0, n))
-        b_ub = np.zeros(0)
     A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
     A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
     m_eq = A_eq.shape[0]
     m_ub = A_ub.shape[0]
     m = m_eq + m_ub
 
-    A = np.zeros((m, n + m_ub))
-    rhs = np.zeros(m)
-    A[:m_eq, :n] = A_eq
-    rhs[:m_eq] = b_eq
-    A[m_eq:, :n] = A_ub
-    A[m_eq:, n:] = np.eye(m_ub)
-    rhs[m_eq:] = b_ub
-    flip = rhs < 0.0
-    A[flip] *= -1.0
-    rhs[flip] *= -1.0
-
-    art_rows = list(range(m_eq)) + [m_eq + i for i in range(m_ub) if flip[m_eq + i]]
-    n_art = len(art_rows)
+    # columns: structural, slacks, one artificial per equality row
     ncols = n + m_ub
-    T = np.zeros((m + 1, ncols + n_art + 1))
-    T[:m, :ncols] = A
-    T[:m, -1] = rhs
-    basis = [-1] * m
-    for k, r in enumerate(art_rows):
-        T[r, ncols + k] = 1.0
-        basis[r] = ncols + k
-    for i in range(m_ub):
-        r = m_eq + i
-        if not flip[r]:
-            basis[r] = n + i
+    T = np.zeros((m + 1, ncols + m_eq + 1))
+    T[:m_eq, :n] = A_eq
+    T[m_eq:m, :n] = A_ub
+    T[m_eq:m, n:ncols] = np.eye(m_ub)
+    T[:m_eq, ncols:-1] = np.eye(m_eq)
+    T[:m, -1] = np.concatenate([b_eq, b_ub])
+    basis = list(range(ncols, ncols + m_eq)) + list(range(n, ncols))
 
-    for k in range(n_art):
-        T[-1, ncols + k] = 1.0
-    for k in range(n_art):
-        T[-1] -= T[art_rows[k]]
-    pivots = _scalar_simplex_iterate(T, basis, ncols + n_art, run)
+    T[-1, ncols:-1] = 1.0
+    for r in range(m_eq):
+        T[-1] -= T[r]
+    pivots = _scalar_simplex_iterate(T, basis, ncols + m_eq, run)
     phase1 = -T[-1, -1]
     if phase1 > simplex._TOL:
         return simplex.LPResult("infeasible", phase1_objective=phase1), pivots
@@ -556,8 +573,9 @@ def seeded_system(n, seed):
 
 def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
     def check_feasible_everywhere():
-        for system, eps in corpus_systems((1e-6, 0.3, 1.1)):
-            rivin.check_feasible(system, eps)
+        # the check LP does not depend on epsilon: one per type
+        for system, _ in corpus_systems((rivin.DEFAULT_EPSILON,)):
+            rivin.check_feasible(system)
         for n in (40, 60):
             for seed in range(3):
                 rivin.check_feasible(seeded_system(n, seed))
@@ -565,7 +583,7 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
     lps = [(lp, {}) for lp in random_lps() + degenerate_lps()]
     lps += recorded_lps(check_feasible_everywhere)
     # No LP here has 50 degenerate pivots in a row (the longest run is 15);
-    # a run of 2 sends 51 of the 175 through the Bland fallback as well.
+    # a run of 2 sends 30 of the 129 through the Bland fallback as well.
     for run in (simplex._DEGENERATE_RUN, 2):
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
         statuses = set()
@@ -589,8 +607,8 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
 # after six degenerate pivots.
 CHVATAL_LP = (
     [10.0, -57.0, -9.0, -24.0],
-    None,
-    None,
+    np.zeros((0, 4)),
+    np.zeros(0),
     [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
     [0.0, 0.0, 1.0],
 )
@@ -626,13 +644,15 @@ def test_dantzig_pricing_needs_fewer_pivots_at_n40(monkeypatch):
 
 
 def two_lp_check_feasible(system, epsilon):
-    """Zero-objective feasibility LP, then a centering LP with explicit
-    lower-bound rows t - y_c <= 0."""
-    A_eq, b_eq, A_ub, b_ub = rivin._standard_form(system, epsilon)
+    """Zero-objective feasibility LP on P, then a centering LP with explicit
+    lower-bound rows t - theta_c <= 0."""
+    A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
     n = system.n_vars
     res = simplex.solve(np.zeros(n), A_eq, b_eq, A_ub, b_ub)
     if res.status == "infeasible":
-        return rivin.FeasibilityResult(False, None, float(res.phase1_objective), float("nan"))
+        return rivin.RealizabilityResult(
+            False, system, None, float(res.phase1_objective), float("nan")
+        )
     assert res.status == "optimal"
     m_ub = A_ub.shape[0]
     A_eq2 = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
@@ -648,7 +668,9 @@ def two_lp_check_feasible(system, epsilon):
     res2 = simplex.solve(c2, A_eq2, b_eq, np.vstack(rows), np.concatenate(rhs), maximize=True)
     assert res2.status == "optimal"
     t = float(res2.x[-1])
-    return rivin.FeasibilityResult(True, res2.x[:n] + epsilon, 0.0, t)
+    if t < epsilon:
+        return rivin.RealizabilityResult(False, system, None, epsilon - t, t)
+    return rivin.RealizabilityResult(True, system, res2.x[:n], 0.0, t)
 
 
 def test_compact_check_feasible_matches_two_lp_version():
@@ -656,11 +678,11 @@ def test_compact_check_feasible_matches_two_lp_version():
     for system, eps in corpus_systems((1e-6, 0.3, 1.1)):
         ref = two_lp_check_feasible(system, eps)
         res = rivin.check_feasible(system, eps)
-        assert res.feasible == ref.feasible
-        verdicts.add(res.feasible)
-        if res.feasible:
-            assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
-            min_slack, eq_res = witness_slacks(system, eps, res.witness)
+        assert res.realizable == ref.realizable
+        verdicts.add(res.realizable)
+        assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
+        if res.realizable:
+            min_slack, eq_res = witness_slacks(system, 0.0, res.witness)
             assert min_slack >= res.min_slack - 1e-12
             assert eq_res < 1e-9
         else:
