@@ -134,7 +134,7 @@ def c04_uniqueness():
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
-        starts = rivin.random_interior_points(res.system, 10, rng)
+        starts = rivin.random_interior_points(res, 10, rng)
         outs = [optvol.maximize_volume(res.link, start=s) for s in starts]
         vols = [o.volume for o in outs]
         angs = [o.angles for o in outs]
@@ -187,7 +187,7 @@ def c06_gradient_check():
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
-        for theta in rivin.random_interior_points(res.system, 5, rng):
+        for theta in rivin.random_interior_points(res, 5, rng):
             grad = optvol.volume_gradient(theta)
             for i in range(len(theta)):
                 up = theta.copy()

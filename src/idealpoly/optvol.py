@@ -355,6 +355,10 @@ def maximize_volume(link, start=None):
         if s_in[j] < 1e-12 or (gnorm >= 1e-12 and s_in[j] < 1e-6):
             active.add(int(free[j]))
             continue
+        k = int(np.argmin(theta_k))  # a corner short of its collapse: pin it, polish again
+        if theta_k[k] < BOUNDARY_TOL:
+            active.add(int(keep[k]))
+            continue
         rows = [i for i in act if i >= m]  # a pinned corner has no multiplier and stays
         if rows:
             lam = dict(zip(rows, multipliers(volume_gradient(theta_k))[len(b_eq):]))

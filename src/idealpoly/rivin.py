@@ -17,6 +17,10 @@ corner lower bounds need no rows of their own.  Its phase 1 decides whether
 P is empty; its optimum t* is the largest minimum slack of any point of P,
 and its theta a strictly interior start for the downstream barrier method
 when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.
+
+The LP puts theta_c = pi - theta_a - theta_b in for one corner c of most
+triangles, whose row becomes theta_a + theta_b + t <= pi with a basic slack:
+disjoint sums, as in generalized upper bounding (Dantzig & Van Slyke 1967).
 """
 
 import math
@@ -61,28 +65,27 @@ def _zero_one(rows, n_vars):
     return A
 
 
+def _row(link, kind, key):
+    """Flat corners of the constraint row (kind, key)."""
+    if kind == "triangle":
+        return (3 * key, 3 * key + 1, 3 * key + 2)
+    return link.opposite[key] if kind == "interior_edge" else link.corners_at[key]
+
+
 def assemble_constraints(link):
     """Build the constraint system for one apex link."""
-    n_faces = len(link.bounded_faces)
-    eq_idx = [(3 * f, 3 * f + 1, 3 * f + 2) for f in range(n_faces)]
-    eq_idx += [link.corners_at[v] for v in link.interior_vertices]
-    eq_kinds = [("triangle", f) for f in range(n_faces)]
+    eq_kinds = [("triangle", f) for f in range(len(link.bounded_faces))]
     eq_kinds += [("interior_vertex", v) for v in link.interior_vertices]
-    b_eq = np.full(len(eq_idx), 2.0 * math.pi)
-    b_eq[:n_faces] = math.pi
-
-    ub_idx = [link.opposite[e] for e in link.interior_edges]
-    ub_idx += [link.corners_at[w] for w in link.hull_cycle]
     ub_kinds = [("interior_edge", e) for e in link.interior_edges]
     ub_kinds += [("hull_vertex", w) for w in link.hull_cycle]
-
+    b_eq = np.array([math.pi if k == "triangle" else 2.0 * math.pi for k, _ in eq_kinds])
     return ConstraintSystem(
         link=link,
-        A_eq=_zero_one(eq_idx, link.n_corners),
+        A_eq=_zero_one([_row(link, *k) for k in eq_kinds], link.n_corners),
         b_eq=b_eq,
         eq_kinds=tuple(eq_kinds),
-        A_ub=_zero_one(ub_idx, link.n_corners),
-        b_ub=np.full(len(ub_idx), math.pi),
+        A_ub=_zero_one([_row(link, *k) for k in ub_kinds], link.n_corners),
+        b_ub=np.full(len(ub_kinds), math.pi),
         ub_kinds=tuple(ub_kinds),
     )
 
@@ -104,6 +107,46 @@ class RealizabilityResult:
         return self.system.link.apex
 
 
+def _eliminated(system):
+    """{c: (a, b)}: the corner c each bounded link triangle gives up, and its
+    other two.  A corner at an interior link vertex comes first, and no
+    inequality row holds two, so every inequality right-hand side stays pi
+    or 0; a triangle with no such corner keeps its equality row."""
+    rows_of = {}  # corner -> the inequality rows that hold it
+    for r, kind in enumerate(system.ub_kinds):
+        for c in _row(system.link, *kind):
+            rows_of.setdefault(c, []).append(r)
+    interior, used, cut = set(system.link.interior_vertices), set(), {}
+    for f, face in enumerate(system.link.bounded_faces):
+        for s in sorted(range(3), key=lambda s: face[s] not in interior):
+            rows = rows_of.get(3 * f + s, ())
+            if used.isdisjoint(rows):
+                used.update(rows)
+                cut[3 * f + s] = (3 * f + (s + 1) % 3, 3 * f + (s + 2) % 3)
+                break
+    return cut
+
+
+def _substituted(rows, cut, col, t_extra):
+    """The (z, t) form of rows (corners, right-hand side in units of pi) of
+    theta after theta_c = pi - theta_a - theta_b for each eliminated c: 0/+-1
+    over the kept corners, then t with its row sum plus ``t_extra``; a row
+    whose right-hand side is negative is negated."""
+    A, b = np.zeros((len(rows), len(col) + 1)), np.zeros(len(rows))
+    for r, (corners, units) in enumerate(rows):
+        row = A[r]  # no row holds a corner twice, eliminated or put in
+        for c in corners:
+            if c in cut:
+                row[col[cut[c][0]]] = row[col[cut[c][1]]] = -1.0
+                units -= 1
+            else:
+                row[col[c]] = 1.0
+        b[r] = units * math.pi
+    A[:, -1] = A.sum(axis=1) + t_extra
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    return A * sign[:, None], b * sign
+
+
 def check_feasible(system, epsilon=DEFAULT_EPSILON):
     """Realizability at a tolerance epsilon in (0, pi) and a slack-centered
     witness from one LP over P.
@@ -113,16 +156,20 @@ def check_feasible(system, epsilon=DEFAULT_EPSILON):
     every corner is then >= t.  The optimum t* is ``min_slack``, and the link
     is realizable iff t* >= epsilon, with witness z + t*.  Otherwise the
     certificate is epsilon - t*, or the phase-1 residual when P is empty.
+    The LP runs over the corners ``_eliminated`` keeps; z_c is recovered.
     """
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    A_eq, A_ub = system.A_eq, system.A_ub
-    n = system.n_vars
-    A_eq2 = np.hstack([A_eq, A_eq.sum(axis=1, keepdims=True)])
-    A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = simplex.solve(c, A_eq2, system.b_eq, A_ub2, system.b_ub, maximize=True)
+    link, n, cut = system.link, system.n_vars, _eliminated(system)
+    kept = np.array([c for c in range(n) if c not in cut], dtype=np.int64)
+    col = dict(zip(kept.tolist(), range(kept.size)))
+    faces_cut = {c // 3 for c in cut}
+    eq = [(_row(link, kind, key), 1 if kind == "triangle" else 2)
+          for kind, key in system.eq_kinds if kind != "triangle" or key not in faces_cut]
+    ub = [(ab, 1) for ab in cut.values()] + [(_row(link, *k), 1) for k in system.ub_kinds]
+    c = np.append(np.zeros(kept.size), 1.0)
+    res = simplex.solve(c, *_substituted(eq, cut, col, 0.0), *_substituted(ub, cut, col, 1.0),
+                        maximize=True)
     if res.status == "infeasible":
         return RealizabilityResult(False, system, None, float(res.phase1_objective), math.nan)
     if res.status != "optimal":
@@ -130,7 +177,11 @@ def check_feasible(system, epsilon=DEFAULT_EPSILON):
     t = float(res.x[-1])
     if t < epsilon:
         return RealizabilityResult(False, system, None, epsilon - t, t)
-    return RealizabilityResult(True, system, res.x[:n] + t, 0.0, t)
+    z = np.zeros(n)
+    z[kept] = res.x[:-1]
+    for c, (a, b) in cut.items():
+        z[c] = math.pi - 3.0 * t - z[a] - z[b]
+    return RealizabilityResult(True, system, z + t, 0.0, t)
 
 
 def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
@@ -140,28 +191,19 @@ def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
     return check_feasible(assemble_constraints(build_link(t, apex)), epsilon)
 
 
-def random_interior_points(system, count, rng):
-    """Strictly interior points via random convex combinations of LP vertices.
-
-    Solves a few LPs with random objectives (simplex returns vertices of P)
-    and mixes them with Dirichlet weights together with the centered witness,
-    which keeps a 25% share, so every slack is at least t*/4 > 0.
-    """
-    base = check_feasible(system)
-    if not base.realizable:
+def random_interior_points(result, count, rng):
+    """Strictly interior points of a realizable result's polytope P: random
+    convex combinations of vertices of P (LPs with random objectives) and of
+    its centered witness, which keeps a 25% share, so every slack is >= t*/4."""
+    if not result.realizable:
         raise InputError("system is infeasible; no interior points exist")
-    n = system.n_vars
-    vertices = [base.witness]
-    for _ in range(max(4, min(8, n))):
-        c = rng.standard_normal(n)
+    system = result.system
+    vertices = [result.witness]
+    for _ in range(max(4, min(8, system.n_vars))):
+        c = rng.standard_normal(system.n_vars)
         res = simplex.solve(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub, maximize=True)
         if res.status == "optimal":
             vertices.append(res.x)
     V = np.array(vertices)
-    out = []
-    for _ in range(count):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        # anchor a minimum share on the centered witness for strict interiority
-        w = 0.25 * np.eye(len(vertices))[0] + 0.75 * w
-        out.append(V.T @ w)
-    return out
+    anchor = 0.25 * np.eye(len(vertices))[0]  # the witness's share keeps points interior
+    return [V.T @ (anchor + 0.75 * rng.dirichlet(np.ones(len(vertices)))) for _ in range(count)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from idealpoly import cli, geom, optvol, rivin, specfun, stats, triang
 from idealpoly.errors import InfeasibleStart
 
-from catalog import all_types
+from catalog import all_types, flip_walk
 
 PI = math.pi
 
@@ -74,7 +74,7 @@ def test_restart_stability_is_certified_by_uniqueness():
     res = rivin.is_realizable(t)
     outs = [
         optvol.maximize_volume(res.link, start=s)
-        for s in rivin.random_interior_points(res.system, 10, rng)
+        for s in rivin.random_interior_points(res, 10, rng)
     ]
     vols = [o.volume for o in outs]
     assert max(vols) - min(vols) < 1e-9
@@ -93,22 +93,10 @@ def test_apex_invariance_of_max_volume():
         assert max(vols) - min(vols) < 1e-8
 
 
-def _flip_walk(n, seed):
-    """A stacked triangulation on n vertices after 3n random flip attempts."""
-    rng = np.random.default_rng(seed)
-    t = triang.tetrahedron()
-    while t.n < n:
-        t = triang.stack_on_face(t, int(rng.integers(len(t.faces))))
-    for _ in range(3 * n):
-        edges = t.edges()
-        t = triang.flip_edge(t, edges[int(rng.integers(len(edges)))]) or t
-    return t
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(6, 10), seed=st.integers(0, 2**32 - 1))
 def test_apex_invariance_on_random_flip_walks(n, seed):
-    t = _flip_walk(n, seed)
+    t = flip_walk(n, seed)
     results = [rivin.is_realizable(t, apex=apex) for apex in range(n)]
     assert len({res.realizable for res in results}) == 1
     if results[0].realizable:
@@ -225,24 +213,25 @@ def _pinned_types():
 OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.8e1f0c1b745c8p-56", 0),
     "octahedron": ("0x1.d4f9713e8135dp+1", "0x1.8a85c24f70659p-53", 0),
-    "n8-00": ("0x1.44c8043299555p+2", "0x1.9d8e3fe84a925p-41", 58),
+    "n8-00": ("0x1.44c8043299555p+2", "0x1.9d967dc0a18cbp-41", 58),
     "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fc73b3571b8p-41", 60),
-    "n8-02": ("0x1.3bb8a48b11986p+2", "0x1.007fe00ff6070p-52", 45),
+    "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.f2a35d7e68948p-53", 49),
     "n8-03": ("0x1.3a270531d120ap+2", "0x1.ef50f9e4d02d4p-53", 40),
-    "n8-04": ("0x1.44c8043299556p+2", "0x1.f329d2c546198p-42", 61),
-    "n8-05": ("0x1.69f60748b14bfp+2", "0x1.982aa86fc7af9p-52", 25),
+    "n8-04": ("0x1.44c8043299555p+2", "0x1.f334ed33c23a9p-42", 62),
+    "n8-05": ("0x1.69f60748b14c0p+2", "0x1.50de3070be353p-52", 25),
     "n8-06": ("0x1.279a05fba0e3dp+2", "0x1.37370b49194f8p-52", 47),
-    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.3e3a6c5e1cf36p-51", 9),
-    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.7645caf1462e1p-53", 9),
-    "n8-09": ("0x1.801c197f4e24ap+2", "0x1.6728fe5f6234cp-52", 9),
-    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.671c29ae4cb02p-53", 25),
+    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.3ad7485b30657p-52", 9),
+    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.26ac360da2f1cp-53", 9),
+    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.a722cb2080f74p-52", 9),
+    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.8d076a5427bbbp-53", 26),
     "n8-11": None,
     "n8-12": ("0x1.9f43136a14977p+2", "0x1.28fe971d03f7ap-52", 8),
     "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.d82089b9d6a11p-52", 0),
 }
 
-# The same volumes from the witness of the LP under Bland's pricing, another
-# optimal vertex: the optimum does not depend on the start beyond rounding.
+# The same volumes from the witness of the LP under Bland's pricing
+# (simplex._DEGENERATE_RUN = 0), another optimal vertex: the optimum does not
+# depend on the start beyond rounding.
 BLAND_START_VOLUMES = {
     "tetrahedron": "0x1.03d3368ee1111p+0",
     "octahedron": "0x1.d4f9713e8135dp+1",
@@ -257,7 +246,7 @@ BLAND_START_VOLUMES = {
     "n8-08": "0x1.6c6653e6b1237p+2",
     "n8-09": "0x1.801c197f4e24bp+2",
     "n8-10": "0x1.69f60748b14bfp+2",
-    "n8-12": "0x1.9f43136a14975p+2",
+    "n8-12": "0x1.9f43136a14976p+2",
     "n8-13": "0x1.85bcd1d65199ap+2",
 }
 
@@ -764,3 +753,19 @@ def test_collapsed_optima_match_smaller_types():
         assert abs(_witness_optimum(10, i).volume - n9) <= 2 * math.ulp(n9)
     n8 = float(EXACT_VOLUMES["n8-13"])
     assert abs(_witness_optimum(9, 0).volume - n8) <= 3 * math.ulp(n8)
+
+
+def test_collapse_does_not_depend_on_the_start():
+    # each collapsed optimum pins its triangle from every random interior
+    # start; a Newton that converges with a corner below BOUNDARY_TOL (about
+    # 1e-8 here) pins that corner and polishes again
+    rng = np.random.default_rng(0)
+    for n, i in COLLAPSED_OPTIMA:
+        res = rivin.is_realizable(all_types(n)[i])
+        ref = _witness_optimum(n, i)
+        for start in rivin.random_interior_points(res, 8, rng):
+            out = optvol.maximize_volume(res.link, start=start)
+            pins = [key for kind, key in out.active_constraints if kind == "corner"]
+            assert pins and all(out.angles[key] == 0.0 for key in pins), (n, i)
+            assert abs(out.volume - ref.volume) <= 20 * math.ulp(ref.volume), (n, i)
+            assert out.kkt_residual <= 1e-12

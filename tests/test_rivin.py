@@ -7,7 +7,7 @@ import pytest
 from idealpoly import geom, oracles, rivin, simplex, stats, triang
 from idealpoly.errors import InputError
 
-from catalog import all_types
+from catalog import all_types, flip_walk
 
 
 def witness_slacks(system, epsilon, theta):
@@ -22,6 +22,14 @@ def witness_slacks(system, epsilon, theta):
     if A_ub.shape[0]:
         slacks.append(float(np.min(b_ub - A_ub @ theta)))
     return min(slacks), eq_res
+
+
+def assert_witness_on_polytope(system, res):
+    """The witness meets A_eq theta = b_eq to 1e-12, and every corner and
+    every inequality slack is at least t* - 1e-12."""
+    min_slack, eq_res = witness_slacks(system, res.min_slack, res.witness)
+    assert eq_res <= 1e-12
+    assert min_slack >= -1e-12
 
 
 def tetra_link():
@@ -90,19 +98,23 @@ def test_rows_are_zero_one_and_well_formed():
 
 
 def test_polytope_arrays_do_not_depend_on_epsilon():
-    # the arrays hold the polytope P, and check_feasible's LP has P's own
-    # right-hand sides at every epsilon: epsilon only thresholds its optimum
+    # the arrays hold the polytope P, and check_feasible records one LP for
+    # every epsilon: epsilon only thresholds its optimum t*, and the witness
+    # lies on P with every corner and every inequality slack at least t*
     octahedron = rivin.assemble_constraints(triang.build_link(triang.octahedron(), 0))
     for system in (octahedron, seeded_system(12, 0)):
         rhs = [math.pi if kind == "triangle" else 2.0 * math.pi
                for kind, _ in system.eq_kinds]
         assert system.b_eq.tolist() == rhs
         assert system.b_ub.tolist() == [math.pi] * len(system.ub_kinds)
-        for eps in (1e-8, 1e-6, 0.3, 1.1):
-            (args, kwargs), = recorded_lps(lambda: rivin.check_feasible(system, eps))
-            _, _, b_eq, _, b_ub = args
-            assert b_eq.tobytes() == system.b_eq.tobytes()
-            assert b_ub.tobytes() == system.b_ub.tobytes()
+        lps = [recorded_lps(lambda: rivin.check_feasible(system, eps))
+               for eps in (1e-8, 1e-6, 0.3, 1.1)]
+        (first, first_kwargs), = lps[0]
+        for ((args, kwargs),) in lps:
+            assert kwargs == first_kwargs
+            assert [a.tobytes() for a in args] == [a.tobytes() for a in first]
+        res = rivin.check_feasible(system)
+        assert_witness_on_polytope(system, res)
 
 
 def test_tetrahedron_feasible_with_centered_witness():
@@ -406,10 +418,18 @@ def test_random_interior_points_are_interior():
         res = rivin.is_realizable(t)
         if not res.realizable:
             continue
-        for theta in rivin.random_interior_points(res.system, 5, rng):
+        for theta in rivin.random_interior_points(res, 5, rng):
             min_slack, eq_res = witness_slacks(res.system, rivin.DEFAULT_EPSILON, theta)
             assert min_slack > 0
             assert eq_res < 1e-8
+
+
+def test_random_interior_points_reuse_the_witness():
+    # the result's witness is the centre: only the random-objective LPs run
+    res = rivin.is_realizable(triang.octahedron())
+    assert len(recorded_lps(lambda: rivin.is_realizable(triang.octahedron()))) == 1
+    lps = recorded_lps(lambda: rivin.random_interior_points(res, 5, np.random.default_rng(9)))
+    assert len(lps) == 8
 
 
 # -- the full-tableau simplex with scalar loops, kept as the bitwise reference
@@ -582,8 +602,8 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
 
     lps = [(lp, {}) for lp in random_lps() + degenerate_lps()]
     lps += recorded_lps(check_feasible_everywhere)
-    # No LP here has 50 degenerate pivots in a row (the longest run is 15);
-    # a run of 2 sends 30 of the 129 through the Bland fallback as well.
+    # No LP here has 50 degenerate pivots in a row (the longest run is 11);
+    # a run of 2 sends 26 of the 129 through the Bland fallback as well.
     for run in (simplex._DEGENERATE_RUN, 2):
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
         statuses = set()
@@ -689,3 +709,66 @@ def test_compact_check_feasible_matches_two_lp_version():
             assert res.witness is None
             assert res.certificate == pytest.approx(ref.certificate, rel=1e-12)
     assert verdicts == {True, False}
+
+
+# -- the LP with every corner a variable, kept as the reference for the reduced LP
+
+
+def full_form_check_feasible(system, epsilon):
+    """check_feasible's LP on P's own arrays: every corner a variable, every
+    triangle an equality row."""
+    A_eq, A_ub, n = system.A_eq, system.A_ub, system.n_vars
+    A_eq2 = np.hstack([A_eq, A_eq.sum(axis=1, keepdims=True)])
+    A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = simplex.solve(c, A_eq2, system.b_eq, A_ub2, system.b_ub, maximize=True)
+    if res.status == "infeasible":
+        return rivin.RealizabilityResult(
+            False, system, None, float(res.phase1_objective), float("nan")
+        )
+    assert res.status == "optimal"
+    t = float(res.x[-1])
+    if t < epsilon:
+        return rivin.RealizabilityResult(False, system, None, epsilon - t, t)
+    return rivin.RealizabilityResult(True, system, res.x[:n] + t, 0.0, t)
+
+
+def flip_walk_systems():
+    """Links at three apexes of 30 random flip walks with n = 8..22."""
+    rng = np.random.default_rng(21)
+    for walk in range(30):
+        t = flip_walk(8 + walk % 15, walk)
+        for apex in rng.choice(t.n, 3, replace=False):
+            yield rivin.assemble_constraints(triang.build_link(t, int(apex)))
+
+
+def test_reduced_lp_matches_full_form():
+    systems = [seeded_system(n, seed) for n in range(16, 41, 4) for seed in range(3)]
+    systems += list(flip_walk_systems())
+    # the triakis tetrahedron (t* = 0) and n = 11 #1189 (P empty)
+    for t in (all_types(8)[11], triang.validate(11, N11_EMPTY_POLYTOPE)):
+        systems.append(rivin.is_realizable(t).system)
+    verdicts, kept_rows = set(), 0
+    for system in systems:
+        ref = full_form_check_feasible(system, rivin.DEFAULT_EPSILON)
+        (args, kwargs), = recorded_lps(lambda: rivin.check_feasible(system))
+        res = rivin.check_feasible(system)
+        # every right-hand side is >= 0, and each inequality's is pi or 0
+        _, _, b_eq, _, b_ub = args
+        assert b_eq.min(initial=0.0) >= 0.0
+        assert set(b_ub.tolist()) <= {0.0, math.pi}
+        kept_rows += len(system.link.bounded_faces) - len(rivin._eliminated(system))
+        assert res.realizable == ref.realizable
+        verdicts.add("empty" if math.isnan(ref.min_slack) else res.realizable)
+        if math.isnan(ref.min_slack):
+            assert math.isnan(res.min_slack)
+            assert res.certificate == pytest.approx(ref.certificate, abs=1e-12)
+            continue
+        assert res.min_slack == pytest.approx(ref.min_slack, abs=1e-12)
+        if res.realizable:
+            assert_witness_on_polytope(system, res)
+        else:
+            assert res.certificate == pytest.approx(ref.certificate, abs=1e-12)
+    assert verdicts == {True, False, "empty"}
+    assert kept_rows > 0  # some triangle keeps its equality row
