@@ -63,13 +63,11 @@ def c01_table1_volumes():
         (7, 100, 4.986773, 1e-3),
         (8, 200, 6.488469, 1e-3),
     ]
-    worst = 0.0
     details = []
     ok = True
     for n, trials, expect, tol in gates:
         r = stats.search_max_volume(n, trials, seed=0)
         err = abs(r.best_volume - expect)
-        worst = max(worst, err)
         ok = ok and err < tol
         details.append(f"n={n}:{r.best_volume:.6f}(err {err:.1e})")
     for n in (9, 10, 11, 12):  # exercised, not gated

@@ -513,8 +513,16 @@ def cmd_selftest(run):
     return 0 if failed == 0 else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input (exit 1), not argparse's exit 2, which
+    would read as "not realizable"."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="idealpoly",
         description=(
             "Ideal hyperbolic polyhedra: realizability, maximal volume, "
@@ -601,14 +609,12 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    run = Run(args, argv)
-    try:
-        return args.func(run)
+    try:  # a usage error is an InputError too
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version
+            return int(exc.code or 0)
+        return args.func(Run(args, argv))
     except IdealPolyError as exc:
         json.dump({"code": exc.code, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

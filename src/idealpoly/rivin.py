@@ -18,7 +18,8 @@ P is empty; its optimum t* is the largest minimum slack of any point of P,
 and its theta a strictly interior start for the downstream barrier method
 when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.
 
-The LP puts theta_c = pi - theta_a - theta_b in for one corner c of most
+With other objectives the same LP gives ``random_interior_points`` vertices
+of P.  It puts theta_c = pi - theta_a - theta_b in for one corner c of most
 triangles, whose row becomes theta_a + theta_b + t <= pi with a basic slack:
 disjoint sums, as in generalized upper bounding (Dantzig & Van Slyke 1967).
 """
@@ -40,9 +41,7 @@ class ConstraintSystem:
     """Rivin's closed polytope P of angle structures over flat corner indices
     (corner = 3*face + slot): A_eq theta = b_eq, A_ub theta <= b_ub,
     theta >= 0, with 0/1 rows that ``eq_kinds``/``ub_kinds`` name as
-    (kind, key).  P has no epsilon; ``check_feasible`` only thresholds
-    its largest minimum slack by one.
-    """
+    (kind, key).  P has no epsilon."""
 
     link: object
     A_eq: object  # ndarray (rows, n_vars)
@@ -110,12 +109,11 @@ class RealizabilityResult:
 def _eliminated(system):
     """{c: (a, b)}: the corner c each bounded link triangle gives up, and its
     other two.  A corner at an interior link vertex comes first, and no
-    inequality row holds two, so every inequality right-hand side stays pi
-    or 0; a triangle with no such corner keeps its equality row."""
+    inequality row of ``A_ub`` holds two, so every inequality right-hand side
+    stays pi or 0; a triangle with no such corner keeps its equality row."""
     rows_of = {}  # corner -> the inequality rows that hold it
-    for r, kind in enumerate(system.ub_kinds):
-        for c in _row(system.link, *kind):
-            rows_of.setdefault(c, []).append(r)
+    for r, c in zip(*(i.tolist() for i in np.nonzero(system.A_ub))):
+        rows_of.setdefault(c, []).append(r)
     interior, used, cut = set(system.link.interior_vertices), set(), {}
     for f, face in enumerate(system.link.bounded_faces):
         for s in sorted(range(3), key=lambda s: face[s] not in interior):
@@ -127,49 +125,52 @@ def _eliminated(system):
     return cut
 
 
-def _substituted(rows, cut, col, t_extra):
-    """The (z, t) form of rows (corners, right-hand side in units of pi) of
-    theta after theta_c = pi - theta_a - theta_b for each eliminated c: 0/+-1
-    over the kept corners, then t with its row sum plus ``t_extra``; a row
-    whose right-hand side is negative is negated."""
-    A, b = np.zeros((len(rows), len(col) + 1)), np.zeros(len(rows))
-    for r, (corners, units) in enumerate(rows):
-        row = A[r]  # no row holds a corner twice, eliminated or put in
-        for c in corners:
-            if c in cut:
-                row[col[cut[c][0]]] = row[col[cut[c][1]]] = -1.0
-                units -= 1
-            else:
-                row[col[c]] = 1.0
-        b[r] = units * math.pi
-    A[:, -1] = A.sum(axis=1) + t_extra
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    return A * sign[:, None], b * sign
+def _solve_on_p(system, objective, t_weight):
+    """The one LP over P: maximize objective.theta + t_weight*t over the theta
+    in P whose corners and inequality slacks are all >= t, as (z, t) >= 0 with
+    theta = theta0 + E(z + t).  E maps the kept corners; an ``_eliminated`` c
+    has E[c] = -E[a] - E[b], theta0_c = pi and the row theta_c >= t.  P's rows
+    become rows times E, less pi per eliminated corner on the right (negated
+    if negative; an eliminated triangle's 0 = 0 drops out).  Returns the
+    LPResult and, when optimal, theta."""
+    n, cut = system.n_vars, _eliminated(system)
+    cuts = np.fromiter(cut, dtype=np.int64, count=len(cut))
+    a, b = np.array(list(cut.values()), dtype=np.int64).reshape(-1, 2).T
+    kept = np.delete(np.arange(n), cuts)
+    E = np.zeros((n, kept.size))
+    E[kept, np.arange(kept.size)] = 1.0
+    E[cuts] = -E[a] - E[b]
+
+    def rows(AE, units, t_extra):  # t's coefficient is the row sum plus t_extra
+        live = AE.any(axis=1)
+        AE, sign = AE[live], np.where(units[live] < 0.0, -1.0, 1.0)
+        AE = np.hstack([AE, AE.sum(axis=1, keepdims=True) + t_extra])
+        return AE * sign[:, None], units[live] * math.pi * sign
+
+    eq_units = system.b_eq / math.pi - system.A_eq[:, cuts].sum(axis=1)
+    ub_units = system.b_ub / math.pi - system.A_ub[:, cuts].sum(axis=1)
+    z_objective = E.T @ objective
+    res = simplex.solve(np.append(z_objective, z_objective.sum() + t_weight),
+                        *rows(system.A_eq @ E, eq_units, 0.0),
+                        *rows(np.vstack([-E[cuts], system.A_ub @ E]),
+                              np.append(np.ones(cuts.size), ub_units), 1.0))
+    if res.status != "optimal":
+        return res, None
+    t, z = float(res.x[-1]), np.zeros(n)
+    z[kept] = res.x[:-1]
+    z[cuts] = math.pi - 3.0 * t - z[a] - z[b]
+    return res, z + t
 
 
 def check_feasible(system, epsilon=DEFAULT_EPSILON):
     """Realizability at a tolerance epsilon in (0, pi) and a slack-centered
-    witness from one LP over P.
-
-    In the variables (z, t) >= 0 with theta = z + t, maximize t subject to
-    A_eq theta = b_eq and A_ub theta + t <= b_ub: every inequality slack and
-    every corner is then >= t.  The optimum t* is ``min_slack``, and the link
-    is realizable iff t* >= epsilon, with witness z + t*.  Otherwise the
-    certificate is epsilon - t*, or the phase-1 residual when P is empty.
-    The LP runs over the corners ``_eliminated`` keeps; z_c is recovered.
-    """
+    witness: ``_solve_on_p`` maximizes t alone.  Its optimum t* is
+    ``min_slack``; the link is realizable iff t* >= epsilon, with the LP's
+    theta as witness, else the certificate is epsilon - t*, or the phase-1
+    residual when P is empty."""
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    link, n, cut = system.link, system.n_vars, _eliminated(system)
-    kept = np.array([c for c in range(n) if c not in cut], dtype=np.int64)
-    col = dict(zip(kept.tolist(), range(kept.size)))
-    faces_cut = {c // 3 for c in cut}
-    eq = [(_row(link, kind, key), 1 if kind == "triangle" else 2)
-          for kind, key in system.eq_kinds if kind != "triangle" or key not in faces_cut]
-    ub = [(ab, 1) for ab in cut.values()] + [(_row(link, *k), 1) for k in system.ub_kinds]
-    c = np.append(np.zeros(kept.size), 1.0)
-    res = simplex.solve(c, *_substituted(eq, cut, col, 0.0), *_substituted(ub, cut, col, 1.0),
-                        maximize=True)
+    res, theta = _solve_on_p(system, np.zeros(system.n_vars), 1.0)
     if res.status == "infeasible":
         return RealizabilityResult(False, system, None, float(res.phase1_objective), math.nan)
     if res.status != "optimal":
@@ -177,11 +178,7 @@ def check_feasible(system, epsilon=DEFAULT_EPSILON):
     t = float(res.x[-1])
     if t < epsilon:
         return RealizabilityResult(False, system, None, epsilon - t, t)
-    z = np.zeros(n)
-    z[kept] = res.x[:-1]
-    for c, (a, b) in cut.items():
-        z[c] = math.pi - 3.0 * t - z[a] - z[b]
-    return RealizabilityResult(True, system, z + t, 0.0, t)
+    return RealizabilityResult(True, system, theta, 0.0, t)
 
 
 def is_realizable(t, epsilon=DEFAULT_EPSILON, apex=None):
@@ -197,13 +194,11 @@ def random_interior_points(result, count, rng):
     its centered witness, which keeps a 25% share, so every slack is >= t*/4."""
     if not result.realizable:
         raise InputError("system is infeasible; no interior points exist")
-    system = result.system
-    vertices = [result.witness]
+    system, vertices = result.system, [result.witness]
     for _ in range(max(4, min(8, system.n_vars))):
-        c = rng.standard_normal(system.n_vars)
-        res = simplex.solve(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub, maximize=True)
+        res, theta = _solve_on_p(system, rng.standard_normal(system.n_vars), 0.0)
         if res.status == "optimal":
-            vertices.append(res.x)
+            vertices.append(theta)
     V = np.array(vertices)
     anchor = 0.25 * np.eye(len(vertices))[0]  # the witness's share keeps points interior
     return [V.T @ (anchor + 0.75 * rng.dirichlet(np.ones(len(vertices)))) for _ in range(count)]

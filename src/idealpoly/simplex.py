@@ -111,8 +111,8 @@ class _Unbounded(Exception):
     pass
 
 
-def solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
-    """Solve min (or max) c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
+def solve(c, A_eq, b_eq, A_ub, b_ub):
+    """Solve max c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
     for right-hand sides b_eq, b_ub >= 0.
 
     Returns an LPResult; when infeasible, ``phase1_objective`` carries the
@@ -164,8 +164,7 @@ def solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
     D = D[:, np.append(keep, ids.size)]
     ids = ids[keep]
     obj = np.zeros(ncols)
-    sign = -1.0 if maximize else 1.0
-    obj[:n] = sign * c
+    obj[:n] = -c  # the dictionary minimizes
     D[-1, :-1] = obj[ids]
     D[-1, -1] = 0.0
     for r in range(m):

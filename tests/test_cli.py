@@ -676,3 +676,29 @@ def test_selftest_rejects_unknown_ids(capsys, only):
     payload = error_line(err)
     assert payload["code"] == "INPUT_ERROR"
     assert "unknown criterion ids" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "octa.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "required: command"),
+        (["check", "--eps", "abc", "octa.json"], "invalid float value: 'abc'"),
+        (["search", "--n", "x"], "invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_are_input_errors(capsys, argv, message):
+    # exit 2 means "not realizable": a typo must not read as a negative answer
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert message in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: idealpoly") or out == f"{__version__}\n"

@@ -106,10 +106,20 @@ def test_apex_invariance_on_random_flip_walks(n, seed):
 
 def test_infeasible_start_rejected():
     link = triang.build_link(triang.tetrahedron(), 3)
-    with pytest.raises(InfeasibleStart):
+    with pytest.raises(InfeasibleStart, match="violates the equality"):
         optvol.maximize_volume(link, start=np.array([2.0, 2.0, 2.0]))
-    with pytest.raises(InfeasibleStart):
-        optvol.maximize_volume(link, start=np.array([-0.1, PI / 2, PI - 0.4 - PI / 2 + 0.1]))
+    # sums to pi, so only the negative corner is wrong
+    with pytest.raises(InfeasibleStart, match="not strictly interior"):
+        optvol.maximize_volume(link, start=np.array([-0.1, PI / 2, PI / 2 + 0.1]))
+
+
+def test_no_start_on_a_polytope_without_interior():
+    # the triakis tetrahedron: t* = 0 up to rounding, so the centring LP
+    # gives no start
+    res = rivin.is_realizable(all_types(8)[11])
+    assert abs(res.min_slack) < 1e-12
+    with pytest.raises(InfeasibleStart, match="no strictly interior point"):
+        optvol.maximize_volume(res.link)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -288,21 +298,22 @@ def test_optimum_pinned_bitwise(name):
     assert abs(out.volume - exact) <= 3 * math.ulp(exact)
 
 
-# Types and apexes whose active-set polish takes its rare branches, found by
-# counting branch hits over every apex of every type with n <= 9.  Under
-# Bland's pricing of the LP, the first four entries took the pin of a row
-# violated by the projected start (n = 8, apex 0; n = 9 first type, apex 0),
-# the drop of a negative multiplier (n = 9 first type, apexes 0 and 6) and the
-# least-squares fallback of a singular Newton system (n = 9 last type,
-# apex 0).  From the witness of Dantzig pricing, the drop and the start pin
-# fire at the next two entries (n = 9 second type, apex 8; tenth type,
-# apex 5), and the fallback at no apex with n <= 9.  None of them fires at
-# the default apex.  At the second type, apex 8, a dropped row is violated
-# by rounding at the next projected start; re-pinning and dropping it again
-# used to exhaust the rounds.  At the first type, apex 7, the last polish
-# Newton runs out of iterations; it used to report the norm from the start
-# of its last iteration, which passed the tolerance and left a point with a
-# KKT residual of 6e-10 unpinned.
+# Non-default apexes whose active-set polish took its rare branches when
+# they were found, by counting branch hits over every apex with n <= 9: the
+# pin of a row violated by the projected start, the drop of a negative
+# multiplier and the fallback of a singular Newton system.  Two were
+# regressions: at n = 9 #1, apex 8, a dropped row violated by rounding at
+# the next projected start was pinned and dropped again until the rounds
+# ran out; at n = 9 #0, apex 7, the last polish Newton ran out of
+# iterations and reported the norm from the start of its last iteration,
+# leaving a KKT residual of 6e-10 unpinned.  Counted again at 0.2.11,
+# from the witness of Dantzig pricing and of Bland's rule, none of them
+# reaches the drop, the release of inconsistent pinned rows, the barrier's
+# stall break or the singular-Hessian fallback.  Each pins up to 4 tight
+# rows (slack < 1e-12), 1 to 3 rows of an unconverged Newton (slack
+# < 1e-6) and up to 2 tightest constraints on a stall, so they test apex
+# invariance through those pins.  No input measured reaches the drop
+# (ROADMAP item 2's table).
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),

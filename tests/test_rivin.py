@@ -398,7 +398,7 @@ def test_simplex_against_scipy():
     linprog = pytest.importorskip("scipy.optimize").linprog
     agreements = 0
     for c, A_eq, b_eq, A_ub, b_ub in random_lps():
-        ours = simplex.solve(c, A_eq, b_eq, A_ub, b_ub)
+        ours = simplex.solve(-c, A_eq, b_eq, A_ub, b_ub)  # min c.x is max -c.x
         ref = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
         if ref.status == 2:
@@ -407,7 +407,7 @@ def test_simplex_against_scipy():
             assert ours.status == "unbounded"
         elif ref.status == 0:
             assert ours.status == "optimal"
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert -ours.objective == pytest.approx(ref.fun, abs=1e-7)
             agreements += 1
     assert agreements > 10
 
@@ -487,10 +487,10 @@ def _scalar_simplex_iterate(T, basis, ncols, degenerate_run):
             raise simplex.NumericalFailure("simplex pivot cap exceeded")
 
 
-def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
-    """The two-phase simplex on the full tableau, every basic column stored,
-    with the module's tolerances and _DEGENERATE_RUN, for right-hand sides
-    >= 0; returns (LPResult, pivot count)."""
+def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub):
+    """Max c.x by the two-phase simplex on the full tableau, every basic
+    column stored, with the module's tolerances and _DEGENERATE_RUN, for
+    right-hand sides >= 0; returns (LPResult, pivot count)."""
     run = simplex._DEGENERATE_RUN
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -526,8 +526,7 @@ def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub, maximize=False):
                 pivots += 1
 
     obj = np.zeros(T.shape[1])
-    sign = -1.0 if maximize else 1.0
-    obj[:n] = sign * c
+    obj[:n] = -c
     T[-1] = obj
     for r in range(m):
         if basis[r] < ncols and obj[basis[r]] != 0.0:
@@ -600,7 +599,8 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
             for seed in range(3):
                 rivin.check_feasible(seeded_system(n, seed))
 
-    lps = [(lp, {}) for lp in random_lps() + degenerate_lps()]
+    # the small LPs minimize c.x: the solver maximizes -c.x
+    lps = [((-c, *rest), {}) for c, *rest in random_lps() + degenerate_lps()]
     lps += recorded_lps(check_feasible_everywhere)
     # No LP here has 50 degenerate pivots in a row (the longest run is 11);
     # a run of 2 sends 26 of the 129 through the Bland fallback as well.
@@ -635,7 +635,7 @@ CHVATAL_LP = (
 
 
 def test_simplex_terminates_on_chvatal_cycling_lp():
-    res = simplex.solve(*CHVATAL_LP, maximize=True)
+    res = simplex.solve(*CHVATAL_LP)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-12)
     assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
@@ -646,7 +646,7 @@ def test_dantzig_without_bland_fallback_cycles_on_chvatal_lp(monkeypatch):
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
     with pytest.raises(simplex.NumericalFailure):
-        simplex.solve(*CHVATAL_LP, maximize=True)
+        simplex.solve(*CHVATAL_LP)
 
 
 def test_dantzig_pricing_needs_fewer_pivots_at_n40(monkeypatch):
@@ -685,7 +685,7 @@ def two_lp_check_feasible(system, epsilon):
     rhs.append(np.zeros(n))
     c2 = np.zeros(n + 1)
     c2[-1] = 1.0
-    res2 = simplex.solve(c2, A_eq2, b_eq, np.vstack(rows), np.concatenate(rhs), maximize=True)
+    res2 = simplex.solve(c2, A_eq2, b_eq, np.vstack(rows), np.concatenate(rhs))
     assert res2.status == "optimal"
     t = float(res2.x[-1])
     if t < epsilon:
@@ -722,7 +722,7 @@ def full_form_check_feasible(system, epsilon):
     A_ub2 = np.hstack([A_ub, A_ub.sum(axis=1, keepdims=True) + 1.0])
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    res = simplex.solve(c, A_eq2, system.b_eq, A_ub2, system.b_ub, maximize=True)
+    res = simplex.solve(c, A_eq2, system.b_eq, A_ub2, system.b_ub)
     if res.status == "infeasible":
         return rivin.RealizabilityResult(
             False, system, None, float(res.phase1_objective), float("nan")
@@ -772,3 +772,36 @@ def test_reduced_lp_matches_full_form():
             assert res.certificate == pytest.approx(ref.certificate, abs=1e-12)
     assert verdicts == {True, False, "empty"}
     assert kept_rows > 0  # some triangle keeps its equality row
+
+
+def test_random_vertices_match_full_form(monkeypatch):
+    # random_interior_points' LP vertices against max c.theta on P's own
+    # arrays, with the same standard-normal objectives
+    vertices = []
+    solve_on_p = rivin._solve_on_p
+
+    def recording(*args):
+        res, theta = solve_on_p(*args)
+        vertices.append(theta)
+        return res, theta
+
+    monkeypatch.setattr(rivin, "_solve_on_p", recording)
+    for n in range(8, 41, 4):
+        for seed in range(2):
+            system = seeded_system(n, seed)
+            lps = recorded_lps(lambda: rivin.check_feasible(system))
+            res = rivin.check_feasible(system)
+            assert res.realizable
+            vertices.clear()
+            lps += recorded_lps(
+                lambda: rivin.random_interior_points(res, 3, np.random.default_rng(seed))
+            )
+            # no library LP runs on P's full arrays
+            columns = system.n_vars - len(rivin._eliminated(system)) + 1
+            assert [len(args[0]) for args, _ in lps] == [columns] * 9
+            rng = np.random.default_rng(seed)
+            for theta in vertices:
+                c = rng.standard_normal(system.n_vars)
+                ref = simplex.solve(c, system.A_eq, system.b_eq, system.A_ub, system.b_ub)
+                assert ref.status == "optimal"
+                assert np.max(np.abs(theta - ref.x)) <= 1e-12, (n, seed)
