@@ -2,17 +2,18 @@
 
 The objective (the Lobachevsky sum over all corners) is strictly concave on the
 triangle-sum constraint surface, so a convex method suffices: equalities are
-eliminated onto reduced coordinates, a logarithmic barrier follows the central
-path from secant-predicted starts, and an active-set Newton polish drives the
-KKT residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
+eliminated onto reduced coordinates and a logarithmic barrier follows the
+central path from secant-predicted starts.  How fast each slack falls over the
+last round names the optimum's face, and one Newton on that face drives the KKT
+residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
 
 Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
-and 0/1 rows U theta <= pi.  The polish pins a corner by removing it from the
-variables at exactly 0 and a row by adding it to the equalities.  One SVD per
-equality system gives its null basis, least-squares point and multipliers.
-Boundary optima (flat edges, collapsed link triangles) are reported through
-the active set and flagged boundary-active, never clipped.
+and 0/1 rows U theta <= pi.  A face pins a corner by removing it from the
+variables at exactly 0 (the third corner of a triangle with two pinned at pi)
+and a row by adding it to the equalities; one SVD per equality system gives its
+null basis, least-squares point and multipliers.  Boundary optima are reported
+through the active set and flagged boundary-active, never clipped.
 """
 
 import math
@@ -249,8 +250,11 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
     return u, gnorm, iters
 
 
-def _secant(u_prev, u):  # the central path to first order in mu, which falls by 0.2
-    return u + 0.2 * (u - u_prev)
+_MU_FACTOR = 0.2  # the barrier's mu falls by this factor per round
+
+
+def _secant(u_prev, u):  # the central path to first order in mu
+    return u + _MU_FACTOR * (u - u_prev)
 
 
 def maximize_volume(link, start=None):
@@ -258,7 +262,8 @@ def maximize_volume(link, start=None):
 
     ``start`` must be strictly interior (true slacks positive, equalities
     within 1e-8); when omitted, the centered witness at the default epsilon
-    is used.  Raises InfeasibleStart when no interior start can be produced.
+    is used.  Raises InfeasibleStart when no interior start can be produced
+    and NumericalFailure when the optimum's face fails its checks.
     """
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
@@ -281,108 +286,87 @@ def maximize_volume(link, start=None):
         if np.any(_slacks(theta0, A_ub, b_ub) <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    systems = {}  # sorted pinned constraints -> kept corners and _factor of their system
+    def pinned(act):
+        """Free corners, all corners' fixed values and ``_factor`` of the face pinning
+        ``act``: pinned corners leave at 0 (a triangle's third at pi), rows join A_eq."""
+        out = np.zeros(m, dtype=bool)
+        out[[i for i in act if i < m]] = True
+        base = np.where(~out & np.repeat(out.reshape(-1, 3).sum(axis=1) == 2, 3), math.pi, 0.0)
+        keep = np.flatnonzero(~out & (base == 0.0))
+        r = [i - m for i in act if i >= m]
+        A = np.vstack([A_eq, A_ub[r]])
+        b = np.concatenate([b_eq, b_ub[r]]) - A @ base
+        return (keep, base, *_factor(A.take(keep, axis=1), b))
 
-    def pinned(act):  # a pinned corner leaves the variables at 0; a pinned row joins A_eq
-        if act not in systems:
-            keep = np.delete(np.arange(m), [i for i in act if i < m])
-            r = [i - m for i in act if i >= m]
-            A = np.vstack([A_eq, A_ub[r]]).take(keep, axis=1)
-            systems[act] = (keep, *_factor(A, np.concatenate([b_eq, b_ub[r]])))
-        return systems[act]
+    _, _, N, theta_p, _, _ = whole = pinned(())  # the barrier's system
+    u = u_prev = N.T @ (theta0 - theta_p)
 
-    _, N, theta_p, _, _ = pinned(())
-    u = N.T @ (theta0 - theta_p)
-
-    path_volumes, total_iters, mu = [], 0, 1e-1
+    path_volumes, steps, mu = [], [], 1e-1  # steps: of each Newton that returned
     vol_now = specfun.lobachevsky_sum(theta_p + N @ u)
     while mu > 1e-9:
         tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
-        guess = _secant(u_last, u) if len(path_volumes) >= 2 else None
-        u0 = u_last = u
-        if guess is not None:  # the secant start, kept if interior and no lower in volume
+        u0 = u
+        if len(path_volumes) >= 2:  # the secant start, kept if interior and no lower in volume
+            guess = _secant(u_prev, u)
             th = theta_p + N @ guess
-            interior = _slacks(th, A_ub, b_ub).min() > 0.0
-            if interior and specfun.lobachevsky_sum(th) >= vol_now:
+            if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
                 u0 = guess
         try:
-            u, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200)
+            u_end, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200)
         except _LineSearchStall:
-            # parked against the boundary; the active-set polish finishes
-            break
-        total_iters += iters
+            break  # parked against the boundary: identify from the last two points
+        u_prev, u = u, u_end
+        steps.append(iters)
         vol_now = specfun.lobachevsky_sum(theta_p + N @ u)  # opens the next round
         path_volumes.append(vol_now)
-        mu *= 0.2
+        mu *= _MU_FACTOR
 
+    # Over a round a slack of order mu (active) falls by the factor, one of order
+    # sqrt(mu) (zero multiplier) by its root and an inactive one not at all (El-Bakry,
+    # Tapia & Zhang 1994): pin each ratio below 0.2^(1/4), midway from root to 1.
     theta = theta_p + N @ u
+    ratio = _slacks(theta, A_ub, b_ub) / _slacks(theta_p + N @ u_prev, A_ub, b_ub)
+    act = tuple(np.flatnonzero(ratio < _MU_FACTOR**0.25).tolist())
 
-    # active-set polish: pin near-active constraints as equalities, Newton to
-    # machine precision, then verify multiplier signs.  Constraints are added
-    # when they block progress and dropped (one per round) on a negative
-    # multiplier; inconsistent pinned systems shed their loosest row.  A
-    # dropped row sits at slack 0 up to rounding, so the next projected start
-    # may violate it and pin it again; it is then kept, which ends that cycle.
-    active = set(np.flatnonzero(_slacks(theta, A_ub, b_ub) < BOUNDARY_TOL).tolist())
-    dropped = set()
-    for _ in range(30):
-        act = tuple(sorted(active))
-        keep, N2, theta_p2, residual, multipliers = pinned(act)
-        if residual > 1e-8:
-            # pinned rows are mutually inconsistent: release the loosest
-            slacks = _slacks(theta, A_ub, b_ub)
-            active.discard(max(act, key=lambda i: slacks[i]))
-            continue
-        R = np.array([i for i in range(len(b_ub)) if i + m not in active], dtype=int)
-        free = np.concatenate((keep, R + m))  # the constraint of each slack
-        U2, b2 = A_ub[R].take(keep, axis=1), b_ub[R]
+    def solve_on(act, floor):
+        """Newton at mu = 0 on the face pinning ``act`` from theta projected onto it:
+        (act, theta, face gradient), or None if the face is inconsistent, the
+        Newton fails, a free corner ends below ``floor`` or a multiplier < 0."""
+        keep, base, N2, theta_p2, residual, multipliers = pinned(act) if act else whole
+        R = np.array([i for i in range(len(b_ub)) if i + m not in act], dtype=int)
+        U2, b2 = A_ub[R].take(keep, axis=1), (b_ub - A_ub @ base)[R]
         u2 = N2.T @ (theta[keep] - theta_p2)
         try:
             u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60)
-        except _LineSearchStall:
-            # the projected start violates an inactive constraint, or one
-            # blocks progress: pin the tightest one at the start
-            active.add(int(free[np.argmin(_slacks(theta_p2 + N2 @ u2, U2, b2))]))
-            continue
-        total_iters += iters
+        except _LineSearchStall:  # no interior start or no step
+            return None
+        steps.append(iters)
         theta_k = theta_p2 + N2 @ u2
-        theta = np.zeros(m)
-        theta[keep] = theta_k
-        s_in = _slacks(theta_k, U2, b2)
-        j = int(np.argmin(s_in))
-        # a row at rounding distance blocks the polish; so does a row within
-        # 1e-6 when the Newton ran out of iterations short of its tolerance
-        if s_in[j] < 1e-12 or (gnorm >= 1e-12 and s_in[j] < 1e-6):
-            active.add(int(free[j]))
-            continue
-        k = int(np.argmin(theta_k))  # a corner short of its collapse: pin it, polish again
-        if theta_k[k] < BOUNDARY_TOL:
-            active.add(int(keep[k]))
-            continue
-        rows = [i for i in act if i >= m]  # a pinned corner has no multiplier and stays
-        if rows:
-            lam = dict(zip(rows, multipliers(volume_gradient(theta_k))[len(b_eq):]))
-            worst = min((i for i in rows if i not in dropped), key=lam.get, default=None)
-            if worst is not None and lam[worst] < -1e-9:
-                dropped.add(worst)
-                active.discard(worst)
-                continue
-        break
-    else:
-        raise NumericalFailure("active-set polish did not settle")
+        g = volume_gradient(theta_k)
+        lam = multipliers(g)[len(b_eq):]
+        if residual > 1e-8 or gnorm >= 1e-12 or theta_k.min() < floor or np.any(lam < -1e-9):
+            return None
+        theta_f = base.copy()
+        theta_f[keep] = theta_k
+        return act, theta_f, N2.T @ g
 
-    slacks = _slacks(theta, A_ub, b_ub)
+    # A pinned corner with ratio above 0.2^(3/4) is not in the factor's class and may
+    # be small but positive at the optimum: free those first, kept unless one collapses.
+    free = tuple(i for i in act if i >= m or ratio[i] <= _MU_FACTOR**0.75)
+    face = (free != act and solve_on(free, BOUNDARY_TOL)) or solve_on(act, 0.0)
+    if face is None:
+        raise NumericalFailure(f"the face pinning constraints {act} fails its checks")
+    act, theta, g_face = face
     return OptResult(
         link=link,
         angles=theta.reshape(-1, 3),
         volume=specfun.lobachevsky_sum(theta),
-        kkt_residual=float(np.linalg.norm(N2.T @ volume_gradient(theta_k))),
-        active_constraints=tuple(
-            ("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m] for i in act
-        ),
-        boundary_active=bool(act) or bool(np.any(slacks < BOUNDARY_TOL)),
+        kkt_residual=float(np.linalg.norm(g_face)),
+        active_constraints=tuple(("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m]
+                                 for i in act),
+        boundary_active=bool(act) or bool(np.any(_slacks(theta, A_ub, b_ub) < BOUNDARY_TOL)),
         barrier_volumes=tuple(path_volumes),
-        newton_iterations=total_iters,
+        newton_iterations=sum(steps),
     )
 
 

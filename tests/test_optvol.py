@@ -223,11 +223,11 @@ def _pinned_types():
 OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.8e1f0c1b745c8p-56", 0),
     "octahedron": ("0x1.d4f9713e8135dp+1", "0x1.8a85c24f70659p-53", 0),
-    "n8-00": ("0x1.44c8043299555p+2", "0x1.9d967dc0a18cbp-41", 58),
-    "n8-01": ("0x1.44c8043299556p+2", "0x1.d1fc73b3571b8p-41", 60),
+    "n8-00": ("0x1.44c8043299556p+2", "0x1.7d7de72a7a36cp-52", 34),
+    "n8-01": ("0x1.44c8043299556p+2", "0x1.723e807f69c09p-53", 35),
     "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.f2a35d7e68948p-53", 49),
     "n8-03": ("0x1.3a270531d120ap+2", "0x1.ef50f9e4d02d4p-53", 40),
-    "n8-04": ("0x1.44c8043299555p+2", "0x1.f334ed33c23a9p-42", 62),
+    "n8-04": ("0x1.44c8043299556p+2", "0x1.69b0c2ff0aea8p-52", 37),
     "n8-05": ("0x1.69f60748b14c0p+2", "0x1.50de3070be353p-52", 25),
     "n8-06": ("0x1.279a05fba0e3dp+2", "0x1.37370b49194f8p-52", 47),
     "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.3ad7485b30657p-52", 9),
@@ -298,22 +298,17 @@ def test_optimum_pinned_bitwise(name):
     assert abs(out.volume - exact) <= 3 * math.ulp(exact)
 
 
-# Non-default apexes whose active-set polish took its rare branches when
-# they were found, by counting branch hits over every apex with n <= 9: the
-# pin of a row violated by the projected start, the drop of a negative
-# multiplier and the fallback of a singular Newton system.  Two were
-# regressions: at n = 9 #1, apex 8, a dropped row violated by rounding at
-# the next projected start was pinned and dropped again until the rounds
-# ran out; at n = 9 #0, apex 7, the last polish Newton ran out of
-# iterations and reported the norm from the start of its last iteration,
-# leaving a KKT residual of 6e-10 unpinned.  Counted again at 0.2.11,
-# from the witness of Dantzig pricing and of Bland's rule, none of them
-# reaches the drop, the release of inconsistent pinned rows, the barrier's
-# stall break or the singular-Hessian fallback.  Each pins up to 4 tight
-# rows (slack < 1e-12), 1 to 3 rows of an unconverged Newton (slack
-# < 1e-6) and up to 2 tightest constraints on a stall, so they test apex
-# invariance through those pins.  No input measured reaches the drop
-# (ROADMAP item 2's table).
+# Non-default apexes that took rare branches of the active-set polish that
+# the optimizer ran until 0.2.11: the pin of a row violated by the projected
+# start, the drop of a negative multiplier and the fallback of a singular
+# Newton system.  Two were regressions: at n = 9 #1, apex 8, a dropped row
+# violated by rounding at the next projected start was pinned and dropped
+# again until the rounds ran out; at n = 9 #0, apex 7, the last polish Newton
+# ran out of iterations, leaving a KKT residual of 6e-10.  Each optimum
+# collapses a link triangle whose two corners fall more slowly than the
+# barrier's factor over its last round, so the face solve first leaves them
+# free; that Newton does not converge, and the face that pins them is kept.
+# They test apex invariance through that path.
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
@@ -410,7 +405,7 @@ def test_constraints_assembled_once_per_optimization(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _polish_links():
+def _optimizer_links():
     """Links of the rare-branch types at their apex and of every realizable
     type with n <= 8 at the default apex."""
     links = []
@@ -430,7 +425,7 @@ def test_line_search_skips_only_infeasible_trials(monkeypatch):
     # optimum must not move, and every trial the cap would have skipped
     # (t = 2^-k above the cap, following the trial at t = 1 that set it)
     # must lie outside the polytope when evaluated.
-    links = _polish_links()
+    links = _optimizer_links()
     skipped = 0
     results = [optvol.maximize_volume(link) for link in links]
     events = []
@@ -480,11 +475,11 @@ def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     pinned_systems = 0
-    for link in _polish_links():
+    for link in _optimizer_links():
         factored.clear()
         out = optvol.maximize_volume(link)
         assert len(factored) == len(set(factored))
-        assert 1 <= len(factored) <= 31  # the barrier's and one per polish round
+        assert 1 <= len(factored) <= 3  # the barrier's and at most two faces
         pinned_systems += len(factored) - 1
         if out.active_constraints:
             assert len(factored) >= 2
@@ -508,11 +503,12 @@ def _configuration_start(name):
 # the LP.  The Newton loop evaluates each accepted point once, the barrier
 # objective only at the Armijo test, and each round's closing volume once;
 # each round from the third on adds one volume at its secant start when that
-# start is interior.
+# start is interior.  The face's gradient, evaluated once, gives both its
+# multipliers and the KKT residual.
 EVALUATION_COUNTS = {
     "octahedron": (18, 24, 4),
     "n8-trial0": (25, 24, 11),
-    "n8-trial1": (40, 26, 24),
+    "n8-trial1": (39, 26, 24),
     "n8-trial4": (23, 24, 9),
 }
 
@@ -554,7 +550,7 @@ def test_secant_start_moves_the_optimum_only_by_rounding(monkeypatch):
     # end point, the start every round took before the prediction.  The
     # optimum may move only in its last bits, and every optimization of three
     # or more barrier rounds must have started at least one from a secant.
-    cases = [(link, None) for link in _polish_links()]
+    cases = [(link, None) for link in _optimizer_links()]
     cases += [_configuration_start(name) for name in sorted(EVALUATION_COUNTS)]
     secant, newton_max = optvol._secant, optvol._newton_max
     guesses, starts = [], []
@@ -735,26 +731,77 @@ def _witness_optimum(n, index):
     return optvol.maximize_volume(res.link, start=res.witness) if res.realizable else None
 
 
+@functools.lru_cache(maxsize=None)
+def _apex_optima(n):
+    """(index, apex, realizability result, optimum from its witness) at every
+    apex of every realizable type with n vertices."""
+    optima = []
+    for i, t in enumerate(all_types(n)):
+        for apex in range(n):
+            res = rivin.is_realizable(t, apex=apex)
+            if res.realizable:
+                optima.append((i, apex, res, optvol.maximize_volume(res.link, start=res.witness)))
+    return optima
+
+
 @pytest.mark.parametrize(
-    "cases",
-    [[(n, i) for i in range(len(all_types(n)))] for n in range(4, 10)]
-    + [[nt for nt in COLLAPSED_OPTIMA if nt[0] == 10]],
-    ids=["n4", "n5", "n6", "n7", "n8", "n9", "n10-collapsed"],
+    "n", range(4, 11), ids=[f"n{n}" for n in range(4, 10)] + ["n10-collapsed"]
 )
-def test_optimum_corners_lie_in_closed_range(cases):
-    # a pinned corner leaves the variables, so it reads exactly 0
+def test_optimum_corners_lie_in_closed_range(n):
+    # every apex for n <= 9, the collapsed default-apex optima at n = 10.  A
+    # pinned corner leaves the variables, so it reads exactly 0; pinned
+    # corners come in pairs, and the third corner of their triangle leaves the
+    # variables too, at exactly pi
+    if n <= 9:
+        optima = _apex_optima(n)
+    else:
+        optima = [(i, None, None, _witness_optimum(n, i)) for m, i in COLLAPSED_OPTIMA if m == n]
     collapsed = []
-    for n, i in cases:
-        out = _witness_optimum(n, i)
-        if out is None:
-            continue
+    for i, apex, res, out in optima:
         assert 0.0 <= out.angles.min() and out.angles.max() <= PI
         assert out.kkt_residual <= 1e-12
         pins = [key for kind, key in out.active_constraints if kind == "corner"]
         assert all(out.angles[key] == 0.0 for key in pins)
-        if pins:
+        for f in {f for f, _ in pins}:
+            assert sorted(out.angles[f]) == [0.0, 0.0, PI], (n, i, apex)
+        if pins and (res is None or res.apex == rivin.choose_apex(all_types(n)[i])):
             collapsed.append((n, i))
-    assert collapsed == [nt for nt in COLLAPSED_OPTIMA if nt in cases]
+    assert collapsed == [nt for nt in COLLAPSED_OPTIMA if nt[0] == n]
+
+
+def test_frank_wolfe_gap_certifies_every_uncollapsed_optimum():
+    # V is concave on P, so V* <= V(theta) + max over y in P of g.(y - theta)
+    # with g the gradient at theta (Frank & Wolfe 1956): an LP whose bound
+    # does not depend on how the optimizer chose its face.  The gradient is
+    # infinite at a collapsed corner, so those optima are left out
+    certified = 0
+    for n in range(4, 10):
+        for i, apex, res, out in _apex_optima(n):
+            theta = out.angles.reshape(-1)
+            if theta.min() == 0.0:
+                continue
+            g = optvol.volume_gradient(theta)
+            lp, y = rivin._solve_on_p(res.system, g, 0.0)
+            assert lp.status == "optimal"
+            assert g @ (y - theta) <= 1e-12, (n, i, apex)
+            certified += 1
+    assert certified == 385
+
+
+def test_transient_small_corner_stays_free():
+    # search n = 12, seed 3, trial 84 from its Euclidean start: two corners of
+    # link triangle 15 are 6.84e-5 at the optimum, but over the last barrier
+    # rounds they fall at ratios near 0.5, so the ratio alone pins them and
+    # loses 3.3e-9 of volume.  The face that leaves them free converges with
+    # every corner above BOUNDARY_TOL and is kept.
+    pt = geom.delaunay(geom.random_configuration(12, stats.trial_rng(3, 84)))
+    _, link = geom.close_with_infinity(pt)
+    out = optvol.maximize_volume(link, start=geom.euclidean_angles(pt).reshape(-1))
+    assert all(kind != "corner" for kind, _ in out.active_constraints)
+    assert out.angles[15, 1] == out.angles.min() == pytest.approx(6.84e-5, rel=1e-3)
+    assert out.angles[15, 2] == pytest.approx(6.84e-5, rel=1e-3)
+    ref = float.fromhex("0x1.6e7a6fee2b729p+3")
+    assert abs(out.volume - ref) <= 2 * math.ulp(ref)
 
 
 def test_collapsed_optima_match_smaller_types():
@@ -768,8 +815,10 @@ def test_collapsed_optima_match_smaller_types():
 
 def test_collapse_does_not_depend_on_the_start():
     # each collapsed optimum pins its triangle from every random interior
-    # start; a Newton that converges with a corner below BOUNDARY_TOL (about
-    # 1e-8 here) pins that corner and polishes again
+    # start.  Except at n = 10 #81, the triangle's two corners fall more
+    # slowly than the barrier's factor over its last round, so the face solve
+    # first leaves them free; that Newton does not converge, and the face that
+    # pins them is solved instead
     rng = np.random.default_rng(0)
     for n, i in COLLAPSED_OPTIMA:
         res = rivin.is_realizable(all_types(n)[i])
