@@ -5,7 +5,8 @@ triangle-sum constraint surface, so a convex method suffices: equalities are
 eliminated onto reduced coordinates and a logarithmic barrier follows the
 central path from secant-predicted starts.  How fast each slack falls over the
 last round names the optimum's face, and one Newton on that face drives the KKT
-residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.
+residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.  Every
+step is a Newton step; one that does not ascend ends its solve.
 
 Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
@@ -143,14 +144,10 @@ def _factor(A, b):
     return Vt[r:].T, theta_p, residual, lambda grad: W @ (Vr @ grad)
 
 
-def _ratio_cap(s, rate):
-    """Largest step t at which no slack s + t * rate falls below -1e-10."""
-    fall = rate < 0.0
-    return float(np.min((s[fall] + 1e-10) / -rate[fall], initial=np.inf))
-
-
 class _LineSearchStall(Exception):
-    """``_newton_max`` has no interior start or no step; both its calls catch it."""
+    """``_newton_max`` has no interior start, no Newton step that ascends or no
+    accepted trial.  The barrier stops and reads the face off its last two
+    points; a face solve rejects its face."""
 
 
 # Accepted steps in a row without a new lowest gradient norm that end a barrier round.
@@ -166,9 +163,12 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
     A step is accepted on either the Armijo condition for phi or a decrease
     of the gradient norm, which carries Newton's quadratic tail to ~1e-15
     once phi differences sink below float noise.  Trial steps halve from
-    t = 1; after the first trial outside the polytope, halvings past the
-    ratio test's cap (``_ratio_cap``) are not evaluated: those trials have a
-    slack below -1e-10, far beyond the ~1e-15 rounding of the slacks.
+    t = 1, and a trial outside the polytope is halved again.
+
+    phi is strictly concave on its face (Rivin 1994), so its Newton step
+    ascends there.  A step that does not, or a singular Newton system, means
+    the solve is on the wrong face or at its rounding floor: it raises
+    _LineSearchStall, as does a line search that halves t below 1e-14.
 
     A barrier round (mu > 0) also ends, at the point it stands on, once
     _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
@@ -212,31 +212,22 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
             H = (NT * d) @ N
         try:
             step = np.linalg.solve(-H, g)
-        except np.linalg.LinAlgError:  # H singular: take the gradient step
-            step = g
+        except np.linalg.LinAlgError:
+            raise _LineSearchStall(f"singular Newton system at mu={mu:g}") from None
         slope = float(g @ step)
-        if slope <= 0.0:  # not an ascent direction: H lost definiteness
-            step = g
-            slope = float(g @ g)
-        t, cap, phi0 = 1.0, None, None  # cap and phi0 are evaluated on demand
+        if not slope > 0.0:
+            raise _LineSearchStall(f"Newton step does not ascend at mu={mu:g}")
+        t, phi0 = 1.0, None  # phi0 is evaluated on demand
         while t > 1e-14:
             u_try = u + t * step
             theta_try, s_try, g_try, sin_try = grad_at(u_try)
-            if g_try is None:
-                if cap is None:
-                    rate = np.concatenate((N @ step, -(UN @ step)))
-                    cap = _ratio_cap(s, rate)
-                t *= 0.5
-                while t > cap:
-                    t *= 0.5
-                continue
-            gnorm_try = math.sqrt(g_try @ g_try)
-            if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
-                break
-            if phi0 is None:
-                phi0 = phi(theta, s)
-            if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
-                break
+            if g_try is not None:  # else outside the polytope
+                gnorm_try = math.sqrt(g_try @ g_try)
+                if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
+                    break
+                phi0 = phi(theta, s) if phi0 is None else phi0
+                if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
+                    break
             t *= 0.5
         else:
             raise _LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
@@ -338,7 +329,7 @@ def maximize_volume(link, start=None):
         u2 = N2.T @ (theta[keep] - theta_p2)
         try:
             u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60)
-        except _LineSearchStall:  # no interior start or no step
+        except _LineSearchStall:  # no interior start, no ascent or no accepted trial
             return None
         steps.append(iters)
         theta_k = theta_p2 + N2 @ u2

@@ -125,14 +125,15 @@ def _eliminated(system):
     return cut
 
 
-def _solve_on_p(system, objective, t_weight):
-    """The one LP over P: maximize objective.theta + t_weight*t over the theta
-    in P whose corners and inequality slacks are all >= t, as (z, t) >= 0 with
-    theta = theta0 + E(z + t).  E maps the kept corners; an ``_eliminated`` c
-    has E[c] = -E[a] - E[b], theta0_c = pi and the row theta_c >= t.  P's rows
-    become rows times E, less pi per eliminated corner on the right (negated
-    if negative; an eliminated triangle's 0 = 0 drops out).  Returns the
-    LPResult and, when optimal, theta."""
+def _lp_on_p(system):
+    """The one LP over P, built once: solve(objective, t_weight) maximizes
+    objective.theta + t_weight*t over the theta in P whose corners and
+    inequality slacks are all >= t, as (z, t) >= 0 with theta = theta0 +
+    E(z + t), and returns the LPResult and, when optimal, theta.  E maps the
+    kept corners; an ``_eliminated`` c has E[c] = -E[a] - E[b], theta0_c = pi
+    and the row theta_c >= t.  P's rows become rows times E, less pi per
+    eliminated corner on the right (negated if negative; an eliminated
+    triangle's 0 = 0 drops out)."""
     n, cut = system.n_vars, _eliminated(system)
     cuts = np.fromiter(cut, dtype=np.int64, count=len(cut))
     a, b = np.array(list(cut.values()), dtype=np.int64).reshape(-1, 2).T
@@ -149,28 +150,32 @@ def _solve_on_p(system, objective, t_weight):
 
     eq_units = system.b_eq / math.pi - system.A_eq[:, cuts].sum(axis=1)
     ub_units = system.b_ub / math.pi - system.A_ub[:, cuts].sum(axis=1)
-    z_objective = E.T @ objective
-    res = simplex.solve(np.append(z_objective, z_objective.sum() + t_weight),
-                        *rows(system.A_eq @ E, eq_units, 0.0),
-                        *rows(np.vstack([-E[cuts], system.A_ub @ E]),
-                              np.append(np.ones(cuts.size), ub_units), 1.0))
-    if res.status != "optimal":
-        return res, None
-    t, z = float(res.x[-1]), np.zeros(n)
-    z[kept] = res.x[:-1]
-    z[cuts] = math.pi - 3.0 * t - z[a] - z[b]
-    return res, z + t
+    constraints = (*rows(system.A_eq @ E, eq_units, 0.0),
+                   *rows(np.vstack([-E[cuts], system.A_ub @ E]),
+                         np.append(np.ones(cuts.size), ub_units), 1.0))
+
+    def solve(objective, t_weight):
+        z_objective = E.T @ objective
+        res = simplex.solve(np.append(z_objective, z_objective.sum() + t_weight), *constraints)
+        if res.status != "optimal":
+            return res, None
+        t, z = float(res.x[-1]), np.zeros(n)
+        z[kept] = res.x[:-1]
+        z[cuts] = math.pi - 3.0 * t - z[a] - z[b]
+        return res, z + t
+
+    return solve
 
 
 def check_feasible(system, epsilon=DEFAULT_EPSILON):
     """Realizability at a tolerance epsilon in (0, pi) and a slack-centered
-    witness: ``_solve_on_p`` maximizes t alone.  Its optimum t* is
+    witness: ``_lp_on_p`` maximizes t alone.  Its optimum t* is
     ``min_slack``; the link is realizable iff t* >= epsilon, with the LP's
     theta as witness, else the certificate is epsilon - t*, or the phase-1
     residual when P is empty."""
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    res, theta = _solve_on_p(system, np.zeros(system.n_vars), 1.0)
+    res, theta = _lp_on_p(system)(np.zeros(system.n_vars), 1.0)
     if res.status == "infeasible":
         return RealizabilityResult(False, system, None, float(res.phase1_objective), math.nan)
     if res.status != "optimal":
@@ -195,8 +200,9 @@ def random_interior_points(result, count, rng):
     if not result.realizable:
         raise InputError("system is infeasible; no interior points exist")
     system, vertices = result.system, [result.witness]
+    solve = _lp_on_p(system)
     for _ in range(max(4, min(8, system.n_vars))):
-        res, theta = _solve_on_p(system, rng.standard_normal(system.n_vars), 0.0)
+        res, theta = solve(rng.standard_normal(system.n_vars), 0.0)
         if res.status == "optimal":
             vertices.append(theta)
     V = np.array(vertices)

@@ -6,6 +6,8 @@ import pytest
 
 from idealpoly import __version__, cli
 
+from test_optvol import stall_every_face_newton
+
 try:
     import jsonschema
     from referencing import Registry
@@ -21,6 +23,13 @@ OCTA = {
     "faces": [
         [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
         [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4],
+    ],
+}
+N9 = {
+    "n": 9,
+    "faces": [
+        [1, 2, 4], [2, 0, 4], [1, 0, 6], [2, 1, 7], [0, 1, 8], [1, 4, 8], [4, 0, 8],
+        [3, 6, 5], [0, 2, 6], [5, 6, 2], [1, 6, 7], [3, 7, 6], [2, 7, 5], [3, 5, 7],
     ],
 }
 NOT_REALIZABLE = {
@@ -450,6 +459,19 @@ def test_export_malformed_angles(tmp_path, capsys, case):
     assert error_line(err)["code"] == "INPUT_ERROR"
 
 
+def test_optimize_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # n = 9 #0, whose optimum collapses a link triangle, with every face
+    # Newton stalling: one NUMERICAL_FAILURE line on stderr and exit 3
+    path = write(tmp_path, "n9.json", N9)
+    stall_every_face_newton(monkeypatch)
+    code, out, err = run_cli(["optimize", path], capsys)
+    assert code == 3
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "NUMERICAL_FAILURE"
+    assert "fails its checks" in payload["message"]
+
+
 def test_optimize_octahedron(tmp_path, capsys):
     path = write(tmp_path, "octa.json", OCTA)
     code, out, _ = run_cli(["optimize", path], capsys)
@@ -702,3 +724,15 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: idealpoly") or out == f"{__version__}\n"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools < 69 calls the table beta
+def test_package_version_is_read_from_the_module():
+    # pyproject.toml keeps no version of its own: setuptools reads
+    # idealpoly.__version__, so the manifest, --version and the installed
+    # metadata cannot disagree
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    project = pyprojecttoml.read_configuration(path)["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == __version__

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealpoly import cli, geom, optvol, rivin, specfun, stats, triang
-from idealpoly.errors import InfeasibleStart
+from idealpoly.errors import InfeasibleStart, NumericalFailure
 
 from catalog import all_types, flip_walk
 
@@ -307,8 +308,8 @@ def test_optimum_pinned_bitwise(name):
 # ran out of iterations, leaving a KKT residual of 6e-10.  Each optimum
 # collapses a link triangle whose two corners fall more slowly than the
 # barrier's factor over its last round, so the face solve first leaves them
-# free; that Newton does not converge, and the face that pins them is kept.
-# They test apex invariance through that path.
+# free; that Newton stops at its first step that does not ascend, and the
+# face that pins them is kept.  They test apex invariance through that path.
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
@@ -417,48 +418,6 @@ def _optimizer_links():
             if res.realizable:
                 links.append(res.link)
     return links
-
-
-def test_line_search_skips_only_infeasible_trials(monkeypatch):
-    # Run every optimization again with the ratio test's cap raised to
-    # infinity, which halves from t = 1 and evaluates every trial.  The
-    # optimum must not move, and every trial the cap would have skipped
-    # (t = 2^-k above the cap, following the trial at t = 1 that set it)
-    # must lie outside the polytope when evaluated.
-    links = _optimizer_links()
-    skipped = 0
-    results = [optvol.maximize_volume(link) for link in links]
-    events = []
-    ratio_cap, slacks = optvol._ratio_cap, optvol._slacks
-
-    def uncapped(s, rate):
-        events.append(("cap", ratio_cap(s, rate)))
-        return math.inf
-
-    def recording(*args):
-        out = slacks(*args)
-        events.append(("slacks", float(out.min())))
-        return out
-
-    monkeypatch.setattr(optvol, "_ratio_cap", uncapped)
-    monkeypatch.setattr(optvol, "_slacks", recording)
-    for link, ref in zip(links, results):
-        events.clear()
-        out = optvol.maximize_volume(link)
-        assert out.volume == ref.volume
-        assert np.array_equal(out.angles, ref.angles)
-        assert out.newton_iterations == ref.newton_iterations
-        assert out.active_constraints == ref.active_constraints
-        for i, (kind, cap) in enumerate(events):
-            if kind != "cap":
-                continue
-            k = 1
-            while 0.5**k > max(cap, 1e-14):
-                assert events[i + k][0] == "slacks"
-                assert events[i + k][1] < 0.0
-                skipped += 1
-                k += 1
-    assert skipped > 1000
 
 
 def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
@@ -678,10 +637,13 @@ def test_shape_parameters():
         )
 
 
-def test_singular_newton_system_takes_the_gradient_step(monkeypatch):
-    # a LinAlgError from the Newton solve falls back to the gradient step;
-    # the remaining iterations still reach the octahedron's optimum.  The
-    # centered witness is already the optimum, so start off it.
+def test_singular_newton_system_ends_the_barrier_round(monkeypatch):
+    # a LinAlgError from the first Newton solve ends the barrier: the start
+    # already meets the first round's tolerance, so the second round raises
+    # and the barrier keeps one of its twelve rounds.  The face read off its
+    # last two points pins nothing, and its Newton at mu = 0 still reaches
+    # the octahedron's optimum.  The centered witness is already the optimum,
+    # so start off it.
     res = rivin.is_realizable(triang.octahedron())
     system = rivin.assemble_constraints(res.link)
     start = res.witness + 0.1 * optvol._factor(system.A_eq, system.b_eq)[0][:, 0]
@@ -697,6 +659,8 @@ def test_singular_newton_system_takes_the_gradient_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular_once)
     out = optvol.maximize_volume(res.link, start=start)
     assert raised
+    assert len(out.barrier_volumes) == 1
+    assert out.active_constraints == ()
     assert out.volume == pytest.approx(8 * specfun.lobachevsky(PI / 4), abs=1e-12)
     assert out.kkt_residual < 1e-12
 
@@ -781,7 +745,7 @@ def test_frank_wolfe_gap_certifies_every_uncollapsed_optimum():
             if theta.min() == 0.0:
                 continue
             g = optvol.volume_gradient(theta)
-            lp, y = rivin._solve_on_p(res.system, g, 0.0)
+            lp, y = rivin._lp_on_p(res.system)(g, 0.0)
             assert lp.status == "optimal"
             assert g @ (y - theta) <= 1e-12, (n, i, apex)
             certified += 1
@@ -804,6 +768,46 @@ def test_transient_small_corner_stays_free():
     assert abs(out.volume - ref) <= 2 * math.ulp(ref)
 
 
+# newton_iterations of the collapsed default-apex optima whose face solve
+# first leaves the collapsing corners free (all but n = 10 #81).  That face's
+# Newton stops at its first step that does not ascend, so it adds no steps; a
+# gradient step in place of each such step would run it to its cap of 60.
+FREE_CORNER_FACE_STEPS = {(9, 0): 36, (10, 0): 35, (10, 1): 36, (10, 14): 37, (10, 146): 38}
+
+
+def test_rejected_free_corner_face_stops_at_its_first_non_ascent_step():
+    got = {nt: _witness_optimum(*nt).newton_iterations for nt in FREE_CORNER_FACE_STEPS}
+    assert got == FREE_CORNER_FACE_STEPS
+
+
+def stall_every_face_newton(monkeypatch):
+    """Make every Newton at mu = 0 raise, as a face no Newton can solve."""
+    newton_max = optvol._newton_max
+
+    def stalling(theta_p, N, U, b, u, mu, tol, max_iter):
+        if mu == 0.0:
+            raise optvol._LineSearchStall("face Newton stalls")
+        return newton_max(theta_p, N, U, b, u, mu, tol, max_iter)
+
+    monkeypatch.setattr(optvol, "_newton_max", stalling)
+
+
+def test_face_that_fails_its_checks_raises_numerical_failure(monkeypatch):
+    # no measured input reaches this guard.  At n = 9 #0 both the free-corner
+    # face and the face that pins the collapsing corners fail; the error names
+    # the constraints of the pinned one, which the unpatched optimum keeps
+    ref = _witness_optimum(9, 0)
+    system = rivin.assemble_constraints(ref.link)
+    act = tuple(3 * key[0] + key[1] if kind == "corner"
+                else system.n_vars + system.ub_kinds.index((kind, key))
+                for kind, key in ref.active_constraints)
+    assert any(kind == "corner" for kind, _ in ref.active_constraints)
+    stall_every_face_newton(monkeypatch)
+    res = rivin.is_realizable(all_types(9)[0])
+    with pytest.raises(NumericalFailure, match=re.escape(f"constraints {act} fails")):
+        optvol.maximize_volume(res.link, start=res.witness)
+
+
 def test_collapsed_optima_match_smaller_types():
     # a collapsed optimum's volume is that of a type with one vertex fewer
     n9 = _witness_optimum(9, 38).volume
@@ -817,8 +821,8 @@ def test_collapse_does_not_depend_on_the_start():
     # each collapsed optimum pins its triangle from every random interior
     # start.  Except at n = 10 #81, the triangle's two corners fall more
     # slowly than the barrier's factor over its last round, so the face solve
-    # first leaves them free; that Newton does not converge, and the face that
-    # pins them is solved instead
+    # first leaves them free; that Newton stops at its first step that does
+    # not ascend, and the face that pins them is solved instead
     rng = np.random.default_rng(0)
     for n, i in COLLAPSED_OPTIMA:
         res = rivin.is_realizable(all_types(n)[i])

@@ -776,16 +776,23 @@ def test_reduced_lp_matches_full_form():
 
 def test_random_vertices_match_full_form(monkeypatch):
     # random_interior_points' LP vertices against max c.theta on P's own
-    # arrays, with the same standard-normal objectives
-    vertices = []
-    solve_on_p = rivin._solve_on_p
+    # arrays, with the same standard-normal objectives; it builds the reduced
+    # LP once for all of them
+    vertices, built = [], []
+    lp_on_p = rivin._lp_on_p
 
-    def recording(*args):
-        res, theta = solve_on_p(*args)
-        vertices.append(theta)
-        return res, theta
+    def recording(system):
+        solve = lp_on_p(system)
+        built.append(system)
 
-    monkeypatch.setattr(rivin, "_solve_on_p", recording)
+        def recorded(*args):
+            res, theta = solve(*args)
+            vertices.append(theta)
+            return res, theta
+
+        return recorded
+
+    monkeypatch.setattr(rivin, "_lp_on_p", recording)
     for n in range(8, 41, 4):
         for seed in range(2):
             system = seeded_system(n, seed)
@@ -793,9 +800,12 @@ def test_random_vertices_match_full_form(monkeypatch):
             res = rivin.check_feasible(system)
             assert res.realizable
             vertices.clear()
+            built.clear()
             lps += recorded_lps(
                 lambda: rivin.random_interior_points(res, 3, np.random.default_rng(seed))
             )
+            assert len(built) == 1 and built[0] is system
+            assert len(vertices) == 8
             # no library LP runs on P's full arrays
             columns = system.n_vars - len(rivin._eliminated(system)) + 1
             assert [len(args[0]) for args, _ in lps] == [columns] * 9
