@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, geom, optvol, rivin, stats, svgplot, triang
-from .errors import IdealPolyError, InputError, InputNotFound
+from .errors import IdealPolyError, InputError, InputNotFound, NotRealizable
 
 
 class Run:
@@ -131,7 +131,7 @@ def _common_denominator(rationals):
     return out
 
 
-def optimize_payload(t, apex, result, max_denominator, tol):
+def optimize_payload(result, max_denominator, tol):
     link = result.link
     values = result.angles
     corners = []
@@ -165,8 +165,8 @@ def optimize_payload(t, apex, result, max_denominator, tol):
         shapes.append({"edge": list(e), "re": math.cos(radians), "im": math.sin(radians)})
     v4 = optvol.regular_tetrahedron_volume()
     return {
-        "n": t.n,
-        "apex": apex,
+        "n": link.parent.n,
+        "apex": link.apex,
         "volume": result.volume,
         "v_over_v4": result.volume / v4,
         "corners": corners,
@@ -204,16 +204,9 @@ def cmd_optimize(run):
     t = load_triangulation(run, run.args.triangulation)
     res = rivin.is_realizable(t, epsilon=run.args.eps)
     if not res.realizable:
-        json.dump(
-            {"code": "NOT_REALIZABLE", "message": "triangulation is not realizable"},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
-        return 2
+        raise NotRealizable("triangulation is not realizable")
     result = optvol.maximize_volume(res.link, start=res.witness)
-    payload = optimize_payload(
-        t, res.apex, result, run.args.max_denominator, run.args.tol
-    )
+    payload = optimize_payload(result, run.args.max_denominator, run.args.tol)
     run.emit_json(payload, run.args.output)
     return 0
 
@@ -226,14 +219,8 @@ def cmd_search(run):
         "seed": r.seed,
         "best_volume": r.best_volume,
         "unique_types": r.unique_types,
-        "best_triangulation": r.best_triangulation.to_json_dict(),
-        "best": optimize_payload(
-            r.best_triangulation,
-            r.best_result.link.apex,
-            r.best_result,
-            run.args.max_denominator,
-            run.args.tol,
-        ),
+        "best_triangulation": r.best_result.link.parent.to_json_dict(),
+        "best": optimize_payload(r.best_result, run.args.max_denominator, run.args.tol),
         "per_trial": [
             {"trial": trial, "volume": vol, "type_hash": f"{th:08x}"}
             for trial, vol, th in r.per_trial

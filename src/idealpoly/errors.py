@@ -1,9 +1,8 @@
 """Exception types with stable machine-readable codes.
 
 Every error carries a ``code`` (stable across releases, used by the CLI's
-JSON error output) and an ``exit_code`` (1 = bad input, 3 = numerical
-failure).  Exit code 2 is reserved for negative mathematical results, which
-are not exceptions.
+JSON error output) and an ``exit_code`` (1 = bad input, 2 = negative
+mathematical result, 3 = numerical failure).
 """
 
 
@@ -38,6 +37,11 @@ class InputError(IdealPolyError):
 
 class InputNotFound(InputError):
     code = "INPUT_NOT_FOUND"
+
+
+class NotRealizable(IdealPolyError):
+    code = "NOT_REALIZABLE"
+    exit_code = 2
 
 
 class NumericalFailure(IdealPolyError):

@@ -29,14 +29,6 @@ from .triang import edge_key
 BOUNDARY_TOL = 1e-7
 
 
-def volume(angles):
-    """Hyperbolic volume: the Lobachevsky sum over all corner angles."""
-    flat = np.asarray(angles, dtype=float).reshape(-1)
-    if not np.all((flat > 0.0) & (flat < math.pi)):  # NaN fails both
-        raise ValueError("corner angles must lie in (0, pi)")
-    return specfun.lobachevsky_sum(flat)
-
-
 def volume_gradient(flat_angles, sin=None):
     """d(volume)/d(corner) = -log|2 sin theta| per corner in (0, pi].
 
@@ -145,18 +137,19 @@ def _factor(A, b):
 
 
 class _LineSearchStall(Exception):
-    """``_newton_max`` has no interior start, no Newton step that ascends or no
-    accepted trial.  The barrier stops and reads the face off its last two
-    points; a face solve rejects its face."""
+    """``_newton_max`` has no interior start, an iterate with a corner below its
+    floor, no Newton step that ascends or no accepted trial.  The barrier stops
+    and reads the face off its last two points; a face solve rejects its face."""
 
 
 # Accepted steps in a row without a new lowest gradient norm that end a barrier round.
 _STALL_RUN = 10
 
 
-def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
+def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter, floor):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
-    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)``.
+    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)``.  Every
+    iterate, the start included, keeps its corners at or above ``floor``.
 
     Corner barrier terms join the objective's diagonal: the Hessian is
     N^T diag(-cot theta - mu/theta^2) N - mu (UN)^T diag(1/s_U^2) (UN).
@@ -168,7 +161,8 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
     phi is strictly concave on its face (Rivin 1994), so its Newton step
     ascends there.  A step that does not, or a singular Newton system, means
     the solve is on the wrong face or at its rounding floor: it raises
-    _LineSearchStall, as does a line search that halves t below 1e-14.
+    _LineSearchStall, as do a line search that halves t below 1e-14 and an
+    iterate with a corner below ``floor``.
 
     A barrier round (mu > 0) also ends, at the point it stands on, once
     _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
@@ -200,8 +194,10 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
         raise _LineSearchStall("current point is not strictly feasible")
     gnorm = math.sqrt(g @ g)
     best, stalled, iters = gnorm, 0, 0
-    for _ in range(max_iter):
-        if gnorm < tol or stalled == _STALL_RUN:
+    while True:
+        if theta.min() < floor:
+            raise _LineSearchStall(f"a corner fell below {floor:g} at mu={mu:g}")
+        if gnorm < tol or stalled == _STALL_RUN or iters == max_iter:
             return u, gnorm, iters
         d = _hessian_diag(theta, sin)
         if mu > 0.0:
@@ -238,7 +234,6 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter):
             best, stalled = gnorm, 0
         elif mu > 0.0:
             stalled += 1
-    return u, gnorm, iters
 
 
 _MU_FACTOR = 0.2  # the barrier's mu falls by this factor per round
@@ -303,7 +298,7 @@ def maximize_volume(link, start=None):
             if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
                 u0 = guess
         try:
-            u_end, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200)
+            u_end, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200, 0.0)
         except _LineSearchStall:
             break  # parked against the boundary: identify from the last two points
         u_prev, u = u, u_end
@@ -322,20 +317,21 @@ def maximize_volume(link, start=None):
     def solve_on(act, floor):
         """Newton at mu = 0 on the face pinning ``act`` from theta projected onto it:
         (act, theta, face gradient), or None if the face is inconsistent, the
-        Newton fails, a free corner ends below ``floor`` or a multiplier < 0."""
+        Newton fails (an iterate's free corner below ``floor`` included) or a
+        multiplier < 0."""
         keep, base, N2, theta_p2, residual, multipliers = pinned(act) if act else whole
         R = np.array([i for i in range(len(b_ub)) if i + m not in act], dtype=int)
         U2, b2 = A_ub[R].take(keep, axis=1), (b_ub - A_ub @ base)[R]
         u2 = N2.T @ (theta[keep] - theta_p2)
         try:
-            u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60)
-        except _LineSearchStall:  # no interior start, no ascent or no accepted trial
+            u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60, floor)
+        except _LineSearchStall:
             return None
         steps.append(iters)
         theta_k = theta_p2 + N2 @ u2
         g = volume_gradient(theta_k)
         lam = multipliers(g)[len(b_eq):]
-        if residual > 1e-8 or gnorm >= 1e-12 or theta_k.min() < floor or np.any(lam < -1e-9):
+        if residual > 1e-8 or gnorm >= 1e-12 or np.any(lam < -1e-9):
             return None
         theta_f = base.copy()
         theta_f[keep] = theta_k

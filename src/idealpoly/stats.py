@@ -292,8 +292,7 @@ class SearchResult:
     trials: int
     seed: int
     best_volume: float
-    best_triangulation: object
-    best_result: object  # full OptResult, with the optimal angles
+    best_result: object  # OptResult of the best type; its link.parent is the type
     per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
 
@@ -318,9 +317,8 @@ def search_max_volume(n, trials, seed=0):
     """
     if n < 4 or trials < 1:
         raise InputError(f"need n >= 4 and trials >= 1, got n={n}, trials={trials}")
-    memo = {}
+    memo = {}  # canonical form -> (OptResult, type_hash)
     per_trial = []
-    best_key = None
     for trial in range(trials):
         cfg = geom.random_configuration(n, trial_rng(seed, trial))
         pt = geom.delaunay(cfg)
@@ -328,20 +326,17 @@ def search_max_volume(n, trials, seed=0):
         key = triang.canonical_form(t)
         if key not in memo:
             start = geom.euclidean_angles(pt).reshape(-1)
-            result = optvol.maximize_volume(link, start=start)
-            memo[key] = (t, result, type_hash(key))
-        _, result, key_hash = memo[key]
+            memo[key] = (optvol.maximize_volume(link, start=start), type_hash(key))
+        result, key_hash = memo[key]
         per_trial.append((trial, result.volume, key_hash))
-        if best_key is None or result.volume > memo[best_key][1].volume:
-            best_key = key
-    best_t, best_res, _ = memo[best_key]
+    # max keeps the first of equal volumes: the type first seen among the best
+    best, _ = max(memo.values(), key=lambda entry: entry[0].volume)
     return SearchResult(
         n=n,
         trials=trials,
         seed=seed,
-        best_volume=best_res.volume,
-        best_triangulation=best_t,
-        best_result=best_res,
+        best_volume=best.volume,
+        best_result=best,
         per_trial=tuple(per_trial),
         unique_types=len(memo),
     )

@@ -7,6 +7,7 @@ import pytest
 from idealpoly import __version__, cli
 
 from test_optvol import stall_every_face_newton
+from test_stats import diverging_mle
 
 try:
     import jsonschema
@@ -187,6 +188,19 @@ def test_fit_zero_variance_sample(tmp_path, capsys):
     assert payload["code"] == "FIT_DIVERGED"
     assert payload["message"] == "sample variance is zero"
     check_schema(payload, "error.schema.json")
+
+
+def test_fit_moments_fallback_output(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.csv"
+    values = [f"{0.05 + 0.9 * k / 19:.6f}" for k in range(20)]
+    path.write_text("# idealpoly-sample n=4 count=20 seed=0 vmax=1\nvolume\n" + "\n".join(values) + "\n")
+    diverging_mle(monkeypatch)
+    code, out, err = run_cli(["fit", str(path)], capsys)
+    assert code == 0
+    assert err == ""
+    data = json.loads(out)
+    assert data["method"] == "moments"
+    check_schema(data, "fit.schema.json")
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,27 @@ def test_fit_beta_synthetic_beta23():
     assert fit.method == "mle"
 
 
+def diverging_mle(monkeypatch):
+    """Make every Beta MLE raise FitDiverged, as one that never converges."""
+
+    def diverging(x, alpha0, beta0):
+        raise FitDiverged("Beta MLE did not converge in 200 iterations")
+
+    monkeypatch.setattr(stats, "_beta_mle", diverging)
+
+
+def test_fit_beta_falls_back_to_moments(monkeypatch):
+    x = np.random.default_rng(19).beta(2.0, 3.0, 1000)
+    sample = stats.VolumeSample(n=4, volumes=x, seed=0, vmax=1.0, vmax_mode="given")
+    diverging_mle(monkeypatch)
+    fit = stats.fit_beta(sample)
+    mean, var = float(np.mean(x)), float(np.var(x))
+    common = mean * (1.0 - mean) / var - 1.0
+    assert fit.method == "moments"
+    assert (fit.alpha, fit.beta) == (mean * common, (1.0 - mean) * common)
+    assert fit.ks_stat == stats._ks_statistic(x, fit.alpha, fit.beta)
+
+
 def test_fit_beta_replicates_within_three_se():
     hits = 0
     for seed in range(20):
@@ -353,7 +374,7 @@ def test_search_reproducible_and_prefix_monotone():
 def test_search_small_n():
     r = stats.search_max_volume(4, 1, seed=0)
     assert r.best_volume == pytest.approx(1.014942, abs=1e-6)
-    assert triang.canonical_form_full(r.best_triangulation) == (
+    assert triang.canonical_form_full(r.best_result.link.parent) == (
         triang.canonical_form_full(triang.tetrahedron())
     )
     r = stats.search_max_volume(5, 5, seed=0)
@@ -363,7 +384,7 @@ def test_search_small_n():
 def test_search_n6_hits_octahedron():
     r = stats.search_max_volume(6, 30, seed=0)
     assert r.best_volume == pytest.approx(3.663862, abs=1e-4)
-    assert triang.canonical_form_full(r.best_triangulation) == (
+    assert triang.canonical_form_full(r.best_result.link.parent) == (
         triang.canonical_form_full(triang.octahedron())
     )
     # the other 6-vertex type optimizes strictly lower (3 V4 < octahedron)
@@ -376,7 +397,7 @@ def test_type_hash_is_pinned_and_reported_per_trial():
     key = triang.canonical_form(triang.octahedron())
     assert f"{stats.type_hash(key):08x}" == "871cfe39"
     r = stats.search_max_volume(6, 3, seed=0)
-    best = stats.type_hash(triang.canonical_form(r.best_triangulation))
+    best = stats.type_hash(triang.canonical_form(r.best_result.link.parent))
     assert best in {h for _, _, h in r.per_trial}
 
 
