@@ -12,12 +12,14 @@ Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
 and 0/1 rows U theta <= pi.  A face pins a corner by removing it from the
 variables at exactly 0 (the third corner of a triangle with two pinned at pi)
-and a row by adding it to the equalities; one SVD per equality system gives its
-null basis, least-squares point and multipliers.  Boundary optima are reported
+and a row by adding it to the equalities.  Triangle rows have a closed-form null
+basis, so one SVD per face, of the rows that couple triangles, gives its null
+basis, least-squares point and multipliers.  Boundary optima are reported
 through the active set and flagged boundary-active, never clipped.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,18 +124,46 @@ def _slacks(theta, U, b):
     return np.concatenate((theta, b - U @ theta))
 
 
-def _factor(A, b):
-    """Null basis, least-squares point V_r S_r^-1 U_r^T b (refined once), its
-    largest residual and the multiplier map grad -> U_r S_r^-1 V_r^T grad of
-    A theta = b, from one SVD.  Singular values below 1e-10 of the largest are 0.
-    """
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    r = int(np.sum(s > 1e-10 * s[0]))
-    W, Vr = U[:, :r] / s[:r], Vt[:r]  # the pseudo-inverse of A is Vr^T W^T
-    theta_p = Vr.T @ (W.T @ b)
-    theta_p += Vr.T @ (W.T @ (b - A @ theta_p))
-    residual = float(np.max(np.abs(A @ theta_p - b)))
-    return Vt[r:].T, theta_p, residual, lambda grad: W @ (Vr @ grad)
+# A face: theta = theta_p + N u (N orthonormal) over ``keep``, the rest at ``base``; its free
+# rows U theta <= b, UN = U @ N, its equalities' residual, and multipliers @ grad over ``keep``
+# gives the pinned rows' multipliers.
+_Face = namedtuple("_Face", "keep base theta_p N U b UN residual multipliers")
+
+
+def _face(system, act):
+    """The face pinning ``act`` (i < n_vars: theta_i >= 0, else row i - n_vars of A_ub).
+    A triangle's row has the orthonormal null basis (1, -1, 0)/sqrt2, (1, 1, -2)/sqrt6 or
+    (1, -1)/sqrt2 over its k kept corners, Q's block, and the point pi/k on each, so one SVD,
+    of C Q with C the coupling rows (interior vertices and pinned rows), gives N, the
+    least-squares point (refined once) and C's multipliers (singular values < 1e-10 s_max: 0)."""
+    A_eq, b_eq, A_ub, b_ub, m = system.A_eq, system.b_eq, system.A_ub, system.b_ub, system.n_vars
+    pinned = np.zeros(m + len(b_ub), dtype=bool)
+    pinned[list(act)] = True
+    out, rows, F = pinned[:m], pinned[m:], m // 3
+    base = np.where(~out & np.repeat(out.reshape(-1, 3).sum(axis=1) == 2, 3), math.pi, 0.0)
+    keep = np.flatnonzero(~out & (base == 0.0))
+    A = np.vstack([A_eq, A_ub[rows]])
+    A, b = A.take(keep, axis=1), np.concatenate([b_eq, b_ub[rows]]) - A @ base
+    k = np.bincount(keep // 3, minlength=F)  # kept corners per triangle: 0, 2 or 3
+    cols, i = k - (k > 0), np.arange(keep.size)
+    j = i - np.repeat(np.cumsum(k) - k, k)  # slot among its triangle's kept corners
+    c = np.repeat(np.cumsum(cols) - cols, k)  # its triangle's first column in Q
+    Q, pair, three = np.zeros((keep.size, cols.sum())), j < 2, np.repeat(k == 3, k)
+    Q[i[pair], c[pair]] = np.where(j[pair] == 0, math.sqrt(0.5), -math.sqrt(0.5))
+    Q[i[three], c[three] + 1] = np.where(j[three] < 2, 1.0, -2.0) / math.sqrt(6.0)
+    theta_p, C, d = np.repeat(math.pi / np.maximum(k, 1), k), A[F:], b[F:]
+    N, W, Vr = Q, np.zeros((len(C), 0)), np.zeros((0, Q.shape[1]))
+    if len(C):
+        CQ, d = C @ Q, d - C @ theta_p
+        U, s, Vt = np.linalg.svd(CQ, full_matrices=True)
+        r = int(np.sum(s > 1e-10 * s[0]))
+        W, Vr, N = U[:, :r] / s[:r], Vt[:r], Q @ Vt[r:].T  # pinv(CQ) = Vr^T W^T
+        y = Vr.T @ (W.T @ d)
+        theta_p = theta_p + Q @ (y + Vr.T @ (W.T @ (d - CQ @ y)))
+    U = A_ub[~rows].take(keep, axis=1) if act else A_ub  # the barrier's, uncopied
+    return _Face(keep, base, theta_p, N, U, (b_ub - A_ub @ base)[~rows], U @ N,
+                 float(np.max(np.abs(A @ theta_p - b))),
+                 (W[len(b_eq) - F:] @ Vr) @ Q.T)
 
 
 class _LineSearchStall(Exception):
@@ -146,10 +176,9 @@ class _LineSearchStall(Exception):
 _STALL_RUN = 10
 
 
-def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter, floor):
+def _newton_max(face, u, mu, tol, max_iter, floor):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
-    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)``.  Every
-    iterate, the start included, keeps its corners at or above ``floor``.
+    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)`` of ``face``.
 
     Corner barrier terms join the objective's diagonal: the Hessian is
     N^T diag(-cot theta - mu/theta^2) N - mu (UN)^T diag(1/s_U^2) (UN).
@@ -162,15 +191,15 @@ def _newton_max(theta_p, N, U, b, u, mu, tol, max_iter, floor):
     ascends there.  A step that does not, or a singular Newton system, means
     the solve is on the wrong face or at its rounding floor: it raises
     _LineSearchStall, as do a line search that halves t below 1e-14 and an
-    iterate with a corner below ``floor``.
+    iterate, the start included, with a corner below ``floor``.
 
     A barrier round (mu > 0) also ends, at the point it stands on, once
     _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
     slack of 1e-8 the slacks' rounding gives mu/s a relative error near 6e-8,
     a floor that can sit above the round's tolerance.
     """
-    NT, UN = N.T, U @ N
-    UNT, nc = UN.T, theta_p.size
+    theta_p, N, U, b, UN = face.theta_p, face.N, face.U, face.b, face.UN
+    NT, UNT, nc = N.T, UN.T, theta_p.size
 
     def phi(theta, s):
         barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
@@ -272,19 +301,7 @@ def maximize_volume(link, start=None):
         if np.any(_slacks(theta0, A_ub, b_ub) <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    def pinned(act):
-        """Free corners, all corners' fixed values and ``_factor`` of the face pinning
-        ``act``: pinned corners leave at 0 (a triangle's third at pi), rows join A_eq."""
-        out = np.zeros(m, dtype=bool)
-        out[[i for i in act if i < m]] = True
-        base = np.where(~out & np.repeat(out.reshape(-1, 3).sum(axis=1) == 2, 3), math.pi, 0.0)
-        keep = np.flatnonzero(~out & (base == 0.0))
-        r = [i - m for i in act if i >= m]
-        A = np.vstack([A_eq, A_ub[r]])
-        b = np.concatenate([b_eq, b_ub[r]]) - A @ base
-        return (keep, base, *_factor(A.take(keep, axis=1), b))
-
-    _, _, N, theta_p, _, _ = whole = pinned(())  # the barrier's system
+    _, _, theta_p, N, *_ = whole = _face(system, ())  # the barrier's system
     u = u_prev = N.T @ (theta0 - theta_p)
 
     path_volumes, steps, mu = [], [], 1e-1  # steps: of each Newton that returned
@@ -298,7 +315,7 @@ def maximize_volume(link, start=None):
             if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
                 u0 = guess
         try:
-            u_end, _, iters = _newton_max(theta_p, N, A_ub, b_ub, u0, mu, tol, 200, 0.0)
+            u_end, _, iters = _newton_max(whole, u0, mu, tol, 200, 0.0)
         except _LineSearchStall:
             break  # parked against the boundary: identify from the last two points
         u_prev, u = u, u_end
@@ -315,27 +332,22 @@ def maximize_volume(link, start=None):
     act = tuple(np.flatnonzero(ratio < _MU_FACTOR**0.25).tolist())
 
     def solve_on(act, floor):
-        """Newton at mu = 0 on the face pinning ``act`` from theta projected onto it:
-        (act, theta, face gradient), or None if the face is inconsistent, the
-        Newton fails (an iterate's free corner below ``floor`` included) or a
-        multiplier < 0."""
-        keep, base, N2, theta_p2, residual, multipliers = pinned(act) if act else whole
-        R = np.array([i for i in range(len(b_ub)) if i + m not in act], dtype=int)
-        U2, b2 = A_ub[R].take(keep, axis=1), (b_ub - A_ub @ base)[R]
-        u2 = N2.T @ (theta[keep] - theta_p2)
+        """Newton at mu = 0 from theta on the face pinning ``act``: (act, theta, face
+        gradient), or None if the face is inconsistent, its Newton fails or a multiplier < 0."""
+        face = _face(system, act) if act else whole
+        u2 = face.N.T @ (theta[face.keep] - face.theta_p)
         try:
-            u2, gnorm, iters = _newton_max(theta_p2, N2, U2, b2, u2, 0.0, 1e-12, 60, floor)
+            u2, gnorm, iters = _newton_max(face, u2, 0.0, 1e-12, 60, floor)
         except _LineSearchStall:
             return None
         steps.append(iters)
-        theta_k = theta_p2 + N2 @ u2
+        theta_k = face.theta_p + face.N @ u2
         g = volume_gradient(theta_k)
-        lam = multipliers(g)[len(b_eq):]
-        if residual > 1e-8 or gnorm >= 1e-12 or np.any(lam < -1e-9):
+        if face.residual > 1e-8 or gnorm >= 1e-12 or np.any(face.multipliers @ g < -1e-9):
             return None
-        theta_f = base.copy()
-        theta_f[keep] = theta_k
-        return act, theta_f, N2.T @ g
+        theta_f = face.base.copy()
+        theta_f[face.keep] = theta_k
+        return act, theta_f, face.N.T @ g
 
     # A pinned corner with ratio above 0.2^(3/4) is not in the factor's class and may
     # be small but positive at the optimum: free those first, kept unless one collapses.

@@ -142,7 +142,8 @@ def _beta_mle(x, alpha0, beta0):
                 raise FitDiverged("Beta MLE step collapsed")
         a += step * da
         b += step * db
-        if abs(step * da) < 1e-10 and abs(step * db) < 1e-10:
+        # relative to the shape: at a shape of 1e4 the step's rounding noise is ~1e-7
+        if abs(step * da) < 1e-10 * max(1.0, a) and abs(step * db) < 1e-10 * max(1.0, b):
             return a, b
     raise FitDiverged("Beta MLE did not converge in 200 iterations")
 

@@ -214,22 +214,22 @@ def _pinned_types():
 # from the centered witness (None: not realizable).  Taken with numpy 2.4 on
 # OpenBLAS 0.3.31; another LAPACK build may round the SVD differently.
 OPTIMUM_PINS = {
-    "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.8e1f0c1b745c8p-56", 0),
-    "octahedron": ("0x1.d4f9713e8135dp+1", "0x1.8a85c24f70659p-53", 0),
-    "n8-00": ("0x1.44c8043299556p+2", "0x1.7d7de72a7a36cp-52", 34),
-    "n8-01": ("0x1.44c8043299556p+2", "0x1.723e807f69c09p-53", 35),
-    "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.f2a35d7e68948p-53", 49),
-    "n8-03": ("0x1.3a270531d120ap+2", "0x1.ef50f9e4d02d4p-53", 40),
-    "n8-04": ("0x1.44c8043299556p+2", "0x1.69b0c2ff0aea8p-52", 37),
-    "n8-05": ("0x1.69f60748b14c0p+2", "0x1.50de3070be353p-52", 25),
-    "n8-06": ("0x1.279a05fba0e3dp+2", "0x1.37370b49194f8p-52", 47),
-    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.3ad7485b30657p-52", 9),
-    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.26ac360da2f1cp-53", 9),
-    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.a722cb2080f74p-52", 9),
-    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.8d076a5427bbbp-53", 26),
+    "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.3cf6982ab9cf8p-55", 0),
+    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.cd9f647c06e48p-55", 0),
+    "n8-00": ("0x1.44c8043299556p+2", "0x1.59350a058258ep-52", 34),
+    "n8-01": ("0x1.44c8043299557p+2", "0x1.1c59d04ec5810p-54", 35),
+    "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.68789060a8b70p-52", 42),
+    "n8-03": ("0x1.3a270531d120bp+2", "0x1.95e93445a10aep-53", 46),
+    "n8-04": ("0x1.44c8043299556p+2", "0x1.63981a49cafa1p-54", 37),
+    "n8-05": ("0x1.69f60748b14c0p+2", "0x1.e4b8619f291d9p-52", 25),
+    "n8-06": ("0x1.279a05fba0e3ep+2", "0x1.dd34e4f2b49f4p-53", 50),
+    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.408fe3239233ep-52", 9),
+    "n8-08": ("0x1.6c6653e6b1238p+2", "0x1.a7f180e3cd391p-53", 9),
+    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.157853b1bf50fp-52", 9),
+    "n8-10": ("0x1.69f60748b14bfp+2", "0x1.3712aa50006d4p-52", 27),
     "n8-11": None,
-    "n8-12": ("0x1.9f43136a14977p+2", "0x1.28fe971d03f7ap-52", 8),
-    "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.d82089b9d6a11p-52", 0),
+    "n8-12": ("0x1.9f43136a14976p+2", "0x1.8d9169fe5124ep-53", 9),
+    "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.da07739352dd5p-54", 0),
 }
 
 # The same volumes from the witness of the LP under Bland's pricing
@@ -237,19 +237,19 @@ OPTIMUM_PINS = {
 # depend on the start beyond rounding.
 BLAND_START_VOLUMES = {
     "tetrahedron": "0x1.03d3368ee1111p+0",
-    "octahedron": "0x1.d4f9713e8135dp+1",
-    "n8-00": "0x1.44c8043299555p+2",
-    "n8-01": "0x1.44c8043299556p+2",
-    "n8-02": "0x1.3bb8a48b11985p+2",
-    "n8-03": "0x1.3a270531d120ap+2",
-    "n8-04": "0x1.44c8043299556p+2",
-    "n8-05": "0x1.69f60748b14bfp+2",
-    "n8-06": "0x1.279a05fba0e3dp+2",
+    "octahedron": "0x1.d4f9713e8135ep+1",
+    "n8-00": "0x1.44c8043299556p+2",
+    "n8-01": "0x1.44c8043299557p+2",
+    "n8-02": "0x1.3bb8a48b11986p+2",
+    "n8-03": "0x1.3a270531d120bp+2",
+    "n8-04": "0x1.44c8043299555p+2",
+    "n8-05": "0x1.69f60748b14c0p+2",
+    "n8-06": "0x1.279a05fba0e3ep+2",
     "n8-07": "0x1.6c6653e6b1237p+2",
     "n8-08": "0x1.6c6653e6b1237p+2",
-    "n8-09": "0x1.801c197f4e24bp+2",
+    "n8-09": "0x1.801c197f4e24ap+2",
     "n8-10": "0x1.69f60748b14bfp+2",
-    "n8-12": "0x1.9f43136a14976p+2",
+    "n8-12": "0x1.9f43136a14977p+2",
     "n8-13": "0x1.85bcd1d65199ap+2",
 }
 
@@ -413,6 +413,9 @@ def _optimizer_links():
 
 
 def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
+    # each triangle's row has a closed-form null basis, so an SVD sees one row
+    # per interior link vertex and per pinned row, none per triangle, and a
+    # face with neither (the tetrahedron's barrier) takes none
     factored = []
     svd = np.linalg.svd
 
@@ -425,16 +428,118 @@ def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    pinned_systems = 0
+    pinned_systems = unfactored = 0
     for link in _optimizer_links():
         factored.clear()
         out = optvol.maximize_volume(link)
+        interior, triangles = len(link.interior_vertices), len(link.bounded_faces)
+        rows = sum(kind != "corner" for kind, _ in out.active_constraints)
         assert len(factored) == len(set(factored))
-        assert 1 <= len(factored) <= 3  # the barrier's and at most two faces
-        pinned_systems += len(factored) - 1
-        if out.active_constraints:
-            assert len(factored) >= 2
-    assert pinned_systems > 0
+        assert len(factored) <= 3  # the barrier's and at most two faces
+        assert all(shape[0] <= interior + rows for shape, _ in factored)
+        if interior:
+            assert factored[0][0] == (interior, 2 * triangles)  # the barrier's
+        else:
+            unfactored += 1
+        if rows or (interior and out.active_constraints):  # a pinned face is factored
+            assert len(factored) >= 1 + (interior > 0)
+        pinned_systems += len(factored) - (interior > 0)
+    assert pinned_systems > 0 and unfactored > 0
+
+
+def _dense_factor(A, b):
+    """Null basis, least-squares point V_r S_r^-1 U_r^T b (refined once), its
+    largest residual and the multiplier map grad -> U_r S_r^-1 V_r^T grad of
+    A theta = b, from one SVD of all of A.  Singular values below 1e-10 of the
+    largest are 0.  The optimizer factored every face this way until 0.2.14."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    r = int(np.sum(s > 1e-10 * s[0]))
+    W, Vr = U[:, :r] / s[:r], Vt[:r]
+    theta_p = Vr.T @ (W.T @ b)
+    theta_p += Vr.T @ (W.T @ (b - A @ theta_p))
+    residual = float(np.max(np.abs(A @ theta_p - b)))
+    return Vt[r:].T, theta_p, residual, lambda grad: W @ (Vr @ grad)
+
+
+def _dense_face(system, act):
+    """``optvol._face`` from a dense SVD of the face's whole equality system:
+    (keep, base, N, theta_p, residual, pinned rows' multipliers map)."""
+    m = system.n_vars
+    out = np.zeros(m, dtype=bool)
+    out[[i for i in act if i < m]] = True
+    base = np.where(~out & np.repeat(out.reshape(-1, 3).sum(axis=1) == 2, 3), PI, 0.0)
+    keep = np.flatnonzero(~out & (base == 0.0))
+    rows = [i - m for i in act if i >= m]
+    A = np.vstack([system.A_eq, system.A_ub[rows]])
+    b = np.concatenate([system.b_eq, system.b_ub[rows]]) - A @ base
+    N, theta_p, residual, multipliers = _dense_factor(A.take(keep, axis=1), b)
+    return keep, base, N, theta_p, residual, lambda g: multipliers(g)[len(system.b_eq):]
+
+
+def _active_indices(system, out):
+    """``maximize_volume``'s constraint indices of an optimum's active set."""
+    return tuple(3 * key[0] + key[1] if kind == "corner"
+                 else system.n_vars + system.ub_kinds.index((kind, key))
+                 for kind, key in out.active_constraints)
+
+
+def _assert_face_matches_dense_oracle(system, act, theta=None):
+    face = optvol._face(system, act)
+    keep, base, N, theta_p, residual, multipliers = _dense_face(system, act)
+    assert np.array_equal(face.keep, keep) and np.array_equal(face.base, base)
+    assert face.N.shape == N.shape
+    assert np.max(np.abs(face.N.T @ face.N - np.eye(N.shape[1])), initial=0.0) <= 1e-12
+    assert np.max(np.abs(face.N @ face.N.T - N @ N.T), initial=0.0) <= 1e-12
+    assert np.max(np.abs(face.theta_p - theta_p)) <= 1e-12
+    assert face.residual <= 1e-12 and residual <= 1e-12
+    if theta is not None:
+        g = optvol.volume_gradient(theta[keep])
+        lam = multipliers(g)
+        assert (face.multipliers @ g).shape == lam.shape
+        assert np.max(np.abs(face.multipliers @ g - lam), initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_face_factor_matches_dense_svd_oracle(n):
+    # every realizable link with n <= 8 at every apex: the barrier's system and
+    # the face its optimum pins, with the pinned rows' multipliers at the optimum
+    for i, apex, res, out in _apex_optima(n):
+        _assert_face_matches_dense_oracle(res.system, ())
+        act = _active_indices(res.system, out)
+        if act:
+            _assert_face_matches_dense_oracle(res.system, act, out.angles.reshape(-1))
+
+
+def test_face_factor_without_coupling_rows(monkeypatch):
+    # the tetrahedron's link is one triangle with no interior vertex: no SVD,
+    # N is the triangle's closed-form basis and theta_p its centre
+    system = rivin.assemble_constraints(triang.build_link(triang.tetrahedron(), 0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an SVD without coupling rows")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    face = optvol._face(system, ())
+    r2, r6 = 1 / math.sqrt(2), 1 / math.sqrt(6)
+    assert np.allclose(face.N, [[r2, r6], [-r2, r6], [0, -2 * r6]], rtol=0, atol=1e-15)
+    assert np.array_equal(face.theta_p, np.full(3, PI / 3))
+    assert face.multipliers.shape == (0, 3)
+    monkeypatch.undo()
+    _assert_face_matches_dense_oracle(system, ())
+
+
+def test_face_factor_of_a_doubly_pinned_triangle():
+    # n = 9 #0 collapses a link triangle at its optimum: two corners leave the
+    # variables at 0 and the third at pi, so that triangle has no column in N
+    out = _witness_optimum(9, 0)
+    system = rivin.assemble_constraints(out.link)
+    act = _active_indices(system, out)
+    (f,) = {i // 3 for i in act if i < system.n_vars}
+    face = optvol._face(system, act)
+    assert sum(i // 3 == f for i in act if i < system.n_vars) == 2
+    assert not np.isin(np.arange(3 * f, 3 * f + 3), face.keep).any()
+    assert sorted(face.base[3 * f:3 * f + 3]) == [0.0, 0.0, PI]
+    _assert_face_matches_dense_oracle(system, act, out.angles.reshape(-1))
 
 
 def _configuration_start(name):
@@ -510,9 +615,9 @@ def test_secant_start_moves_the_optimum_only_by_rounding(monkeypatch):
         guesses.append(secant(*args))
         return guesses[-1]
 
-    def recording_newton(theta_p, N, U, b, u, *rest):
+    def recording_newton(face, u, *rest):
         starts.append(u)
-        return newton_max(theta_p, N, U, b, u, *rest)
+        return newton_max(face, u, *rest)
 
     monkeypatch.setattr(optvol, "_secant", recording_secant)
     monkeypatch.setattr(optvol, "_newton_max", recording_newton)
@@ -638,7 +743,7 @@ def test_singular_newton_system_ends_the_barrier_round(monkeypatch):
     # so start off it.
     res = rivin.is_realizable(triang.octahedron())
     system = rivin.assemble_constraints(res.link)
-    start = res.witness + 0.1 * optvol._factor(system.A_eq, system.b_eq)[0][:, 0]
+    start = res.witness + 0.1 * _dense_factor(system.A_eq, system.b_eq)[0][:, 0]
     solve = np.linalg.solve
     raised = []
 
@@ -813,10 +918,10 @@ def stall_every_face_newton(monkeypatch):
     """Make every Newton at mu = 0 raise, as a face no Newton can solve."""
     newton_max = optvol._newton_max
 
-    def stalling(theta_p, N, U, b, u, mu, tol, max_iter, floor):
+    def stalling(face, u, mu, tol, max_iter, floor):
         if mu == 0.0:
             raise optvol._LineSearchStall("face Newton stalls")
-        return newton_max(theta_p, N, U, b, u, mu, tol, max_iter, floor)
+        return newton_max(face, u, mu, tol, max_iter, floor)
 
     monkeypatch.setattr(optvol, "_newton_max", stalling)
 
@@ -826,10 +931,7 @@ def test_face_that_fails_its_checks_raises_numerical_failure(monkeypatch):
     # face and the face that pins the collapsing corners fail; the error names
     # the constraints of the pinned one, which the unpatched optimum keeps
     ref = _witness_optimum(9, 0)
-    system = rivin.assemble_constraints(ref.link)
-    act = tuple(3 * key[0] + key[1] if kind == "corner"
-                else system.n_vars + system.ub_kinds.index((kind, key))
-                for kind, key in ref.active_constraints)
+    act = _active_indices(rivin.assemble_constraints(ref.link), ref)
     assert any(kind == "corner" for kind, _ in ref.active_constraints)
     stall_every_face_newton(monkeypatch)
     res = rivin.is_realizable(all_types(9)[0])

@@ -132,6 +132,19 @@ def test_fit_beta_falls_back_to_moments(monkeypatch):
     assert fit.ks_stat == stats._ks_statistic(x, fit.alpha, fit.beta)
 
 
+def test_fit_beta_large_shapes_converge_by_mle():
+    # the MLE's step has rounding noise near 1e-7 at a shape of 1e4, so it
+    # stops on a step relative to the shape; an absolute stop of 1e-10 sent
+    # every sample with a shape of 1e4 or more to the moments fallback
+    x = np.random.default_rng(0).beta(1e4, 3e3, 5000)
+    fit = stats.fit_beta(stats.VolumeSample(n=4, volumes=x, seed=0, vmax=1.0, vmax_mode="given"))
+    assert fit.method == "mle"
+    psab = specfun.digamma(fit.alpha + fit.beta)
+    score = (psab - specfun.digamma(fit.alpha) + float(np.mean(np.log(x))),
+             psab - specfun.digamma(fit.beta) + float(np.mean(np.log1p(-x))))
+    assert max(abs(g) for g in score) <= 1e-7
+
+
 def test_fit_beta_replicates_within_three_se():
     hits = 0
     for seed in range(20):
