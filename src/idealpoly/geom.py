@@ -20,14 +20,22 @@ MIN_SEPARATION = 1e-6
 
 
 def sample_sphere(count, rng):
-    """Uniform points on the unit sphere: z ~ U[-1, 1], azimuth ~ U[0, 2pi)."""
-    out = np.empty((count, 3))
-    for i in range(count):
-        z = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+    """Uniform points on the unit sphere: z ~ U[-1, 1], azimuth ~ U[0, 2pi).
+
+    One ``rng.random(2 * count)`` call: point i takes z from double 2i and its
+    azimuth from double 2i + 1 with the arithmetic of ``rng.uniform``, so a
+    block holds the points that ``count`` draws of one point each would give.
+    The roots and trigonometry are libm's (``math``): numpy's SIMD ones differ
+    from it in the last bit on some points.
+    """
+    u = rng.random(2 * count).tolist()
+    out = []
+    for i in range(0, 2 * count, 2):
+        z = -1.0 + 2.0 * u[i]
+        phi = 2.0 * math.pi * u[i + 1]
         r = math.sqrt(max(0.0, 1.0 - z * z))
-        out[i] = (r * math.cos(phi), r * math.sin(phi), z)
-    return out
+        out.append((r * math.cos(phi), r * math.sin(phi), z))
+    return np.array(out).reshape(count, 3)
 
 
 def stereographic(p):
@@ -78,22 +86,26 @@ def make_configuration(finite_points):
 def random_configuration(n, rng):
     """n ideal vertices: 0, 1, infinity fixed, n - 3 uniform sphere samples.
 
-    Samples closer than MIN_SEPARATION to an existing finite point (or at the
-    north pole) are redrawn, up to 100 attempts each.
+    Candidates come in blocks of ``sample_sphere``, one point per vertex still
+    missing, and are read in order, so the generator yields the doubles that
+    drawing one point at a time would. A candidate closer than MIN_SEPARATION
+    to an existing finite point (or at the north pole) is replaced by the
+    next one, up to 100 attempts per vertex.
     """
     if n < 4:
         raise DegenerateSample(f"need n >= 4, got {n}")
     finite = [complex(0.0, 0.0), complex(1.0, 0.0)]
-    for _ in range(n - 3):
-        for _attempt in range(100):
-            w = stereographic(sample_sphere(1, rng)[0])
-            if w is None:
-                continue
-            if all(abs(w - q) > MIN_SEPARATION for q in finite):
+    rejected = 0  # consecutive rejections for the vertex being placed
+    while len(finite) < n - 1:
+        for p in sample_sphere(n - 1 - len(finite), rng).tolist():
+            w = stereographic(p)
+            if w is not None and all(abs(w - q) > MIN_SEPARATION for q in finite):
                 finite.append(w)
-                break
-        else:
-            raise DegenerateSample("resampling budget exhausted")
+                rejected = 0
+                continue
+            rejected += 1
+            if rejected == 100:
+                raise DegenerateSample("resampling budget exhausted")
     return PointConfiguration(finite=tuple(finite))
 
 

@@ -68,6 +68,8 @@ def sample_volumes(n, count, seed=0, vmax_mode="table", threads=1):
         raise InputError(f"need n >= 4 and count >= 1, got n={n}, count={count}")
     if threads < 1:
         raise InputError(f"need threads >= 1, got {threads}")
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
     if vmax_mode == "table":
         if n not in KNOWN_MAX_VOLUME:
             raise InputError(
@@ -318,6 +320,8 @@ def search_max_volume(n, trials, seed=0):
     """
     if n < 4 or trials < 1:
         raise InputError(f"need n >= 4 and trials >= 1, got n={n}, trials={trials}")
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
     memo = {}  # canonical form -> (OptResult, type_hash)
     per_trial = []
     for trial in range(trials):

@@ -261,6 +261,23 @@ def test_sample_and_search_reject_bad_sizes(argv, capsys):
     assert error_line(err)["code"] == "INPUT_ERROR"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "8", "--count", "5", "--seed", "-1"],
+        ["sample", "--n", "8", "--count", "5", "--seed", "-1", "--threads", "1"],
+        ["search", "--n", "6", "--trials", "2", "--seed", "-3"],
+    ],
+)
+def test_sample_and_search_reject_negative_seed(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert "seed >= 0" in payload["message"]
+
+
 @pytest.mark.parametrize("command", ["fit", "report"])
 @pytest.mark.parametrize(
     "header,field",

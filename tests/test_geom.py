@@ -25,7 +25,9 @@ def test_sample_sphere_statistics():
 
 def test_sample_sphere_empty():
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     assert geom.sample_sphere(0, rng).shape == (0, 3)
+    assert rng.bit_generator.state == state  # drew nothing
 
 
 def test_stereographic_special_points():
@@ -51,6 +53,90 @@ def test_random_configuration_counts_and_separation():
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert abs(pts[i] - pts[j]) > 1e-6
+
+
+def _scalar_random_configuration(n, rng):
+    """``geom.random_configuration`` drawing one point per attempt with two
+    ``rng.uniform`` calls, and the number of candidates it rejected.  The
+    sampler drew its points this way until 0.2.15."""
+    finite = [complex(0.0, 0.0), complex(1.0, 0.0)]
+    rejected = 0
+    for _ in range(n - 3):
+        for _attempt in range(100):
+            z = rng.uniform(-1.0, 1.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(max(0.0, 1.0 - z * z))
+            w = geom.stereographic(np.array([(r * math.cos(phi), r * math.sin(phi), z)])[0])
+            if w is not None and all(abs(w - q) > geom.MIN_SEPARATION for q in finite):
+                finite.append(w)
+                break
+            rejected += 1
+        else:
+            raise DegenerateSample("resampling budget exhausted")
+    return geom.PointConfiguration(finite=tuple(finite)), rejected
+
+
+def _assert_sampler_matches_scalar(n, trials):
+    """Same configurations, and the same generator state after each, as the
+    per-point sampler; returns the candidates the latter rejected."""
+    rejected = 0
+    for trial in range(trials):
+        rng, oracle_rng = stats.trial_rng(0, trial), stats.trial_rng(0, trial)
+        expected, count = _scalar_random_configuration(n, oracle_rng)
+        assert geom.random_configuration(n, rng) == expected, (n, trial)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, (n, trial)
+        rejected += count
+    return rejected
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 40, 60])
+def test_random_configuration_matches_scalar_sampler(n):
+    _assert_sampler_matches_scalar(n, 200)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 40, 60])
+def test_random_configuration_matches_scalar_sampler_with_rejections(n, monkeypatch):
+    # a separation this wide rejects candidates, so blocks are drawn again
+    monkeypatch.setattr(geom, "MIN_SEPARATION", 0.3)
+    assert _assert_sampler_matches_scalar(n, 200) >= 1
+
+
+class _ListedDoubles:
+    """A generator stub whose ``random(size)`` hands out listed doubles in
+    order and records each size asked for."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.sizes = []
+
+    def random(self, size):
+        assert size <= len(self.doubles), "drew past the listed doubles"
+        self.sizes.append(size)
+        out, self.doubles = self.doubles[:size], self.doubles[size:]
+        return np.array(out)
+
+
+def test_random_configuration_skips_the_north_pole():
+    # u = 1 - 2^-53 gives z = 1 - 2^-52: the north pole, which is skipped;
+    # (0.25, 0) is the point (sqrt(3)/2, 0, -1/2) and (0.75, 0.25) the point
+    # (0, sqrt(3)/2, 1/2)
+    rng = _ListedDoubles([1.0 - 2.0**-53, 0.5, 0.25, 0.0, 0.75, 0.25])
+    cfg = geom.random_configuration(5, rng)
+    assert cfg.finite[2:] == (
+        geom.stereographic((math.sqrt(0.75), 0.0, -0.5)),
+        geom.stereographic((math.sqrt(0.75) * math.cos(PI / 2), math.sqrt(0.75), 0.5)),
+    )
+    # one block per vertex still missing: two, then the one the pole left
+    assert rng.sizes == [4, 2] and not rng.doubles
+
+
+def test_random_configuration_resampling_budget():
+    # (0.5, 0) is the point (1, 0, 0), which coincides with the fixed vertex 1:
+    # the 100th coincident candidate ends the sampling
+    rng = _ListedDoubles([0.5, 0.0] * 100)
+    with pytest.raises(DegenerateSample, match="resampling budget exhausted"):
+        geom.random_configuration(4, rng)
+    assert rng.sizes == [2] * 100
 
 
 def test_delaunay_rejects_duplicate_and_too_few_points():

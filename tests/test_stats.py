@@ -63,6 +63,16 @@ def test_sample_and_search_reject_bad_sizes():
             call()
 
 
+def test_sample_and_search_reject_negative_seed():
+    for call in (
+        lambda: stats.sample_volumes(8, 5, seed=-1),
+        lambda: stats.sample_volumes(8, 5, seed=-1, threads=2),
+        lambda: stats.search_max_volume(6, 2, seed=-3),
+    ):
+        with pytest.raises(InputError, match="seed >= 0"):
+            call()
+
+
 def test_sample_volumes_bounded_by_table_max_n4():
     s = stats.sample_volumes(4, 5000, seed=0)
     assert float(np.max(s.volumes)) <= 1.014942 + 1e-9
