@@ -28,6 +28,7 @@ class Run:
         self.argv = argv
         self.t0 = time.monotonic()
         self.inputs = {}
+        self.profile = {}  # counters of where the work went, for the manifest only
 
     def read_json(self, path):
         raw = self._read_bytes(path)
@@ -51,7 +52,7 @@ class Run:
         return raw
 
     def manifest(self):
-        return {
+        out = {
             "command": self.args.command,
             "argv": self.argv,
             "seed": getattr(self.args, "seed", None),
@@ -59,6 +60,9 @@ class Run:
             "duration_s": round(time.monotonic() - self.t0, 6),
             "inputs": self.inputs,
         }
+        if self.profile:
+            out["profile"] = self.profile
+        return out
 
     def emit_json(self, payload, path=None):
         payload = dict(payload)
@@ -226,6 +230,7 @@ def cmd_search(run):
             for trial, vol, th in r.per_trial
         ],
     }
+    run.profile["conformal_types"] = r.conformal_types
     run.emit_json(payload, run.args.output)
     return 0
 

@@ -16,6 +16,14 @@ and a row by adding it to the equalities.  Triangle rows have a closed-form null
 basis, so one SVD per face, of the rows that couple triangles, gives its null
 basis, least-squares point and multipliers.  Boundary optima are reported
 through the active set and flagged boundary-active, never clipped.
+
+An interior optimum needs none of this.  There every inequality has a zero
+multiplier, so the link is the equilateral metric rescaled at its interior
+vertices (zero shear; Bobenko, Pinkall & Springborn 2015), and one Newton in
+those few unknowns finds it.  The optimizer tries that point before the barrier
+and keeps it when the mu = 0 Newton on the whole face converges from it with
+every slack above BOUNDARY_TOL; V is strictly concave, so an interior stationary
+point is the maximizer.  Otherwise the barrier runs.
 """
 
 import math
@@ -43,9 +51,9 @@ def volume_gradient(flat_angles, sin=None):
     return -np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
-def _hessian_diag(theta, sin=None):
-    """d2(volume)/d(corner)2 = -cot theta per corner in (0, pi]."""
-    return -np.cos(theta) / (np.sin(theta) if sin is None else sin)
+def _neg_hessian_diag(theta, sin=None):
+    """-d2(volume)/d(corner)2 = cot theta per corner in (0, pi]."""
+    return np.cos(theta) / (np.sin(theta) if sin is None else sin)
 
 
 def dihedral_angles(link, angles):
@@ -115,7 +123,7 @@ class OptResult:
     kkt_residual: float
     active_constraints: tuple  # (kind, key) rows binding at the optimum
     boundary_active: bool
-    barrier_volumes: tuple  # central-path volumes, nondecreasing
+    barrier_volumes: tuple  # central-path volumes, nondecreasing; () at the zero-shear point
     newton_iterations: int
 
 
@@ -130,39 +138,50 @@ def _slacks(theta, U, b):
 _Face = namedtuple("_Face", "keep base theta_p N U b UN residual multipliers")
 
 
+# The orthonormal null basis of a triangle's row over its three corners: (1, -1, 0)/sqrt2
+# and (1, 1, -2)/sqrt6.  Over the two kept corners of a triangle with one pinned, the
+# first column's first two entries are (1, -1)/sqrt2.
+_TRIANGLE_BASIS = np.array([[math.sqrt(0.5), 1.0 / math.sqrt(6.0)],
+                            [-math.sqrt(0.5), 1.0 / math.sqrt(6.0)],
+                            [0.0, -2.0 / math.sqrt(6.0)]])
+
+
 def _face(system, act):
     """The face pinning ``act`` (i < n_vars: theta_i >= 0, else row i - n_vars of A_ub).
-    A triangle's row has the orthonormal null basis (1, -1, 0)/sqrt2, (1, 1, -2)/sqrt6 or
-    (1, -1)/sqrt2 over its k kept corners, Q's block, and the point pi/k on each, so one SVD,
-    of C Q with C the coupling rows (interior vertices and pinned rows), gives N, the
-    least-squares point (refined once) and C's multipliers (singular values < 1e-10 s_max: 0)."""
+    A triangle's row has a closed-form orthonormal null basis over its k kept corners,
+    Q's block, and the point pi/k on each, so one SVD, of C Q with C the coupling rows
+    (interior vertices and pinned rows), gives N, the least-squares point (refined once)
+    and C's multipliers (singular values < 1e-10 s_max: 0)."""
     A_eq, b_eq, A_ub, b_ub, m = system.A_eq, system.b_eq, system.A_ub, system.b_ub, system.n_vars
-    pinned = np.zeros(m + len(b_ub), dtype=bool)
-    pinned[list(act)] = True
-    out, rows, F = pinned[:m], pinned[m:], m // 3
-    base = np.where(~out & np.repeat(out.reshape(-1, 3).sum(axis=1) == 2, 3), math.pi, 0.0)
-    keep = np.flatnonzero(~out & (base == 0.0))
-    A = np.vstack([A_eq, A_ub[rows]])
-    A, b = A.take(keep, axis=1), np.concatenate([b_eq, b_ub[rows]]) - A @ base
-    k = np.bincount(keep // 3, minlength=F)  # kept corners per triangle: 0, 2 or 3
-    cols, i = k - (k > 0), np.arange(keep.size)
-    j = i - np.repeat(np.cumsum(k) - k, k)  # slot among its triangle's kept corners
-    c = np.repeat(np.cumsum(cols) - cols, k)  # its triangle's first column in Q
-    Q, pair, three = np.zeros((keep.size, cols.sum())), j < 2, np.repeat(k == 3, k)
-    Q[i[pair], c[pair]] = np.where(j[pair] == 0, math.sqrt(0.5), -math.sqrt(0.5))
-    Q[i[three], c[three] + 1] = np.where(j[three] < 2, 1.0, -2.0) / math.sqrt(6.0)
-    theta_p, C, d = np.repeat(math.pi / np.maximum(k, 1), k), A[F:], b[F:]
+    F = m // 3
+    if act:
+        pinned = np.zeros(m + len(b_ub), dtype=bool)
+        pinned[list(act)] = True
+        out, rows = pinned[:m].reshape(-1, 3), pinned[m:]
+        third = (~out & (out.sum(axis=1, keepdims=True) == 2)).ravel()  # at pi
+        base = np.where(third, math.pi, 0.0)
+        keep = np.flatnonzero(~(out.ravel() | third))
+        A = np.concatenate((A_eq, A_ub[rows]))
+        A, b = A.take(keep, axis=1), np.concatenate((b_eq, b_ub[rows])) - A @ base
+        U_free, b_free = A_ub[~rows].take(keep, axis=1), (b_ub - A_ub @ base)[~rows]
+    else:  # the barrier's face pins nothing: the system as it is, uncopied
+        base, keep, A, b, U_free, b_free = np.zeros(m), np.arange(m), A_eq, b_eq, A_ub, b_ub
+    f, i = keep // 3, np.arange(keep.size)
+    k = np.bincount(f, minlength=F)  # kept corners per triangle: 0, 2 or 3
+    Q = np.zeros((keep.size, F, 2))  # two columns per triangle, the unused ones dropped
+    Q[i, f] = _TRIANGLE_BASIS[i - np.searchsorted(f, f)]  # by slot among its kept corners
+    Q = Q.reshape(keep.size, -1).take(np.flatnonzero(k[:, None] > [1, 2]), axis=1)
+    theta_p, C, d = math.pi / k.take(f), A[F:], b[F:]
     N, W, Vr = Q, np.zeros((len(C), 0)), np.zeros((0, Q.shape[1]))
     if len(C):
         CQ, d = C @ Q, d - C @ theta_p
         U, s, Vt = np.linalg.svd(CQ, full_matrices=True)
-        r = int(np.sum(s > 1e-10 * s[0]))
+        r = np.count_nonzero(s > 1e-10 * s[0])
         W, Vr, N = U[:, :r] / s[:r], Vt[:r], Q @ Vt[r:].T  # pinv(CQ) = Vr^T W^T
         y = Vr.T @ (W.T @ d)
         theta_p = theta_p + Q @ (y + Vr.T @ (W.T @ (d - CQ @ y)))
-    U = A_ub[~rows].take(keep, axis=1) if act else A_ub  # the barrier's, uncopied
-    return _Face(keep, base, theta_p, N, U, (b_ub - A_ub @ base)[~rows], U @ N,
-                 float(np.max(np.abs(A @ theta_p - b))),
+    return _Face(keep, base, theta_p, N, U_free, b_free, U_free @ N,
+                 float(np.abs(A @ theta_p - b).max()),
                  (W[len(b_eq) - F:] @ Vr) @ Q.T)
 
 
@@ -228,15 +247,15 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
             raise _LineSearchStall(f"a corner fell below {floor:g} at mu={mu:g}")
         if gnorm < tol or stalled == _STALL_RUN or iters == max_iter:
             return u, gnorm, iters
-        d = _hessian_diag(theta, sin)
+        d = _neg_hessian_diag(theta, sin)
         if mu > 0.0:
             w = mu / (s * s)
-            d -= w[:nc]
-            H = (NT * d) @ N - (UNT * w[nc:]) @ UN
+            d += w[:nc]
+            H = (NT * d) @ N + (UNT * w[nc:]) @ UN  # minus the Hessian
         else:
             H = (NT * d) @ N
         try:
-            step = np.linalg.solve(-H, g)
+            step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             raise _LineSearchStall(f"singular Newton system at mu={mu:g}") from None
         slope = float(g @ step)
@@ -265,6 +284,69 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
             stalled += 1
 
 
+# The zero-shear Newton gives up on a row violated by more than this many residuals
+# (the 2-norm of the angle-sum defects): on the measured links (every type with
+# n <= 10 and 459 Delaunay types at n = 12 to 40) no row moved by more than 1.07
+# residuals between an iterate and the solution.
+_REJECT_RATIO = 2.0
+
+
+def _zero_shear(system):
+    """(flat corner angles, Newton steps) of the zero-shear point of ``system``'s link,
+    or None.
+
+    Interior link vertex v carries a factor y_v and a hull vertex 1, and a link
+    triangle is the triangle whose side opposite each corner is that corner's
+    factor: by the law of sines, sin theta ~ y at the optimum.  Scaled by
+    1 / (y_u y_v y_w), triangle uvw has the side 1 / (y_u y_v) on edge uv, so the
+    link is the equilateral metric rescaled at its vertices.  The corner opposite
+    side l has half-angle tangent r / (s - l), r the inradius and s the
+    semiperimeter.  Damped Newton drives each interior vertex's angle sum to 2 pi;
+    in log y its Jacobian is the cotangent Laplacian (Springborn, Schroeder &
+    Pinkall 2008).  At an optimum where no inequality carries a multiplier this
+    point is the optimum.  None when neither the full step nor its half keeps
+    every triangle inequality and lowers the residual, after 30 steps, or once a
+    row of U theta <= pi is violated by more than _REJECT_RATIO residuals.
+    """
+    m, U = system.n_vars, system.A_ub
+    C = system.A_eq[m // 3:]  # interior vertex x corner incidence
+    I, C3 = len(C), C.reshape(len(C), m // 3, 3)
+    # L / 2 = D^T diag(2 cot theta) D, a row of D per corner over its opposite side's ends
+    D = 0.5 * (C3[:, :, [1, 2, 0]] - C3[:, :, [2, 0, 1]]).reshape(I, m).T
+    E = np.concatenate((C3, 1.0 - C3.sum(axis=0, keepdims=True)))  # last row: on the hull
+    E = (E.sum(axis=2, keepdims=True) - 2.0 * E).reshape(I + 1, m)  # y E[:I] + E[I]: 2 (s - l)
+
+    def corners(y):
+        d = (y @ E[:I] + E[I]).reshape(-1, 3)  # all positive only for a triangle
+        if not d.min() > 0.0:
+            return None
+        t = (np.sqrt(d.prod(axis=1, keepdims=True) / d.sum(axis=1, keepdims=True)) / d).ravel()
+        half = np.arctan(t)
+        F = C @ half - math.pi  # half the angle-sum defects
+        return half, t, F, 2.0 * math.sqrt(F @ F)
+
+    y = np.ones(I)
+    half, t, F, r = corners(y)
+    for steps in range(31):
+        if 2.0 * (U @ half).max() - math.pi > _REJECT_RATIO * r:
+            return None
+        if r < 1e-12:
+            return 2.0 * half, steps
+        try:  # 1/t - t = 2 cot theta
+            dy = y * np.linalg.solve((D.T * (1.0 / t - t)) @ D, F)
+        except np.linalg.LinAlgError:
+            return None
+        for step in (1.0, 0.5):
+            y_try = y - step * dy
+            trial = corners(y_try)
+            if trial is not None and trial[3] < r:
+                break
+        else:
+            return None
+        y, (half, t, F, r) = y_try, trial
+    return None
+
+
 _MU_FACTOR = 0.2  # the barrier's mu falls by this factor per round
 
 
@@ -277,8 +359,10 @@ def maximize_volume(link, start=None):
 
     ``start`` must be strictly interior (true slacks positive, equalities
     within 1e-8); when omitted, the centered witness at the default epsilon
-    is used.  Raises InfeasibleStart when no interior start can be produced
-    and NumericalFailure when the optimum's face fails its checks.
+    is used.  An interior optimum is the zero-shear point, which settles it
+    without the barrier; the start is still checked, or the witness computed,
+    first.  Raises InfeasibleStart when no interior start can be produced and
+    NumericalFailure when the optimum's face fails its checks.
     """
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
@@ -302,6 +386,22 @@ def maximize_volume(link, start=None):
             raise InfeasibleStart("start is not strictly interior")
 
     _, _, theta_p, N, *_ = whole = _face(system, ())  # the barrier's system
+    zero_shear = _zero_shear(system)
+    if zero_shear is not None:  # V is strictly concave: an interior stationary point is its max
+        theta, shear_steps = zero_shear
+        u = N.T @ (theta - theta_p)
+        try:
+            u, gnorm, iters = _newton_max(whole, u, 0.0, 1e-12, 60, BOUNDARY_TOL)
+        except _LineSearchStall:
+            pass
+        else:
+            theta = theta_p + N @ u
+            if gnorm < 1e-12 and _slacks(theta, A_ub, b_ub).min() > BOUNDARY_TOL:
+                return OptResult(link=link, angles=theta.reshape(-1, 3),
+                                 volume=specfun.lobachevsky_sum(theta), kkt_residual=gnorm,
+                                 active_constraints=(), boundary_active=False,
+                                 barrier_volumes=(), newton_iterations=shear_steps + iters)
+
     u = u_prev = N.T @ (theta0 - theta_p)
 
     path_volumes, steps, mu = [], [], 1e-1  # steps: of each Newton that returned

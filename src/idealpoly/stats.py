@@ -298,6 +298,7 @@ class SearchResult:
     best_result: object  # OptResult of the best type; its link.parent is the type
     per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
+    conformal_types: int  # unique types whose optimum ran no barrier: zero-shear points
 
 
 def type_hash(key):
@@ -344,4 +345,5 @@ def search_max_volume(n, trials, seed=0):
         best_result=best,
         per_trial=tuple(per_trial),
         unique_types=len(memo),
+        conformal_types=sum(not result.barrier_volumes for result, _ in memo.values()),
     )

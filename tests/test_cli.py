@@ -534,6 +534,9 @@ def test_search_and_schema(capsys):
     assert data["best_volume"] == pytest.approx(2.029883, abs=1e-5)
     assert len(data["per_trial"]) == 3
     check_schema(data, "search.schema.json")
+    # the one 5-vertex type has an interior optimum: the zero-shear point
+    assert data["manifest"]["profile"] == {"conformal_types": 1}
+    assert "profile" not in data["best"]
 
 
 @pytest.mark.skipif(jsonschema is None, reason="needs jsonschema")
@@ -543,6 +546,7 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
     _, out, _ = run_cli(["optimize", path], capsys)
     optimum = json.loads(out)
     assert "kernel_backend" not in optimum["manifest"]
+    assert "profile" not in optimum["manifest"]  # only search counts conformal types
     assert optimum["manifest"]["version"] == __version__
     del optimum["manifest"]["version"]
     with pytest.raises(jsonschema.ValidationError, match="'version' is a required"):
@@ -550,6 +554,10 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
 
     _, out, _ = run_cli(["search", "--n", "5", "--trials", "2"], capsys)
     search = json.loads(out)
+    search["manifest"]["profile"]["conformal_types"] = -1
+    with pytest.raises(jsonschema.ValidationError, match="less than the minimum"):
+        check_schema(search, "search.schema.json")
+    search["manifest"]["profile"]["conformal_types"] = 1
     del search["best"]["volume"]
     with pytest.raises(jsonschema.ValidationError, match="'volume' is a required"):
         check_schema(search, "search.schema.json")

@@ -157,8 +157,8 @@ def _reference_gradient(theta):
     return np.array([_reference_lobachevsky_deriv(t) for t in theta])
 
 
-def _reference_hessian_diag(theta):
-    return np.array([-math.cos(t) / math.sin(t) for t in theta])
+def _reference_neg_hessian_diag(theta):
+    return np.array([math.cos(t) / math.sin(t) for t in theta])
 
 
 EDGE_ANGLES = [1e-300, 1e-12, 2e-12, PI / 2, PI - 1e-12, PI]
@@ -169,7 +169,7 @@ def test_derivatives_match_scalar_reference_bitwise():
     rng = np.random.default_rng(17)
     theta = np.concatenate([PI - rng.uniform(0.0, PI, 10_000), EDGE_ANGLES])
     assert np.array_equal(optvol.volume_gradient(theta), _reference_gradient(theta))
-    assert np.array_equal(optvol._hessian_diag(theta), _reference_hessian_diag(theta))
+    assert np.array_equal(optvol._neg_hessian_diag(theta), _reference_neg_hessian_diag(theta))
 
 
 def test_gradient_values():
@@ -189,17 +189,17 @@ def test_gradient_matches_central_differences_of_lobachevsky():
 
 
 def test_hessian_diag_values():
-    d = optvol._hessian_diag(np.array([PI / 2, PI / 4, PI / 3]))
+    d = optvol._neg_hessian_diag(np.array([PI / 2, PI / 4, PI / 3]))
     assert d[0] == pytest.approx(0.0, abs=1e-15)
-    assert d[1] == pytest.approx(-1.0, abs=1e-14)
-    assert d[2] == pytest.approx(-1 / math.sqrt(3), abs=1e-14)
+    assert d[1] == pytest.approx(1.0, abs=1e-14)
+    assert d[2] == pytest.approx(1 / math.sqrt(3), abs=1e-14)
 
 
 def test_hessian_diag_matches_central_differences_of_gradient():
     h = 1e-6
     theta = np.linspace(0.2, PI - 0.2, 25)
     up, dn = optvol.volume_gradient(theta + h), optvol.volume_gradient(theta - h)
-    assert np.max(np.abs((up - dn) / (2 * h) - optvol._hessian_diag(theta))) < 1e-6
+    assert np.max(np.abs((up - dn) / (2 * h) + optvol._neg_hessian_diag(theta))) < 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,11 +211,13 @@ def _pinned_types():
 
 
 # float.hex of volume and kkt_residual, and newton_iterations, of the optimum
-# from the centered witness (None: not realizable).  Taken with numpy 2.4 on
-# OpenBLAS 0.3.31; another LAPACK build may round the SVD differently.
+# from the centered witness (None: not realizable).  The interior optima (the
+# tetrahedron, the octahedron and n8-07, 08, 09, 12 and 13) are zero-shear
+# points.  Taken with numpy 2.4 on OpenBLAS 0.3.31; another LAPACK build may
+# round the SVD differently.
 OPTIMUM_PINS = {
     "tetrahedron": ("0x1.03d3368ee1111p+0", "0x1.3cf6982ab9cf8p-55", 0),
-    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.cd9f647c06e48p-55", 0),
+    "octahedron": ("0x1.d4f9713e8135ep+1", "0x1.cd9f647c06e48p-55", 4),
     "n8-00": ("0x1.44c8043299556p+2", "0x1.59350a058258ep-52", 34),
     "n8-01": ("0x1.44c8043299557p+2", "0x1.1c59d04ec5810p-54", 35),
     "n8-02": ("0x1.3bb8a48b11985p+2", "0x1.68789060a8b70p-52", 42),
@@ -223,12 +225,12 @@ OPTIMUM_PINS = {
     "n8-04": ("0x1.44c8043299556p+2", "0x1.63981a49cafa1p-54", 37),
     "n8-05": ("0x1.69f60748b14c0p+2", "0x1.e4b8619f291d9p-52", 25),
     "n8-06": ("0x1.279a05fba0e3ep+2", "0x1.dd34e4f2b49f4p-53", 50),
-    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.408fe3239233ep-52", 9),
-    "n8-08": ("0x1.6c6653e6b1238p+2", "0x1.a7f180e3cd391p-53", 9),
-    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.157853b1bf50fp-52", 9),
+    "n8-07": ("0x1.6c6653e6b1237p+2", "0x1.2cf152a20072dp-51", 7),
+    "n8-08": ("0x1.6c6653e6b1237p+2", "0x1.22a8d44a36163p-54", 4),
+    "n8-09": ("0x1.801c197f4e24bp+2", "0x1.2e7929be01649p-53", 4),
     "n8-10": ("0x1.69f60748b14bfp+2", "0x1.3712aa50006d4p-52", 27),
     "n8-11": None,
-    "n8-12": ("0x1.9f43136a14976p+2", "0x1.8d9169fe5124ep-53", 9),
+    "n8-12": ("0x1.9f43136a14975p+2", "0x1.9714e0a62bf6cp-52", 4),
     "n8-13": ("0x1.85bcd1d65199ap+2", "0x1.da07739352dd5p-54", 0),
 }
 
@@ -542,6 +544,11 @@ def test_face_factor_of_a_doubly_pinned_triangle():
     _assert_face_matches_dense_oracle(system, act, out.angles.reshape(-1))
 
 
+def barrier_only(monkeypatch):
+    """Skip the zero-shear point, so that interior optima take the barrier too."""
+    monkeypatch.setattr(optvol, "_zero_shear", lambda system: None)
+
+
 def _configuration_start(name):
     """Link and Euclidean start of a planar configuration: the octahedron
     (a square around an off-centre point) or a seeded n = 8 sample."""
@@ -555,9 +562,9 @@ def _configuration_start(name):
 
 
 # (volume_gradient calls, lobachevsky_sum calls, newton_iterations) of one
-# maximize_volume from a configuration's own angles, which does not depend on
-# the LP.  The Newton loop evaluates each accepted point once, the barrier
-# objective only at the Armijo test, and each round's closing volume once;
+# barrier maximize_volume from a configuration's own angles, which does not
+# depend on the LP.  The Newton loop evaluates each accepted point once, the
+# barrier objective only at the Armijo test, and each round's closing volume once;
 # each round from the third on adds one volume at its secant start when that
 # start is interior.  The face's gradient, evaluated once, gives both its
 # multipliers and the KKT residual.
@@ -571,6 +578,7 @@ EVALUATION_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(EVALUATION_COUNTS))
 def test_optimizer_evaluates_each_point_once(name, monkeypatch):
+    barrier_only(monkeypatch)
     link, start = _configuration_start(name)
     calls = {"volume_gradient": 0, "lobachevsky_sum": 0}
 
@@ -606,6 +614,7 @@ def test_secant_start_moves_the_optimum_only_by_rounding(monkeypatch):
     # end point, the start every round took before the prediction.  The
     # optimum may move only in its last bits, and every optimization of three
     # or more barrier rounds must have started at least one from a secant.
+    barrier_only(monkeypatch)
     cases = [(link, None) for link in _optimizer_links()]
     cases += [_configuration_start(name) for name in sorted(EVALUATION_COUNTS)]
     secant, newton_max = optvol._secant, optvol._newton_max
@@ -639,9 +648,10 @@ def test_secant_start_moves_the_optimum_only_by_rounding(monkeypatch):
         assert _active_rows_differ_only_at_their_bound(link, out, ref)
 
 
-def test_barrier_path_volumes_nondecreasing():
+def test_barrier_path_volumes_nondecreasing(monkeypatch):
     # n = 10 #230: without the volume test on the secant start, its rounds
     # 4-6 closed up to 2.7e-9 below round 3
+    barrier_only(monkeypatch)
     for n, index in ((7, 2), (10, 230)):
         res = rivin.is_realizable(all_types(n)[index])
         pv = optvol.maximize_volume(res.link).barrier_volumes
@@ -741,6 +751,7 @@ def test_singular_newton_system_ends_the_barrier_round(monkeypatch):
     # last two points pins nothing, and its Newton at mu = 0 still reaches
     # the octahedron's optimum.  The centered witness is already the optimum,
     # so start off it.
+    barrier_only(monkeypatch)
     res = rivin.is_realizable(triang.octahedron())
     system = rivin.assemble_constraints(res.link)
     start = res.witness + 0.1 * _dense_factor(system.A_eq, system.b_eq)[0][:, 0]
@@ -902,6 +913,68 @@ def test_rejected_free_corner_face_stops_at_its_first_corner_below_the_floor():
 NEAR_MISS_TYPE = (11, [(3, 1, 6), (1, 3, 7), (2, 1, 7), (1, 4, 8), (4, 0, 8), (1, 2, 9),
                        (2, 4, 9), (4, 1, 9), (0, 4, 10), (4, 2, 10), (1, 8, 6), (0, 10, 5),
                        (2, 5, 10), (5, 2, 0), (0, 2, 8), (6, 8, 2), (2, 7, 6), (3, 6, 7)])
+
+
+def test_zero_shear_point_settles_exactly_the_interior_optima(monkeypatch):
+    # every inscribable type with n <= 10 at its default apex, from the witness:
+    # the zero-shear point settles the optimum iff the barrier, forced, finds
+    # it interior, and then within rounding of the barrier's.  Every other
+    # optimum is the barrier's, bit for bit
+    settled = 0
+    for n in range(4, 11):
+        for i, t in enumerate(all_types(n)):
+            out = _witness_optimum(n, i)
+            if out is None:
+                continue
+            res = rivin.is_realizable(t)
+            with monkeypatch.context() as m:
+                barrier_only(m)
+                ref = optvol.maximize_volume(res.link, start=res.witness)
+            if out.barrier_volumes == ():
+                settled += 1
+                assert not ref.boundary_active, (n, i)
+                assert out.active_constraints == () and not out.boundary_active
+                assert abs(out.volume - ref.volume) <= 2 * math.ulp(ref.volume), (n, i)
+                assert np.max(np.abs(out.angles - ref.angles)) <= 1e-12, (n, i)
+                assert out.kkt_residual < 1e-12
+            else:
+                assert ref.boundary_active, (n, i)
+                assert (out.volume, out.kkt_residual, out.newton_iterations) == (
+                    ref.volume, ref.kkt_residual, ref.newton_iterations)
+                assert np.array_equal(out.angles, ref.angles)
+                assert out.active_constraints == ref.active_constraints
+    assert settled == 41
+
+
+def test_zero_shear_point_is_the_optimum_where_no_active_row_has_a_multiplier(monkeypatch):
+    # an independent check of the face rule: at an optimum whose active rows
+    # all carry zero multipliers (measured |lambda| <= 3e-15; the others >=
+    # 0.057), the KKT conditions make it the zero-shear point, which lies on
+    # P's boundary.  Where a row carries a multiplier, the zero-shear point
+    # lies outside P.  Pinned corners have no zero-shear point and are left out
+    monkeypatch.setattr(optvol, "_REJECT_RATIO", math.inf)
+    free = pushed = 0
+    for n in range(4, 11):
+        for i in range(len(all_types(n))):
+            out = _witness_optimum(n, i)
+            if out is None or not out.active_constraints:
+                continue
+            if any(kind == "corner" for kind, _ in out.active_constraints):
+                continue
+            system = rivin.assemble_constraints(out.link)
+            face = optvol._face(system, _active_indices(system, out))
+            theta = out.angles.reshape(-1)
+            multipliers = face.multipliers @ optvol.volume_gradient(theta[face.keep])
+            point = optvol._zero_shear(system)
+            slack = None if point is None else optvol._slacks(point[0], system.A_ub, system.b_ub)
+            if np.max(np.abs(multipliers)) <= 1e-9:
+                free += 1
+                assert slack.min() >= -1e-12, (n, i)
+                assert np.max(np.abs(point[0] - theta)) <= 1e-10, (n, i)
+            else:
+                pushed += 1
+                assert slack is None or slack.min() < -1e-3, (n, i)
+    assert (free, pushed) == (29, 219)
 
 
 def test_face_rule_near_miss_keeps_the_slow_edge_free():

@@ -414,6 +414,10 @@ def test_search_n6_hits_octahedron():
     vols = sorted({round(v, 9) for _, v, _ in r.per_trial})
     if len(vols) == 2:
         assert vols[0] == pytest.approx(3 * 1.0149416064096537, abs=1e-6)
+    # the octahedron's optimum is interior, a zero-shear point; the other
+    # type's collapses a link triangle and takes the barrier
+    assert (r.unique_types, r.conformal_types) == (2, 1)
+    assert r.best_result.barrier_volumes == ()
 
 
 def test_type_hash_is_pinned_and_reported_per_trial():
