@@ -17,13 +17,15 @@ basis, so one SVD per face, of the rows that couple triangles, gives its null
 basis, least-squares point and multipliers.  Boundary optima are reported
 through the active set and flagged boundary-active, never clipped.
 
-An interior optimum needs none of this.  There every inequality has a zero
-multiplier, so the link is the equilateral metric rescaled at its interior
-vertices (zero shear; Bobenko, Pinkall & Springborn 2015), and one Newton in
-those few unknowns finds it.  The optimizer tries that point before the barrier
-and keeps it when the mu = 0 Newton on the whole face converges from it with
-every slack above BOUNDARY_TOL; V is strictly concave, so an interior stationary
-point is the maximizer.  Otherwise the barrier runs.
+Most optima need none of this.  The zero-shear point, the equilateral metric of
+the link rescaled at its interior vertices (Bobenko, Pinkall & Springborn 2015),
+maximizes V over the equalities alone and takes one Newton in those few
+unknowns.  On the face that pins the rows of P it violates (none for an interior
+optimum), the mu = 0 Newton from its projection is kept when it converges with
+nonnegative multipliers and every free slack above BOUNDARY_TOL: those are the
+KKT conditions of a concave maximization over P, so the point is the maximizer.
+The barrier still serves the optima that pin a corner, which no zero-shear point
+reaches, and those whose active rows are not the ones that point violates.
 """
 
 import math
@@ -123,7 +125,7 @@ class OptResult:
     kkt_residual: float
     active_constraints: tuple  # (kind, key) rows binding at the optimum
     boundary_active: bool
-    barrier_volumes: tuple  # central-path volumes, nondecreasing; () at the zero-shear point
+    barrier_volumes: tuple  # central-path volumes, nondecreasing; () on the zero-shear face
     newton_iterations: int
 
 
@@ -195,7 +197,7 @@ class _LineSearchStall(Exception):
 _STALL_RUN = 10
 
 
-def _newton_max(face, u, mu, tol, max_iter, floor):
+def _newton_max(face, u, mu, tol, max_iter, floor, exact=False):
     """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
     theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)`` of ``face``.
 
@@ -211,6 +213,12 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
     the solve is on the wrong face or at its rounding floor: it raises
     _LineSearchStall, as do a line search that halves t below 1e-14 and an
     iterate, the start included, with a corner below ``floor``.
+
+    ``exact`` (mu = 0, a zero-shear point's face) raises on a trial outside P
+    too: the face lacks a constraint its Newton would cross (so do 24 of 677
+    converging faces at every apex with n <= 10, none at the default apex).
+    Below ``tol``, from a start above it, it steps on while each full step
+    shrinks the gradient norm more than the last (Newton's quadratic tail).
 
     A barrier round (mu > 0) also ends, at the point it stands on, once
     _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
@@ -241,11 +249,12 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
     if g is None:
         raise _LineSearchStall("current point is not strictly feasible")
     gnorm = math.sqrt(g @ g)
-    best, stalled, iters = gnorm, 0, 0
+    best, stalled, iters, rate, shrink = gnorm, 0, 0, 1.0, 1.0
     while True:
         if theta.min() < floor:
             raise _LineSearchStall(f"a corner fell below {floor:g} at mu={mu:g}")
-        if gnorm < tol or stalled == _STALL_RUN or iters == max_iter:
+        tail = exact and shrink < rate  # Newton's quadratic tail goes on below tol
+        if gnorm < tol and not tail or stalled == _STALL_RUN or iters == max_iter:
             return u, gnorm, iters
         d = _neg_hessian_diag(theta, sin)
         if mu > 0.0:
@@ -265,10 +274,15 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
         while t > 1e-14:
             u_try = u + t * step
             theta_try, s_try, g_try, sin_try = grad_at(u_try)
-            if g_try is not None:  # else outside the polytope
+            if g_try is None:  # outside the polytope
+                if exact:
+                    raise _LineSearchStall("a step leaves the polytope at mu=0")
+            else:
                 gnorm_try = math.sqrt(g_try @ g_try)
                 if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
                     break
+                if gnorm < tol:  # exact, and the full step does not lower it: the floor
+                    return u, gnorm, iters
                 phi0 = phi(theta, s) if phi0 is None else phi0
                 if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
                     break
@@ -276,19 +290,13 @@ def _newton_max(face, u, mu, tol, max_iter, floor):
         else:
             raise _LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
         # the accepted trial is the next iterate: its gradient is already known
+        rate, shrink = shrink, gnorm_try / gnorm
         u, theta, s, g, gnorm, sin = u_try, theta_try, s_try, g_try, gnorm_try, sin_try
         iters += 1
         if gnorm < best:
             best, stalled = gnorm, 0
         elif mu > 0.0:
             stalled += 1
-
-
-# The zero-shear Newton gives up on a row violated by more than this many residuals
-# (the 2-norm of the angle-sum defects): on the measured links (every type with
-# n <= 10 and 459 Delaunay types at n = 12 to 40) no row moved by more than 1.07
-# residuals between an iterate and the solution.
-_REJECT_RATIO = 2.0
 
 
 def _zero_shear(system):
@@ -305,10 +313,9 @@ def _zero_shear(system):
     in log y its Jacobian is the cotangent Laplacian (Springborn, Schroeder &
     Pinkall 2008).  At an optimum where no inequality carries a multiplier this
     point is the optimum.  None when neither the full step nor its half keeps
-    every triangle inequality and lowers the residual, after 30 steps, or once a
-    row of U theta <= pi is violated by more than _REJECT_RATIO residuals.
+    every triangle inequality and lowers the residual, or after 30 steps.
     """
-    m, U = system.n_vars, system.A_ub
+    m = system.n_vars
     C = system.A_eq[m // 3:]  # interior vertex x corner incidence
     I, C3 = len(C), C.reshape(len(C), m // 3, 3)
     # L / 2 = D^T diag(2 cot theta) D, a row of D per corner over its opposite side's ends
@@ -328,8 +335,6 @@ def _zero_shear(system):
     y = np.ones(I)
     half, t, F, r = corners(y)
     for steps in range(31):
-        if 2.0 * (U @ half).max() - math.pi > _REJECT_RATIO * r:
-            return None
         if r < 1e-12:
             return 2.0 * half, steps
         try:  # 1/t - t = 2 cot theta
@@ -359,10 +364,10 @@ def maximize_volume(link, start=None):
 
     ``start`` must be strictly interior (true slacks positive, equalities
     within 1e-8); when omitted, the centered witness at the default epsilon
-    is used.  An interior optimum is the zero-shear point, which settles it
-    without the barrier; the start is still checked, or the witness computed,
-    first.  Raises InfeasibleStart when no interior start can be produced and
-    NumericalFailure when the optimum's face fails its checks.
+    is used.  An optimum settled on the face its zero-shear point violates
+    runs no barrier and never reads the start, which is still checked, or the
+    witness computed, first.  Raises InfeasibleStart when no interior start can
+    be produced and NumericalFailure when the optimum's face fails its checks.
     """
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
@@ -386,81 +391,86 @@ def maximize_volume(link, start=None):
             raise InfeasibleStart("start is not strictly interior")
 
     _, _, theta_p, N, *_ = whole = _face(system, ())  # the barrier's system
-    zero_shear = _zero_shear(system)
-    if zero_shear is not None:  # V is strictly concave: an interior stationary point is its max
-        theta, shear_steps = zero_shear
-        u = N.T @ (theta - theta_p)
-        try:
-            u, gnorm, iters = _newton_max(whole, u, 0.0, 1e-12, 60, BOUNDARY_TOL)
-        except _LineSearchStall:
-            pass
+
+    def solve_on(act, theta, floor, exact=False):
+        """Newton at mu = 0 from theta's projection onto the face pinning ``act``: (act,
+        theta, face gradient norm), or None if the face is inconsistent, its Newton fails or a
+        multiplier < 0.  ``exact`` (a zero-shear point) also pins the rows the projection
+        violates, 3 projections at most, and runs the Newton exact."""
+        for _ in range(3):
+            face = _face(system, act) if act else whole
+            u2 = face.N.T @ (theta[face.keep] - face.theta_p)
+            theta_f = face.base.copy()
+            theta_f[face.keep] = face.theta_p + face.N @ u2
+            rows = set((m + np.flatnonzero(A_ub @ theta_f >= b_ub)).tolist()) if exact else set()
+            if rows <= set(act):
+                break
+            act = tuple(sorted(rows.union(act)))
         else:
-            theta = theta_p + N @ u
-            if gnorm < 1e-12 and _slacks(theta, A_ub, b_ub).min() > BOUNDARY_TOL:
-                return OptResult(link=link, angles=theta.reshape(-1, 3),
-                                 volume=specfun.lobachevsky_sum(theta), kkt_residual=gnorm,
-                                 active_constraints=(), boundary_active=False,
-                                 barrier_volumes=(), newton_iterations=shear_steps + iters)
-
-    u = u_prev = N.T @ (theta0 - theta_p)
-
-    path_volumes, steps, mu = [], [], 1e-1  # steps: of each Newton that returned
-    vol_now = specfun.lobachevsky_sum(theta_p + N @ u)
-    while mu > 1e-9:
-        tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
-        u0 = u
-        if len(path_volumes) >= 2:  # the secant start, kept if interior and no lower in volume
-            guess = _secant(u_prev, u)
-            th = theta_p + N @ guess
-            if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
-                u0 = guess
+            return None  # the third projection still violates rows
         try:
-            u_end, _, iters = _newton_max(whole, u0, mu, tol, 200, 0.0)
-        except _LineSearchStall:
-            break  # parked against the boundary: identify from the last two points
-        u_prev, u = u, u_end
-        steps.append(iters)
-        vol_now = specfun.lobachevsky_sum(theta_p + N @ u)  # opens the next round
-        path_volumes.append(vol_now)
-        mu *= _MU_FACTOR
-
-    # Over a round a slack of order mu (active) falls by the factor, one of order
-    # sqrt(mu) (zero multiplier) by its root and an inactive one not at all (El-Bakry,
-    # Tapia & Zhang 1994): pin each ratio below 0.2^(1/4), midway from root to 1.
-    theta = theta_p + N @ u
-    ratio = _slacks(theta, A_ub, b_ub) / _slacks(theta_p + N @ u_prev, A_ub, b_ub)
-    act = tuple(np.flatnonzero(ratio < _MU_FACTOR**0.25).tolist())
-
-    def solve_on(act, floor):
-        """Newton at mu = 0 from theta on the face pinning ``act``: (act, theta, face
-        gradient), or None if the face is inconsistent, its Newton fails or a multiplier < 0."""
-        face = _face(system, act) if act else whole
-        u2 = face.N.T @ (theta[face.keep] - face.theta_p)
-        try:
-            u2, gnorm, iters = _newton_max(face, u2, 0.0, 1e-12, 60, floor)
+            u2, gnorm, iters = _newton_max(face, u2, 0.0, 1e-12, 60, floor, exact)
         except _LineSearchStall:
             return None
         steps.append(iters)
-        theta_k = face.theta_p + face.N @ u2
-        g = volume_gradient(theta_k)
-        if face.residual > 1e-8 or gnorm >= 1e-12 or np.any(face.multipliers @ g < -1e-9):
+        theta_f[face.keep] = theta_k = face.theta_p + face.N @ u2
+        if face.residual > 1e-8 or gnorm >= 1e-12 or (
+                act and np.any(face.multipliers @ volume_gradient(theta_k) < -1e-9)):
             return None
-        theta_f = face.base.copy()
-        theta_f[face.keep] = theta_k
-        return act, theta_f, face.N.T @ g
+        return act, theta_f, gnorm
 
-    # A pinned corner with ratio above 0.2^(3/4) is not in the factor's class and may
-    # be small but positive at the optimum: free those first, kept unless one collapses.
-    free = tuple(i for i in act if i >= m or ratio[i] <= _MU_FACTOR**0.75)
-    face = (free != act and solve_on(free, BOUNDARY_TOL)) or solve_on(act, 0.0)
+    # The face its zero-shear point violates settles the optimum when its solve meets the
+    # KKT conditions: a stationary point, multipliers >= 0 and every free slack above
+    # BOUNDARY_TOL.  Otherwise the barrier runs, and names the face from its slacks.
+    face, path_volumes, point = None, [], _zero_shear(system)
+    if point is not None:
+        theta, shear_steps = point
+        steps = [shear_steps]
+        face = solve_on((), theta, BOUNDARY_TOL, exact=True)
+        if face and np.delete(_slacks(face[1], A_ub, b_ub), face[0]).min() <= BOUNDARY_TOL:
+            face = None
+
     if face is None:
-        raise NumericalFailure(f"the face pinning constraints {act} fails its checks")
-    act, theta, g_face = face
+        u = u_prev = N.T @ (theta0 - theta_p)
+        steps, mu = [], 1e-1  # steps: of each Newton that returned
+        vol_now = specfun.lobachevsky_sum(theta_p + N @ u)
+        while mu > 1e-9:
+            tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
+            u0 = u
+            if len(path_volumes) >= 2:  # the secant start, if interior and no lower in volume
+                guess = _secant(u_prev, u)
+                th = theta_p + N @ guess
+                if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
+                    u0 = guess
+            try:
+                u_end, _, iters = _newton_max(whole, u0, mu, tol, 200, 0.0)
+            except _LineSearchStall:
+                break  # parked against the boundary: identify from the last two points
+            u_prev, u = u, u_end
+            steps.append(iters)
+            vol_now = specfun.lobachevsky_sum(theta_p + N @ u)  # opens the next round
+            path_volumes.append(vol_now)
+            mu *= _MU_FACTOR
+
+        # Over a round a slack of order mu (active) falls by the factor, one of order
+        # sqrt(mu) (zero multiplier) by its root and an inactive one not at all (El-Bakry,
+        # Tapia & Zhang 1994): pin each ratio below 0.2^(1/4), midway from root to 1.
+        theta = theta_p + N @ u
+        ratio = _slacks(theta, A_ub, b_ub) / _slacks(theta_p + N @ u_prev, A_ub, b_ub)
+        act = tuple(np.flatnonzero(ratio < _MU_FACTOR**0.25).tolist())
+
+        # A pinned corner with ratio above 0.2^(3/4) is not in the factor's class and may
+        # be small but positive at the optimum: free those first, kept unless one collapses.
+        free = tuple(i for i in act if i >= m or ratio[i] <= _MU_FACTOR**0.75)
+        face = (free != act and solve_on(free, theta, BOUNDARY_TOL)) or solve_on(act, theta, 0.0)
+        if face is None:
+            raise NumericalFailure(f"the face pinning constraints {act} fails its checks")
+    act, theta, kkt = face
     return OptResult(
         link=link,
         angles=theta.reshape(-1, 3),
         volume=specfun.lobachevsky_sum(theta),
-        kkt_residual=float(np.linalg.norm(g_face)),
+        kkt_residual=kkt,
         active_constraints=tuple(("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m]
                                  for i in act),
         boundary_active=bool(act) or bool(np.any(_slacks(theta, A_ub, b_ub) < BOUNDARY_TOL)),

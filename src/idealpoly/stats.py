@@ -298,7 +298,8 @@ class SearchResult:
     best_result: object  # OptResult of the best type; its link.parent is the type
     per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
-    conformal_types: int  # unique types whose optimum ran no barrier: zero-shear points
+    conformal_types: int  # unique types whose optimum is an interior zero-shear point
+    barrier_types: int  # unique types whose optimum the barrier settled
 
 
 def type_hash(key):
@@ -345,5 +346,7 @@ def search_max_volume(n, trials, seed=0):
         best_result=best,
         per_trial=tuple(per_trial),
         unique_types=len(memo),
-        conformal_types=sum(not result.barrier_volumes for result, _ in memo.values()),
+        conformal_types=sum(not (result.barrier_volumes or result.active_constraints)
+                            for result, _ in memo.values()),
+        barrier_types=sum(bool(result.barrier_volumes) for result, _ in memo.values()),
     )

@@ -535,7 +535,7 @@ def test_search_and_schema(capsys):
     assert len(data["per_trial"]) == 3
     check_schema(data, "search.schema.json")
     # the one 5-vertex type has an interior optimum: the zero-shear point
-    assert data["manifest"]["profile"] == {"conformal_types": 1}
+    assert data["manifest"]["profile"] == {"conformal_types": 1, "barrier_types": 0}
     assert "profile" not in data["best"]
 
 
@@ -546,7 +546,7 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
     _, out, _ = run_cli(["optimize", path], capsys)
     optimum = json.loads(out)
     assert "kernel_backend" not in optimum["manifest"]
-    assert "profile" not in optimum["manifest"]  # only search counts conformal types
+    assert "profile" not in optimum["manifest"]  # only search writes a profile
     assert optimum["manifest"]["version"] == __version__
     del optimum["manifest"]["version"]
     with pytest.raises(jsonschema.ValidationError, match="'version' is a required"):
@@ -558,6 +558,10 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError, match="less than the minimum"):
         check_schema(search, "search.schema.json")
     search["manifest"]["profile"]["conformal_types"] = 1
+    search["manifest"]["profile"]["barrier_types"] = -1
+    with pytest.raises(jsonschema.ValidationError, match="less than the minimum"):
+        check_schema(search, "search.schema.json")
+    search["manifest"]["profile"]["barrier_types"] = 0
     del search["best"]["volume"]
     with pytest.raises(jsonschema.ValidationError, match="'volume' is a required"):
         check_schema(search, "search.schema.json")
