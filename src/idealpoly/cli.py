@@ -231,7 +231,6 @@ def cmd_search(run):
         ],
     }
     run.profile["conformal_types"] = r.conformal_types
-    run.profile["barrier_types"] = r.barrier_types
     run.emit_json(payload, run.args.output)
     return 0
 

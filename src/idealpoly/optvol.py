@@ -1,31 +1,32 @@
 """Volume maximization over the realizability polytope of a fixed type.
 
 The objective (the Lobachevsky sum over all corners) is strictly concave on the
-triangle-sum constraint surface, so a convex method suffices: equalities are
-eliminated onto reduced coordinates and a logarithmic barrier follows the
-central path from secant-predicted starts.  How fast each slack falls over the
-last round names the optimum's face, and one Newton on that face drives the KKT
-residual to ~1e-13, so rational-angle detection at 1e-10 is meaningful.  Every
-step is a Newton step; one that does not ascend ends its solve.
+triangle-sum constraint surface (Rivin 1994), so a primal active-set method
+(Nocedal & Wright 2006, ch. 16) finds its unique maximizer over P: damped Newton
+ascent on one face of P at a time, whose ratio test stops a step on the row it
+reaches, which joins the face.  At a face's maximum the pinned row with the most
+negative multiplier leaves; once none is negative the KKT conditions hold, and
+the last Newton drives the KKT residual to ~1e-13, so rational-angle detection
+at 1e-10 is meaningful.  Every step is a Newton step.
 
 Inequalities hold at epsilon = 0 (the relaxed system only gives an interior
 start) as corner bounds theta >= 0, whose slacks are the corners themselves,
 and 0/1 rows U theta <= pi.  A face pins a corner by removing it from the
-variables at exactly 0 (the third corner of a triangle with two pinned at pi)
-and a row by adding it to the equalities.  Triangle rows have a closed-form null
-basis, so one SVD per face, of the rows that couple triangles, gives its null
-basis, least-squares point and multipliers.  Boundary optima are reported
-through the active set and flagged boundary-active, never clipped.
+variables at exactly 0 and a row by adding it to the equalities.  Corners are
+pinned in pairs: a triangle with a corner below BOUNDARY_TOL collapses, its two
+smallest corners at 0 and the third at pi, and is released again where moving
+out of the collapse gains volume to first order.  Triangle rows have a
+closed-form null basis, so one SVD per face, of the rows that couple triangles,
+gives its null basis, least-squares point and multipliers.  Boundary optima are
+reported through the active set and flagged boundary-active, never clipped.
 
-Most optima need none of this.  The zero-shear point, the equilateral metric of
-the link rescaled at its interior vertices (Bobenko, Pinkall & Springborn 2015),
-maximizes V over the equalities alone and takes one Newton in those few
-unknowns.  On the face that pins the rows of P it violates (none for an interior
-optimum), the mu = 0 Newton from its projection is kept when it converges with
-nonnegative multipliers and every free slack above BOUNDARY_TOL: those are the
-KKT conditions of a concave maximization over P, so the point is the maximizer.
-The barrier still serves the optima that pin a corner, which no zero-shear point
-reaches, and those whose active rows are not the ones that point violates.
+The ascent starts at the zero-shear point when it can: the equilateral metric
+of the link rescaled at its interior vertices (Bobenko, Pinkall & Springborn
+2015), which maximizes V over the equalities alone and takes one Newton in
+those few unknowns.  Projected onto the face that pins the rows of P it
+violates (none for an interior optimum), and the rows that projection violates
+in turn, it starts the ascent unless that face is inconsistent or collapses a
+triangle, as on 247 of 277 n = 12 Delaunay links; otherwise the start does.
 """
 
 import math
@@ -125,7 +126,7 @@ class OptResult:
     kkt_residual: float
     active_constraints: tuple  # (kind, key) rows binding at the optimum
     boundary_active: bool
-    barrier_volumes: tuple  # central-path volumes, nondecreasing; () on the zero-shear face
+    barrier_volumes: tuple  # always (): no barrier runs since 0.2.19
     newton_iterations: int
 
 
@@ -135,23 +136,24 @@ def _slacks(theta, U, b):
 
 
 # A face: theta = theta_p + N u (N orthonormal) over ``keep``, the rest at ``base``; its free
-# rows U theta <= b, UN = U @ N, its equalities' residual, and multipliers @ grad over ``keep``
-# gives the pinned rows' multipliers.
-_Face = namedtuple("_Face", "keep base theta_p N U b UN residual multipliers")
+# rows U theta <= b, UN = U @ N, their constraint ids ``rows``, its equalities' residual, and
+# multipliers @ grad over ``keep`` gives the coupling rows' multipliers, the interior vertices'
+# and then the pinned rows'.
+_Face = namedtuple("_Face", "keep base theta_p N U b UN rows residual multipliers")
 
 
 # The orthonormal null basis of a triangle's row over its three corners: (1, -1, 0)/sqrt2
-# and (1, 1, -2)/sqrt6.  Over the two kept corners of a triangle with one pinned, the
-# first column's first two entries are (1, -1)/sqrt2.
+# and (1, 1, -2)/sqrt6.
 _TRIANGLE_BASIS = np.array([[math.sqrt(0.5), 1.0 / math.sqrt(6.0)],
                             [-math.sqrt(0.5), 1.0 / math.sqrt(6.0)],
                             [0.0, -2.0 / math.sqrt(6.0)]])
 
 
 def _face(system, act):
-    """The face pinning ``act`` (i < n_vars: theta_i >= 0, else row i - n_vars of A_ub).
-    A triangle's row has a closed-form orthonormal null basis over its k kept corners,
-    Q's block, and the point pi/k on each, so one SVD, of C Q with C the coupling rows
+    """The face pinning ``act`` (i < n_vars: theta_i >= 0, else row i - n_vars of A_ub),
+    whose corners are pinned two per triangle.  A kept triangle's row has a closed-form
+    orthonormal null basis, Q's block, and the point pi/3 on each corner, so one SVD, of
+    C Q with C the coupling rows
     (interior vertices and pinned rows), gives N, the least-squares point (refined once)
     and C's multipliers (singular values < 1e-10 s_max: 0)."""
     A_eq, b_eq, A_ub, b_ub, m = system.A_eq, system.b_eq, system.A_ub, system.b_ub, system.n_vars
@@ -166,14 +168,15 @@ def _face(system, act):
         A = np.concatenate((A_eq, A_ub[rows]))
         A, b = A.take(keep, axis=1), np.concatenate((b_eq, b_ub[rows])) - A @ base
         U_free, b_free = A_ub[~rows].take(keep, axis=1), (b_ub - A_ub @ base)[~rows]
-    else:  # the barrier's face pins nothing: the system as it is, uncopied
+        free = m + np.flatnonzero(~rows)
+    else:  # a face that pins nothing: the system as it is, uncopied
         base, keep, A, b, U_free, b_free = np.zeros(m), np.arange(m), A_eq, b_eq, A_ub, b_ub
-    f, i = keep // 3, np.arange(keep.size)
-    k = np.bincount(f, minlength=F)  # kept corners per triangle: 0, 2 or 3
-    Q = np.zeros((keep.size, F, 2))  # two columns per triangle, the unused ones dropped
-    Q[i, f] = _TRIANGLE_BASIS[i - np.searchsorted(f, f)]  # by slot among its kept corners
-    Q = Q.reshape(keep.size, -1).take(np.flatnonzero(k[:, None] > [1, 2]), axis=1)
-    theta_p, C, d = math.pi / k.take(f), A[F:], b[F:]
+        free = m + np.arange(len(b_ub))
+    i = np.arange(keep.size)  # a kept triangle's three corners are consecutive in keep
+    Q = np.zeros((keep.size, keep.size // 3, 2))
+    Q[i, i // 3] = np.tile(_TRIANGLE_BASIS, (keep.size // 3, 1))
+    Q = Q.reshape(keep.size, -1)
+    theta_p, C, d = np.full(keep.size, math.pi / 3.0), A[F:], b[F:]
     N, W, Vr = Q, np.zeros((len(C), 0)), np.zeros((0, Q.shape[1]))
     if len(C):
         CQ, d = C @ Q, d - C @ theta_p
@@ -182,121 +185,79 @@ def _face(system, act):
         W, Vr, N = U[:, :r] / s[:r], Vt[:r], Q @ Vt[r:].T  # pinv(CQ) = Vr^T W^T
         y = Vr.T @ (W.T @ d)
         theta_p = theta_p + Q @ (y + Vr.T @ (W.T @ (d - CQ @ y)))
-    return _Face(keep, base, theta_p, N, U_free, b_free, U_free @ N,
-                 float(np.abs(A @ theta_p - b).max()),
-                 (W[len(b_eq) - F:] @ Vr) @ Q.T)
+    return _Face(keep, base, theta_p, N, U_free, b_free, U_free @ N, free,
+                 float(np.abs(A @ theta_p - b).max()), (W @ Vr) @ Q.T)
 
 
-class _LineSearchStall(Exception):
-    """``_newton_max`` has no interior start, an iterate with a corner below its
-    floor, no Newton step that ascends or no accepted trial.  The barrier stops
-    and reads the face off its last two points; a face solve rejects its face."""
+_MAX_STEPS = 100  # Newton steps on one face; at most 13 measured
 
 
-# Accepted steps in a row without a new lowest gradient norm that end a barrier round.
-_STALL_RUN = 10
+def _newton_max(face, u):
+    """Damped Newton ascent of V(theta) at theta = theta_p + N u on ``face``, from u until
+    its gradient vanishes or a step reaches the boundary of P: (u, gradient norm, steps,
+    hit), hit None at the face's maximum, else the free rows (global ids) to pin.
 
-
-def _newton_max(face, u, mu, tol, max_iter, floor, exact=False):
-    """Damped Newton ascent on phi(u) = V(theta) + mu * sum(log slacks) at
-    theta = theta_p + N u, over the slacks ``_slacks(theta, U, b)`` of ``face``.
-
-    Corner barrier terms join the objective's diagonal: the Hessian is
-    N^T diag(-cot theta - mu/theta^2) N - mu (UN)^T diag(1/s_U^2) (UN).
-    A step is accepted on either the Armijo condition for phi or a decrease
-    of the gradient norm, which carries Newton's quadratic tail to ~1e-15
-    once phi differences sink below float noise.  Trial steps halve from
-    t = 1, and a trial outside the polytope is halved again.
-
-    phi is strictly concave on its face (Rivin 1994), so its Newton step
-    ascends there.  A step that does not, or a singular Newton system, means
-    the solve is on the wrong face or at its rounding floor: it raises
-    _LineSearchStall, as do a line search that halves t below 1e-14 and an
-    iterate, the start included, with a corner below ``floor``.
-
-    ``exact`` (mu = 0, a zero-shear point's face) raises on a trial outside P
-    too: the face lacks a constraint its Newton would cross (so do 24 of 677
-    converging faces at every apex with n <= 10, none at the default apex).
-    Below ``tol``, from a start above it, it steps on while each full step
-    shrinks the gradient norm more than the last (Newton's quadratic tail).
-
-    A barrier round (mu > 0) also ends, at the point it stands on, once
-    _STALL_RUN accepted steps fail to lower its lowest gradient norm: near a
-    slack of 1e-8 the slacks' rounding gives mu/s a relative error near 6e-8,
-    a floor that can sit above the round's tolerance.
+    The Hessian is -N^T diag(cot theta) N, negative definite on a face whose triangles
+    keep all three corners or none (Rivin 1994).  A ratio test cuts each step where it
+    reaches a free row, whose id is then the hit, and lets a corner move at most 0.9 of
+    the way to 0; a corner below BOUNDARY_TOL ends the ascent with the hit ().  Trial
+    steps halve from there and are accepted on either the Armijo condition or a decrease
+    of the gradient norm, which a cut of length 0 (a row already at its bound) passes.
+    Below 1e-12, from a start above it, the ascent steps on while each full step shrinks
+    the gradient norm more than the last (Newton's quadratic tail) and stops at the
+    first that does not, its rounding floor.  A singular Newton system, a step that does
+    not ascend or a line search that halves below 1e-14 above that floor raises
+    NumericalFailure, as does a face that takes _MAX_STEPS steps.
     """
     theta_p, N, U, b, UN = face.theta_p, face.N, face.U, face.b, face.UN
-    NT, UNT, nc = N.T, UN.T, theta_p.size
-
-    def phi(theta, s):
-        barrier = mu * float(np.sum(np.log(s))) if mu > 0.0 else 0.0
-        return specfun.lobachevsky_sum(theta) + barrier
-
-    def grad_at(uu):
-        theta = theta_p + N @ uu
-        s = _slacks(theta, U, b)
-        if not s.min() > 0.0:
-            return theta, s, None, None
-        sin = np.sin(theta)
-        d = volume_gradient(theta, sin)
-        if mu > 0.0:
-            w = mu / s
-            d += w[:nc]
-            return theta, s, NT @ d - UNT @ w[nc:], sin
-        return theta, s, NT @ d, sin
-
-    theta, s, g, sin = grad_at(u)
-    if g is None:
-        raise _LineSearchStall("current point is not strictly feasible")
-    gnorm = math.sqrt(g @ g)
-    best, stalled, iters, rate, shrink = gnorm, 0, 0, 1.0, 1.0
-    while True:
-        if theta.min() < floor:
-            raise _LineSearchStall(f"a corner fell below {floor:g} at mu={mu:g}")
-        tail = exact and shrink < rate  # Newton's quadratic tail goes on below tol
-        if gnorm < tol and not tail or stalled == _STALL_RUN or iters == max_iter:
-            return u, gnorm, iters
-        d = _neg_hessian_diag(theta, sin)
-        if mu > 0.0:
-            w = mu / (s * s)
-            d += w[:nc]
-            H = (NT * d) @ N + (UNT * w[nc:]) @ UN  # minus the Hessian
-        else:
-            H = (NT * d) @ N
+    NT = N.T
+    theta = theta_p + N @ u
+    sin = np.sin(theta)
+    g = NT @ volume_gradient(theta, sin)
+    gnorm, rate, shrink = math.sqrt(g @ g), 1.0, 1.0
+    for iters in range(_MAX_STEPS):
+        if theta.size and theta.min() < BOUNDARY_TOL:
+            return u, gnorm, iters, ()
+        if gnorm < 1e-12 and not shrink < rate:
+            return u, gnorm, iters, None
         try:
-            step = np.linalg.solve(H, g)
+            step = np.linalg.solve((NT * _neg_hessian_diag(theta, sin)) @ N, g)
         except np.linalg.LinAlgError:
-            raise _LineSearchStall(f"singular Newton system at mu={mu:g}") from None
-        slope = float(g @ step)
-        if not slope > 0.0:
-            raise _LineSearchStall(f"Newton step does not ascend at mu={mu:g}")
-        t, phi0 = 1.0, None  # phi0 is evaluated on demand
-        while t > 1e-14:
+            step = None
+        if step is None or not g @ step > 0.0:
+            if gnorm < 1e-12:
+                return u, gnorm, iters, None
+            raise NumericalFailure(f"no ascending Newton step at |grad|={gnorm:g}")
+        d_theta, d_rows = N @ step, UN @ step
+        reach = np.full(d_rows.size, math.inf)  # the step length at which each row binds
+        up = d_rows > 0.0
+        reach[up] = np.maximum(b[up] - U[up] @ theta, 0.0) / d_rows[up]
+        down = d_theta < 0.0
+        t = min(1.0, float(np.min(-0.9 * theta[down] / d_theta[down], initial=math.inf)))
+        row = int(np.argmin(reach)) if reach.size and reach.min() < t else None
+        t = t if row is None else float(reach[row])
+        slope, phi0 = float(g @ step), None  # phi0 is evaluated on demand
+        while t > 1e-14 or row is not None:
             u_try = u + t * step
-            theta_try, s_try, g_try, sin_try = grad_at(u_try)
-            if g_try is None:  # outside the polytope
-                if exact:
-                    raise _LineSearchStall("a step leaves the polytope at mu=0")
-            else:
-                gnorm_try = math.sqrt(g_try @ g_try)
-                if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
-                    break
-                if gnorm < tol:  # exact, and the full step does not lower it: the floor
-                    return u, gnorm, iters
-                phi0 = phi(theta, s) if phi0 is None else phi0
-                if phi(theta_try, s_try) >= phi0 + 1e-4 * t * slope:
-                    break
-            t *= 0.5
+            theta_try = theta_p + N @ u_try
+            sin_try = np.sin(theta_try)
+            g_try = NT @ volume_gradient(theta_try, sin_try)
+            gnorm_try = math.sqrt(g_try @ g_try)
+            if gnorm_try <= (1.0 - 1e-4 * t) * gnorm:
+                break
+            if gnorm < 1e-12 and row is None:  # the full step does not lower it: the floor
+                return u, gnorm, iters, None
+            phi0 = specfun.lobachevsky_sum(theta) if phi0 is None else phi0
+            if specfun.lobachevsky_sum(theta_try) >= phi0 + 1e-4 * t * slope:
+                break
+            t, row = 0.5 * t, None
         else:
-            raise _LineSearchStall(f"line search stalled at mu={mu:g}, |grad|={gnorm:g}")
-        # the accepted trial is the next iterate: its gradient is already known
+            raise NumericalFailure(f"line search stalled at |grad|={gnorm:g}")
         rate, shrink = shrink, gnorm_try / gnorm
-        u, theta, s, g, gnorm, sin = u_try, theta_try, s_try, g_try, gnorm_try, sin_try
-        iters += 1
-        if gnorm < best:
-            best, stalled = gnorm, 0
-        elif mu > 0.0:
-            stalled += 1
+        u, theta, sin, g, gnorm = u_try, theta_try, sin_try, g_try, gnorm_try
+        if row is not None:
+            return u, gnorm, iters + 1, (int(face.rows[row]),)
+    raise NumericalFailure(f"no face maximum after {_MAX_STEPS} Newton steps, |grad|={gnorm:g}")
 
 
 def _zero_shear(system):
@@ -352,11 +313,42 @@ def _zero_shear(system):
     return None
 
 
-_MU_FACTOR = 0.2  # the barrier's mu falls by this factor per round
+def _release(system, act, face, theta, y):
+    """(gain, act, direction) of the release of the collapsed triangle (a, b at 0, c at
+    pi) of ``act`` with the largest gain, -inf when ``act`` collapses none that can be
+    released alone.
+
+    ``y`` holds the multipliers of ``face``'s coupling rows at theta, and w = C^T y sums
+    them per corner.  Moving (a, b, c) by eps (p, 1 - p, -1) gains eps H(p) in the
+    triangle's own volume (H the entropy, exact to O(eps^3)), and the moves of the
+    variable corners that hold every coupling row cost eps (p w_a + (1 - p) w_b - w_c),
+    so the largest first-order gain is log(e^-w_a + e^-w_b) + w_c, at
+    p = 1 / (1 + e^(w_a - w_b)).  A pinned row that no variable corner holds keeps a
+    or b at 0, so that triangle stays; one through c leaves with the release and does
+    not count.  ``direction`` is the move per unit eps, the compensating one
+    (face.multipliers^T is Q pinv(C Q)) included.
+    """
+    m, I = system.n_vars, len(system.b_eq) - system.n_vars // 3
+    rows = [i - m for i in act if i >= m]
+    C = np.concatenate((system.A_eq[m // 3:], system.A_ub[rows]))
+    held = C.take(face.keep, axis=1).any(axis=1)
+    w, stuck = (y * held) @ C, C[~held].any(axis=0)
+    best = (-math.inf, act, None)
+    for f in sorted({i // 3 for i in act if i < m}):
+        a, b = (i for i in act if i // 3 == f)
+        c = 3 * f + 3 - a % 3 - b % 3
+        gain = -math.inf if stuck[a] or stuck[b] else float(np.logaddexp(-w[a], -w[b]) + w[c])
+        if gain > best[0]:
+            p = 1.0 / (1.0 + math.exp(min(w[a] - w[b], 700.0)))
+            direction = np.zeros(m)
+            direction[[a, b, c]] = p, 1.0 - p, -1.0
+            direction[face.keep] -= face.multipliers.T @ (C @ direction)
+            gone = {a, b}.union(m + r for r, h, k in zip(rows, held[I:], C[I:, c]) if k and not h)
+            best = (gain, tuple(i for i in act if i not in gone), direction)
+    return best
 
 
-def _secant(u_prev, u):  # the central path to first order in mu
-    return u + _MU_FACTOR * (u - u_prev)
+_RELEASE_STEP = 1e-3  # eps of a release, its a and b corners far above BOUNDARY_TOL
 
 
 def maximize_volume(link, start=None):
@@ -364,14 +356,16 @@ def maximize_volume(link, start=None):
 
     ``start`` must be strictly interior (true slacks positive, equalities
     within 1e-8); when omitted, the centered witness at the default epsilon
-    is used.  An optimum settled on the face its zero-shear point violates
-    runs no barrier and never reads the start, which is still checked, or the
-    witness computed, first.  Raises InfeasibleStart when no interior start can
-    be produced and NumericalFailure when the optimum's face fails its checks.
+    is used.  An ascent that starts on the face its zero-shear point violates
+    never reads the start, which is still checked, or the witness computed,
+    first.  Raises
+    InfeasibleStart when no interior start can be produced and
+    NumericalFailure when a face is inconsistent or its Newton fails.
     """
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
     m = system.n_vars  # constraint i < m is the bound theta_i >= 0, i >= m row i - m
+    I = len(b_eq) - m // 3  # interior link vertices: the first coupling rows of a face
 
     if start is None:
         res = rivin.check_feasible(system)
@@ -390,82 +384,80 @@ def maximize_volume(link, start=None):
         if np.any(_slacks(theta0, A_ub, b_ub) <= 0.0):
             raise InfeasibleStart("start is not strictly interior")
 
-    _, _, theta_p, N, *_ = whole = _face(system, ())  # the barrier's system
+    def project(act, theta):
+        """(face pinning ``act``, u, theta's projection onto it)."""
+        face = _face(system, act)
+        u = face.N.T @ (theta[face.keep] - face.theta_p)
+        theta = face.base.copy()
+        theta[face.keep] = face.theta_p + face.N @ u
+        return face, u, theta
 
-    def solve_on(act, theta, floor, exact=False):
-        """Newton at mu = 0 from theta's projection onto the face pinning ``act``: (act,
-        theta, face gradient norm), or None if the face is inconsistent, its Newton fails or a
-        multiplier < 0.  ``exact`` (a zero-shear point) also pins the rows the projection
-        violates, 3 projections at most, and runs the Newton exact."""
-        for _ in range(3):
-            face = _face(system, act) if act else whole
-            u2 = face.N.T @ (theta[face.keep] - face.theta_p)
-            theta_f = face.base.copy()
-            theta_f[face.keep] = face.theta_p + face.N @ u2
-            rows = set((m + np.flatnonzero(A_ub @ theta_f >= b_ub)).tolist()) if exact else set()
-            if rows <= set(act):
-                break
-            act = tuple(sorted(rows.union(act)))
-        else:
-            return None  # the third projection still violates rows
-        try:
-            u2, gnorm, iters = _newton_max(face, u2, 0.0, 1e-12, 60, floor, exact)
-        except _LineSearchStall:
-            return None
-        steps.append(iters)
-        theta_f[face.keep] = theta_k = face.theta_p + face.N @ u2
-        if face.residual > 1e-8 or gnorm >= 1e-12 or (
-                act and np.any(face.multipliers @ volume_gradient(theta_k) < -1e-9)):
-            return None
-        return act, theta_f, gnorm
+    def free_slacks(act, theta):
+        s = _slacks(theta, A_ub, b_ub)
+        s[list(act)] = math.inf
+        return s
 
-    # The face its zero-shear point violates settles the optimum when its solve meets the
-    # KKT conditions: a stationary point, multipliers >= 0 and every free slack above
-    # BOUNDARY_TOL.  Otherwise the barrier runs, and names the face from its slacks.
-    face, path_volumes, point = None, [], _zero_shear(system)
+    def settle(act, theta):
+        """Pin ``act``, then what theta's projection violates: each free row at or past
+        its bound, and the two smallest corners of each triangle with a free corner below
+        BOUNDARY_TOL (its third corner leaves at pi), until nothing more is violated or
+        the face is inconsistent (residual > 1e-8)."""
+        while True:
+            face, u, theta = project(act, theta)
+            if face.residual > 1e-8:
+                return act, face, u, theta
+            s = free_slacks(act, theta)
+            new = set((m + np.flatnonzero(s[m:] <= 0.0)).tolist())
+            for f in set((np.flatnonzero(s[:m] < BOUNDARY_TOL) // 3).tolist()):
+                new.update((3 * f + np.argsort(theta[3 * f:3 * f + 3])[:2]).tolist())
+            if not new:
+                return act, face, u, theta
+            act = tuple(sorted(new.union(act)))
+
+    # The ascent starts on the face of the rows the zero-shear point violates (none for an
+    # interior optimum) and those its projection then violates, unless that face is
+    # inconsistent or collapses a triangle; else at the checked start.
+    act, steps, point = (), 0, _zero_shear(system)
     if point is not None:
-        theta, shear_steps = point
-        steps = [shear_steps]
-        face = solve_on((), theta, BOUNDARY_TOL, exact=True)
-        if face and np.delete(_slacks(face[1], A_ub, b_ub), face[0]).min() <= BOUNDARY_TOL:
-            face = None
+        act = tuple((m + np.flatnonzero(A_ub @ point[0] >= b_ub)).tolist())
+        act, face, u, theta = settle(act, point[0])
+        steps = point[1]
+    if point is None or face.residual > 1e-8 or min(act, default=m) < m:
+        act = ()
+        face, u, theta = project(act, theta0)
 
-    if face is None:
-        u = u_prev = N.T @ (theta0 - theta_p)
-        steps, mu = [], 1e-1  # steps: of each Newton that returned
-        vol_now = specfun.lobachevsky_sum(theta_p + N @ u)
-        while mu > 1e-9:
-            tol = max(1e-10 * (1.0 + abs(vol_now)), 2.0 * mu)
-            u0 = u
-            if len(path_volumes) >= 2:  # the secant start, if interior and no lower in volume
-                guess = _secant(u_prev, u)
-                th = theta_p + N @ guess
-                if _slacks(th, A_ub, b_ub).min() > 0.0 and specfun.lobachevsky_sum(th) >= vol_now:
-                    u0 = guess
-            try:
-                u_end, _, iters = _newton_max(whole, u0, mu, tol, 200, 0.0)
-            except _LineSearchStall:
-                break  # parked against the boundary: identify from the last two points
-            u_prev, u = u, u_end
-            steps.append(iters)
-            vol_now = specfun.lobachevsky_sum(theta_p + N @ u)  # opens the next round
-            path_volumes.append(vol_now)
-            mu *= _MU_FACTOR
-
-        # Over a round a slack of order mu (active) falls by the factor, one of order
-        # sqrt(mu) (zero multiplier) by its root and an inactive one not at all (El-Bakry,
-        # Tapia & Zhang 1994): pin each ratio below 0.2^(1/4), midway from root to 1.
-        theta = theta_p + N @ u
-        ratio = _slacks(theta, A_ub, b_ub) / _slacks(theta_p + N @ u_prev, A_ub, b_ub)
-        act = tuple(np.flatnonzero(ratio < _MU_FACTOR**0.25).tolist())
-
-        # A pinned corner with ratio above 0.2^(3/4) is not in the factor's class and may
-        # be small but positive at the optimum: free those first, kept unless one collapses.
-        free = tuple(i for i in act if i >= m or ratio[i] <= _MU_FACTOR**0.75)
-        face = (free != act and solve_on(free, theta, BOUNDARY_TOL)) or solve_on(act, theta, 0.0)
-        if face is None:
-            raise NumericalFailure(f"the face pinning constraints {act} fails its checks")
-    act, theta, kkt = face
+    # The primal active-set method (Nocedal & Wright 2006, ch. 16): a row a step reaches
+    # joins the face and a triangle with a corner below BOUNDARY_TOL collapses; at a face's
+    # maximum the row with the most negative multiplier leaves, or a collapsed triangle is
+    # released where its release gain is positive.  With neither, the KKT conditions of a
+    # concave maximization over P hold, and the point is the maximizer.
+    for _ in range(m + len(b_ub)):
+        u, kkt, iters, hit = _newton_max(face, u)
+        steps += iters
+        theta[face.keep] = face.theta_p + face.N @ u
+        if hit is not None:
+            act, face, u, theta = settle(tuple(sorted(set(act).union(hit))), theta)
+            if face.residual > 1e-8:
+                raise NumericalFailure(f"the face pinning constraints {act} is inconsistent")
+            continue
+        if not act:
+            break
+        y = face.multipliers @ volume_gradient(theta[face.keep])
+        rows = [i for i in act if i >= m]
+        if rows and y[I:].min() < -1e-9:  # no settle: it would pin the row's zero slack again
+            act = tuple(i for i in act if i != rows[int(np.argmin(y[I:]))])
+            face, u, theta = project(act, theta)
+            continue
+        gain, act_r, direction = _release(system, act, face, theta, y)
+        if not gain > 1e-9:
+            break
+        face_r, u_r, theta_r = project(act_r, theta + _RELEASE_STEP * direction)
+        if not (free_slacks(act_r, theta_r).min() > 0.0
+                and specfun.lobachevsky_sum(theta_r) > specfun.lobachevsky_sum(theta)):
+            break  # a gain too small to outgrow the move's second order
+        act, face, u, theta = act_r, face_r, u_r, theta_r
+    else:
+        raise NumericalFailure(f"no maximum after {m + len(b_ub)} faces, the last pinning {act}")
     return OptResult(
         link=link,
         angles=theta.reshape(-1, 3),
@@ -474,8 +466,8 @@ def maximize_volume(link, start=None):
         active_constraints=tuple(("corner", divmod(i, 3)) if i < m else system.ub_kinds[i - m]
                                  for i in act),
         boundary_active=bool(act) or bool(np.any(_slacks(theta, A_ub, b_ub) < BOUNDARY_TOL)),
-        barrier_volumes=tuple(path_volumes),
-        newton_iterations=sum(steps),
+        barrier_volumes=(),
+        newton_iterations=steps,
     )
 
 

@@ -15,7 +15,7 @@ ask for an interior point, so ``check_feasible`` solves one LP on P itself:
 it maximizes the minimum slack t over theta = z + t with z, t >= 0, so the
 corner lower bounds need no rows of their own.  Its phase 1 decides whether
 P is empty; its optimum t* is the largest minimum slack of any point of P,
-and its theta a strictly interior start for the downstream barrier method
+and its theta a strictly interior start for the downstream volume maximization
 when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.
 
 With other objectives the same LP gives ``random_interior_points`` vertices

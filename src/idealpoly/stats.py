@@ -299,7 +299,6 @@ class SearchResult:
     per_trial: tuple  # (trial, volume, type_hash of the type's key) per trial
     unique_types: int
     conformal_types: int  # unique types whose optimum is an interior zero-shear point
-    barrier_types: int  # unique types whose optimum the barrier settled
 
 
 def type_hash(key):
@@ -346,7 +345,5 @@ def search_max_volume(n, trials, seed=0):
         best_result=best,
         per_trial=tuple(per_trial),
         unique_types=len(memo),
-        conformal_types=sum(not (result.barrier_volumes or result.active_constraints)
-                            for result, _ in memo.values()),
-        barrier_types=sum(bool(result.barrier_volumes) for result, _ in memo.values()),
+        conformal_types=sum(not result.active_constraints for result, _ in memo.values()),
     )

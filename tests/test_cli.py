@@ -6,7 +6,7 @@ import pytest
 
 from idealpoly import __version__, cli
 
-from test_optvol import stall_every_face_newton
+from test_optvol import singular_newton_systems
 from test_stats import diverging_mle
 
 try:
@@ -491,16 +491,16 @@ def test_export_malformed_angles(tmp_path, capsys, case):
 
 
 def test_optimize_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # n = 9 #0, whose optimum collapses a link triangle, with every face
-    # Newton stalling: one NUMERICAL_FAILURE line on stderr and exit 3
+    # n = 9 #0, whose optimum collapses a link triangle, with every Newton
+    # system singular: one NUMERICAL_FAILURE line on stderr and exit 3
     path = write(tmp_path, "n9.json", N9)
-    stall_every_face_newton(monkeypatch)
+    singular_newton_systems(monkeypatch)
     code, out, err = run_cli(["optimize", path], capsys)
     assert code == 3
     assert out == ""
     payload = error_line(err)
     assert payload["code"] == "NUMERICAL_FAILURE"
-    assert "fails its checks" in payload["message"]
+    assert "no ascending Newton step" in payload["message"]
 
 
 def test_optimize_octahedron(tmp_path, capsys):
@@ -535,7 +535,7 @@ def test_search_and_schema(capsys):
     assert len(data["per_trial"]) == 3
     check_schema(data, "search.schema.json")
     # the one 5-vertex type has an interior optimum: the zero-shear point
-    assert data["manifest"]["profile"] == {"conformal_types": 1, "barrier_types": 0}
+    assert data["manifest"]["profile"] == {"conformal_types": 1}
     assert "profile" not in data["best"]
 
 
@@ -558,10 +558,6 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
     with pytest.raises(jsonschema.ValidationError, match="less than the minimum"):
         check_schema(search, "search.schema.json")
     search["manifest"]["profile"]["conformal_types"] = 1
-    search["manifest"]["profile"]["barrier_types"] = -1
-    with pytest.raises(jsonschema.ValidationError, match="less than the minimum"):
-        check_schema(search, "search.schema.json")
-    search["manifest"]["profile"]["barrier_types"] = 0
     del search["best"]["volume"]
     with pytest.raises(jsonschema.ValidationError, match="'volume' is a required"):
         check_schema(search, "search.schema.json")

@@ -1,6 +1,5 @@
 import functools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -301,10 +300,8 @@ def test_optimum_pinned_bitwise(name):
 # violated by rounding at the next projected start was pinned and dropped
 # again until the rounds ran out; at n = 9 #0, apex 7, the last polish Newton
 # ran out of iterations, leaving a KKT residual of 6e-10.  Each optimum
-# collapses a link triangle whose two corners fall more slowly than the
-# barrier's factor over its last round, so the face solve first leaves them
-# free; that Newton stops at its first step that does not ascend, and the
-# face that pins them is kept.  They test apex invariance through that path.
+# collapses a link triangle; until 0.2.18 the barrier's face solve first left
+# its two corners free.  They test apex invariance through the collapse.
 RARE_BRANCH_TYPES = [
     (8, [(1, 2, 4), (2, 3, 5), (3, 0, 5), (0, 3, 6), (1, 3, 7), (3, 2, 7),
          (2, 1, 7), (2, 5, 4), (0, 6, 5), (4, 5, 6), (1, 4, 3), (6, 3, 4)], 0),
@@ -341,10 +338,9 @@ def test_rare_polish_branches_keep_apex_invariance(n, faces, apex):
     assert out.boundary_active
 
 
-# Types (index in corpus.all_types(n)) whose last barrier round used to run
-# all 200 Newton iterations from the witness at the default apex, with the
-# gradient norm stuck at the rounding floor of its barrier term, and the
-# active set of their optimum before barrier rounds ended on a stall.
+# Types (index in corpus.all_types(n)) whose last barrier round ran all 200
+# Newton iterations until 0.2.10, with the gradient norm stuck at the rounding
+# floor of its barrier term, and the active set of their optimum.
 STALLED_ROUND_ACTIVE_SETS = {
     (7, 1): (("hull_vertex", 3),),
     (8, 2): (("hull_vertex", 2), ("hull_vertex", 4)),
@@ -354,33 +350,11 @@ STALLED_ROUND_ACTIVE_SETS = {
 }
 
 
-@pytest.mark.parametrize("n", range(4, 10))
-def test_barrier_rounds_end_before_the_iteration_cap(n, monkeypatch):
-    rounds = []
-    newton_max = optvol._newton_max
-
-    def recording(*args):
-        out = newton_max(*args)
-        mu, _, max_iter = args[2:5]
-        rounds.append((mu, out[2], max_iter))
-        return out
-
-    monkeypatch.setattr(optvol, "_newton_max", recording)
-    capped = []
-    for i, t in enumerate(all_types(n)):
-        res = rivin.is_realizable(t)
-        if not res.realizable:
-            continue
-        rounds.clear()
-        out = optvol.maximize_volume(res.link, start=res.witness)
-        if any(mu > 0.0 and iters == cap for mu, iters, cap in rounds):
-            capped.append(i)
+def test_active_sets_of_once_stalled_types():
+    for (n, i), active in STALLED_ROUND_ACTIVE_SETS.items():
+        out = _witness_optimum(n, i)
+        assert out.active_constraints == active, (n, i)
         assert out.kkt_residual <= 1e-12
-        pv = out.barrier_volumes
-        assert all(pv[k + 1] >= pv[k] - 1e-12 for k in range(len(pv) - 1))
-        if (n, i) in STALLED_ROUND_ACTIVE_SETS:
-            assert out.active_constraints == STALLED_ROUND_ACTIVE_SETS[n, i]
-    assert capped == []
 
 
 def test_constraints_assembled_once_per_optimization(monkeypatch):
@@ -416,38 +390,44 @@ def _optimizer_links():
 
 
 def test_one_svd_per_constraint_system_and_no_lstsq(monkeypatch):
-    # each triangle's row has a closed-form null basis, so an SVD sees one row
-    # per interior link vertex and per pinned row, none per triangle, and a
-    # face with neither (the tetrahedron's barrier) takes none
-    factored = []
-    svd = np.linalg.svd
+    # each triangle's row has a closed-form null basis, so a face's SVD sees
+    # one row per interior link vertex and per pinned row and two columns per
+    # triangle it keeps, and a face with no such row (the tetrahedron's) takes
+    # none
+    faces, factored = [], []
+    face_of, svd = optvol._face, np.linalg.svd
 
-    def recording(a, *args, **kwargs):
-        factored.append((a.shape, a.tobytes()))
+    def recording_face(system, act):
+        faces.append((system, act))
+        return face_of(system, act)
+
+    def recording_svd(a, *args, **kwargs):
+        factored.append(a.shape)
         return svd(a, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("maximize_volume called np.linalg.lstsq")
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(optvol, "_face", recording_face)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    pinned_systems = unfactored = 0
+    pinned = unfactored = 0
     for link in _optimizer_links():
+        faces.clear()
         factored.clear()
-        out = optvol.maximize_volume(link)
-        interior, triangles = len(link.interior_vertices), len(link.bounded_faces)
-        rows = sum(kind != "corner" for kind, _ in out.active_constraints)
-        assert len(factored) == len(set(factored))
-        assert len(factored) <= 3  # the barrier's and at most two faces
-        assert all(shape[0] <= interior + rows for shape, _ in factored)
-        if interior:
-            assert factored[0][0] == (interior, 2 * triangles)  # the barrier's
-        else:
-            unfactored += 1
-        if rows or (interior and out.active_constraints):  # a pinned face is factored
-            assert len(factored) >= 1 + (interior > 0)
-        pinned_systems += len(factored) - (interior > 0)
-    assert pinned_systems > 0 and unfactored > 0
+        optvol.maximize_volume(link)
+        expected = []
+        for system, act in faces:
+            m = system.n_vars
+            rows = sum(i >= m for i in act)
+            coupling = len(system.b_eq) - m // 3 + rows
+            if coupling:
+                expected.append((coupling, 2 * (m // 3 - sum(i < m for i in act) // 2)))
+            else:
+                unfactored += 1
+            pinned += rows > 0
+        assert factored == expected
+    assert pinned > 0 and unfactored > 0
 
 
 def _dense_factor(A, b):
@@ -466,7 +446,7 @@ def _dense_factor(A, b):
 
 def _dense_face(system, act):
     """``optvol._face`` from a dense SVD of the face's whole equality system:
-    (keep, base, N, theta_p, residual, pinned rows' multipliers map)."""
+    (keep, base, N, theta_p, residual, coupling rows' multipliers map)."""
     m = system.n_vars
     out = np.zeros(m, dtype=bool)
     out[[i for i in act if i < m]] = True
@@ -476,7 +456,7 @@ def _dense_face(system, act):
     A = np.vstack([system.A_eq, system.A_ub[rows]])
     b = np.concatenate([system.b_eq, system.b_ub[rows]]) - A @ base
     N, theta_p, residual, multipliers = _dense_factor(A.take(keep, axis=1), b)
-    return keep, base, N, theta_p, residual, lambda g: multipliers(g)[len(system.b_eq):]
+    return keep, base, N, theta_p, residual, lambda g: multipliers(g)[m // 3:]
 
 
 def _active_indices(system, out):
@@ -504,8 +484,9 @@ def _assert_face_matches_dense_oracle(system, act, theta=None):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_face_factor_matches_dense_svd_oracle(n):
-    # every realizable link with n <= 8 at every apex: the barrier's system and
-    # the face its optimum pins, with the pinned rows' multipliers at the optimum
+    # every realizable link with n <= 8 at every apex: the face that pins
+    # nothing and the face its optimum pins, with the multipliers of the
+    # interior vertex rows and the pinned rows at the optimum
     for i, apex, res, out in _apex_optima(n):
         _assert_face_matches_dense_oracle(res.system, ())
         act = _active_indices(res.system, out)
@@ -545,8 +526,9 @@ def test_face_factor_of_a_doubly_pinned_triangle():
     _assert_face_matches_dense_oracle(system, act, out.angles.reshape(-1))
 
 
-def barrier_only(monkeypatch):
-    """Skip the zero-shear point, so that interior optima take the barrier too."""
+def from_the_start(monkeypatch):
+    """Skip the zero-shear point, so that the ascent starts at the given start,
+    as where that point's projection misses P."""
     monkeypatch.setattr(optvol, "_zero_shear", lambda system: None)
 
 
@@ -563,24 +545,24 @@ def _configuration_start(name):
 
 
 # (volume_gradient calls, lobachevsky_sum calls, newton_iterations) of one
-# barrier maximize_volume from a configuration's own angles, which does not
-# depend on the LP.  The Newton loop evaluates each accepted point once, the
-# barrier objective only at the Armijo test, and each round's closing volume once;
-# each round from the third on adds one volume at its secant start when that
-# start is interior.  The face Newton's last gradient norm is the KKT residual,
-# and the gradient is evaluated again only for the multipliers of pinned rows
-# (n8-trial1; the other three optima are interior).
+# maximize_volume from a configuration's own angles, which does not depend on
+# the LP, with the ascent started there.  Each face Newton evaluates the
+# gradient at its start and at each trial point, V only at an Armijo test, and
+# the result's volume once; the last gradient norm is the KKT residual.  A
+# face maximum that pins a row takes the gradient once more for its
+# multipliers: n8-trial0 reaches a row that leaves again at its face's maximum,
+# and n8-trial1 keeps one.  No trial here needs an Armijo test.
 EVALUATION_COUNTS = {
-    "octahedron": (17, 24, 4),
-    "n8-trial0": (24, 24, 11),
-    "n8-trial1": (39, 26, 24),
-    "n8-trial4": (22, 24, 9),
+    "octahedron": (6, 1, 5),
+    "n8-trial0": (15, 1, 11),
+    "n8-trial1": (19, 1, 13),
+    "n8-trial4": (8, 1, 7),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATION_COUNTS))
 def test_optimizer_evaluates_each_point_once(name, monkeypatch):
-    barrier_only(monkeypatch)
+    from_the_start(monkeypatch)
     link, start = _configuration_start(name)
     calls = {"volume_gradient": 0, "lobachevsky_sum": 0}
 
@@ -598,67 +580,6 @@ def test_optimizer_evaluates_each_point_once(name, monkeypatch):
     out = optvol.maximize_volume(link, start=start)
     got = (calls["volume_gradient"], calls["lobachevsky_sum"], out.newton_iterations)
     assert got == EVALUATION_COUNTS[name]
-
-
-def _active_rows_differ_only_at_their_bound(link, out, ref):
-    """Whether every constraint active at one optimum and not the other is
-    within 2e-12 of its bound at both."""
-    system = rivin.assemble_constraints(link)
-    U, b, m = system.A_ub, system.b_ub, system.n_vars
-    kinds = [("corner", divmod(i, 3)) for i in range(m)] + list(system.ub_kinds)
-    at = [optvol._slacks(o.angles.reshape(-1), U, b) for o in (out, ref)]
-    differ = set(out.active_constraints) ^ set(ref.active_constraints)
-    return all(max(abs(s[kinds.index(k)]) for s in at) <= 2e-12 for k in differ)
-
-
-def test_secant_start_moves_the_optimum_only_by_rounding(monkeypatch):
-    # Run every optimization again with the secant replaced by the round's own
-    # end point, the start every round took before the prediction.  The
-    # optimum may move only in its last bits, and every optimization of three
-    # or more barrier rounds must have started at least one from a secant.
-    barrier_only(monkeypatch)
-    cases = [(link, None) for link in _optimizer_links()]
-    cases += [_configuration_start(name) for name in sorted(EVALUATION_COUNTS)]
-    secant, newton_max = optvol._secant, optvol._newton_max
-    guesses, starts = [], []
-
-    def recording_secant(*args):
-        guesses.append(secant(*args))
-        return guesses[-1]
-
-    def recording_newton(face, u, *rest):
-        starts.append(u)
-        return newton_max(face, u, *rest)
-
-    monkeypatch.setattr(optvol, "_secant", recording_secant)
-    monkeypatch.setattr(optvol, "_newton_max", recording_newton)
-    results = []
-    for link, start in cases:
-        guesses.clear()
-        starts.clear()
-        out = optvol.maximize_volume(link, start=start)
-        if len(out.barrier_volumes) >= 3:
-            assert any(u is g for u in starts for g in guesses)
-        results.append(out)
-
-    monkeypatch.setattr(optvol, "_secant", lambda u_prev, u: u)
-    for (link, start), out in zip(cases, results):
-        ref = optvol.maximize_volume(link, start=start)
-        assert abs(out.volume - ref.volume) <= 2 * math.ulp(ref.volume)
-        assert np.max(np.abs(out.angles - ref.angles)) <= 1e-12
-        assert max(out.kkt_residual, ref.kkt_residual) <= 1e-12
-        assert _active_rows_differ_only_at_their_bound(link, out, ref)
-
-
-def test_barrier_path_volumes_nondecreasing(monkeypatch):
-    # n = 10 #230: without the volume test on the secant start, its rounds
-    # 4-6 closed up to 2.7e-9 below round 3
-    barrier_only(monkeypatch)
-    for n, index in ((7, 2), (10, 230)):
-        res = rivin.is_realizable(all_types(n)[index])
-        pv = optvol.maximize_volume(res.link).barrier_volumes
-        assert len(pv) >= 3
-        assert all(pv[i + 1] >= pv[i] - 1e-12 for i in range(len(pv) - 1))
 
 
 def test_optimizer_against_grid_oracle_tetrahedron():
@@ -744,35 +665,6 @@ def test_shape_parameters():
         assert z == pytest.approx(
             complex(math.cos(PI / 3), math.sin(PI / 3)), abs=1e-9
         )
-
-
-def test_singular_newton_system_ends_the_barrier_round(monkeypatch):
-    # a LinAlgError from the first Newton solve ends the barrier: the start
-    # already meets the first round's tolerance, so the second round raises
-    # and the barrier keeps one of its twelve rounds.  The face read off its
-    # last two points pins nothing, and its Newton at mu = 0 still reaches
-    # the octahedron's optimum.  The centered witness is already the optimum,
-    # so start off it.
-    barrier_only(monkeypatch)
-    res = rivin.is_realizable(triang.octahedron())
-    system = rivin.assemble_constraints(res.link)
-    start = res.witness + 0.1 * _dense_factor(system.A_eq, system.b_eq)[0][:, 0]
-    solve = np.linalg.solve
-    raised = []
-
-    def singular_once(a, b):
-        if not raised:
-            raised.append(True)
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", singular_once)
-    out = optvol.maximize_volume(res.link, start=start)
-    assert raised
-    assert len(out.barrier_volumes) == 1
-    assert out.active_constraints == ()
-    assert out.volume == pytest.approx(8 * specfun.lobachevsky(PI / 4), abs=1e-12)
-    assert out.kkt_residual < 1e-12
 
 
 def test_degenerate_type_reports_boundary_active():
@@ -862,111 +754,148 @@ def test_frank_wolfe_gap_certifies_every_uncollapsed_optimum():
     assert certified == 385
 
 
-def _transient_small_corner_optimum(ref):
+def _release_at(system, out):
+    """(theta, gain, direction) of releasing the collapsed triangle of an
+    optimum with the largest first-order volume gain, gain -inf when it
+    collapses none that can be released alone."""
+    act = _active_indices(system, out)
+    face = optvol._face(system, act)
+    theta = out.angles.reshape(-1)
+    y = face.multipliers @ optvol.volume_gradient(theta[face.keep])
+    gain, _, direction = optvol._release(system, act, face, theta, y)
+    return theta, gain, direction
+
+
+def test_release_gain_certifies_every_collapsed_optimum():
+    # the collapsed optima the Frank-Wolfe gap leaves out: no release of a
+    # collapsed triangle, with the variable corners holding every coupling
+    # row, gains volume to first order
+    certified = 0
+    for n in range(4, 10):
+        for i, apex, res, out in _apex_optima(n):
+            if out.angles.min() == 0.0:
+                assert _release_at(res.system, out)[1] <= 1e-9, (n, i, apex)
+                certified += 1
+    assert certified == 216
+
+
+def test_release_gain_at_the_collapsed_default_apex_optima():
+    # zero to rounding exactly at the five whose volume equals an optimum with
+    # one vertex fewer (test_collapsed_optima_match_smaller_types), where the
+    # collapse is a limit that a release neither gains nor loses from; at
+    # n = 10 #81, which matches nothing, releasing loses volume
+    gains = {}
+    for n, i in COLLAPSED_OPTIMA:
+        out = _witness_optimum(n, i)
+        gains[n, i] = _release_at(rivin.assemble_constraints(out.link), out)[1]
+    assert gains.pop((10, 81)) == pytest.approx(-0.0626, abs=1e-4)
+    assert all(abs(g) <= 1e-15 for g in gains.values()), gains
+
+
+def test_release_gain_is_the_directional_derivative():
+    # along the release direction, the variable corners' compensation
+    # included, V changes by eps * gain to first order: at each collapsed
+    # default-apex optimum the difference quotient at eps = 1e-5 is within
+    # 3e-6 of the gain (its second order)
+    eps = 1e-5
+    for n, i in COLLAPSED_OPTIMA:
+        out = _witness_optimum(n, i)
+        theta, gain, direction = _release_at(rivin.assemble_constraints(out.link), out)
+        quotient = (specfun.lobachevsky_sum(theta + eps * direction)
+                    - specfun.lobachevsky_sum(theta)) / eps
+        assert abs(quotient - gain) <= 3e-6, (n, i, quotient, gain)
+
+
+def _active_sets_differ_only_at_their_bound(system, out, ref):
+    """Whether every constraint active at one optimum and not the other is
+    within 2e-12 of its bound at both."""
+    m = system.n_vars
+    kinds = [("corner", divmod(i, 3)) for i in range(m)] + list(system.ub_kinds)
+    at = [optvol._slacks(o.angles.reshape(-1), system.A_ub, system.b_ub) for o in (out, ref)]
+    differ = set(out.active_constraints) ^ set(ref.active_constraints)
+    return all(max(abs(s[kinds.index(k)]) for s in at) <= 2e-12 for k in differ)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_optimum_does_not_depend_on_where_the_ascent_starts(n, monkeypatch):
+    # every apex: the ascent from the witness itself, as where the zero-shear
+    # point misses P, ends at the same optimum as from the zero-shear face
+    optima = _apex_optima(n)
+    from_the_start(monkeypatch)
+    for i, apex, res, ref in optima:
+        out = optvol.maximize_volume(res.link, start=res.witness)
+        assert abs(out.volume - ref.volume) <= 4 * math.ulp(ref.volume), (n, i, apex)
+        assert np.max(np.abs(out.angles - ref.angles)) <= 1e-11, (n, i, apex)
+        assert out.kkt_residual <= 1e-12
+        assert _active_sets_differ_only_at_their_bound(res.system, out, ref), (n, i, apex)
+
+
+# (n, index, apex) of optima from the witness that broke drafts of the
+# active-set ascent, with the float.hex volume of 0.2.18 (its barrier's) and
+# the active set.  At n = 10 #65 apex 5 and #134 apex 7 a triangle collapses on
+# the way and is released again: an orthogonal projection of the release onto
+# its face lowered V at #65 and the ascent cycled.  At #185 apex 7 the release
+# also frees the row through the collapsed triangle's third corner.  #185
+# apex 2 stalled a draft that ran the volume test on a step too short for it
+# to see; at n = 9 #4 apex 8 a step stops on a row already at its bound, a
+# step of length 0 that the gradient-norm test accepts.
+ASCENT_PINS = {
+    (9, 4, 8): ("0x1.85bcd1d651998p+2", (("corner", (0, 0)), ("corner", (0, 2)),
+                                         ("corner", (4, 0)), ("corner", (4, 1)),
+                                         ("interior_edge", (0, 1)), ("interior_edge", (1, 2)))),
+    (10, 65, 5): ("0x1.926ba68fec436p+2", (("interior_edge", (1, 2)), ("interior_edge", (1, 3)),
+                                           ("interior_edge", (1, 4)), ("hull_vertex", 1))),
+    (10, 134, 7): ("0x1.c23ec9a673649p+2", (("corner", (6, 0)), ("corner", (6, 1)))),
+    (10, 185, 2): ("0x1.fc0d80fda735bp+2", (("interior_edge", (1, 3)), ("interior_edge", (1, 4)),
+                                            ("hull_vertex", 1))),
+    (10, 185, 7): ("0x1.fc0d80fda735bp+2", (("corner", (1, 0)), ("corner", (1, 1)),
+                                            ("corner", (2, 0)), ("corner", (2, 1)),
+                                            ("interior_edge", (1, 4)))),
+}
+
+
+@pytest.mark.parametrize("n,index,apex", sorted(ASCENT_PINS))
+def test_active_set_ascent_regressions(n, index, apex):
+    res = rivin.is_realizable(all_types(n)[index], apex=apex)
+    out = optvol.maximize_volume(res.link, start=res.witness)
+    ref, active = ASCENT_PINS[n, index, apex]
+    ref = float.fromhex(ref)
+    assert abs(out.volume - ref) <= 4 * math.ulp(ref)
+    assert out.active_constraints == active
+    assert out.kkt_residual <= 1e-12
+    assert 0.0 <= out.angles.min() and out.angles.max() <= PI
+
+
+def test_transient_small_corner_stays_free():
     # search n = 12, seed 3, trial 84 from its Euclidean start: two corners of
     # link triangle 15 are 6.84e-5 at the optimum, but over the last barrier
-    # rounds they fall at ratios near 0.5, so the ratio alone would pin them
-    # and lose 3.3e-9 of volume.  At the optimum the two are equal, so which
-    # of them rounds lower is not pinned
+    # rounds of 0.2.17 they fell at ratios near 0.5, so the barrier's ratio
+    # alone would have pinned them and lost 3.3e-9 of volume.  At the optimum
+    # the two are equal, so which of them rounds lower is not pinned
     pt = geom.delaunay(geom.random_configuration(12, stats.trial_rng(3, 84)))
     _, link = geom.close_with_infinity(pt)
     out = optvol.maximize_volume(link, start=geom.euclidean_angles(pt).reshape(-1))
     assert all(kind != "corner" for kind, _ in out.active_constraints)
     assert min(out.angles[15, 1:]) == out.angles.min() == pytest.approx(6.84e-5, rel=1e-3)
     assert max(out.angles[15, 1:]) == pytest.approx(6.84e-5, rel=1e-3)
-    ref = float.fromhex(ref)
+    ref = float.fromhex("0x1.6e7a6fee2b72cp+3")
     assert abs(out.volume - ref) <= 2 * math.ulp(ref)
-    return out
 
 
-def test_transient_small_corner_stays_free():
-    # the face its zero-shear point violates leaves both corners free
-    assert _transient_small_corner_optimum("0x1.6e7a6fee2b72cp+3").barrier_volumes == ()
-
-
-def test_transient_small_corner_stays_free_under_the_barrier(monkeypatch):
-    # forced to run, the barrier frees the two corners first and keeps that
-    # face, at 0.2.17's volume
-    barrier_only(monkeypatch)
-    assert _transient_small_corner_optimum("0x1.6e7a6fee2b72ap+3").barrier_volumes
-
-
-# newton_iterations of the collapsed default-apex optima whose face solve
-# first leaves the collapsing corners free (all but n = 10 #81).  That face's
-# Newton stops at its first step that does not ascend, so it adds no steps; a
-# gradient step in place of each such step would run it to its cap of 60.
-FREE_CORNER_FACE_STEPS = {(9, 0): 36, (10, 0): 35, (10, 1): 36, (10, 14): 37, (10, 146): 38}
-
-
-def test_rejected_free_corner_face_stops_at_its_first_non_ascent_step():
-    got = {nt: _witness_optimum(*nt).newton_iterations for nt in FREE_CORNER_FACE_STEPS}
-    assert got == FREE_CORNER_FACE_STEPS
-
-
-# newton_iterations of optima from the witness at (n, index, apex) whose
-# free-corner face Newton keeps ascending while a freed corner heads to 0.
-# It stops at its first iterate with a corner below BOUNDARY_TOL; checked
-# only after the solve, it ran to its cap of 60 and the optima took 95 steps.
-FREE_CORNER_FLOOR_STEPS = {(10, 1, 9): 35, (10, 14, 9): 35}
-
-
-def test_rejected_free_corner_face_stops_at_its_first_corner_below_the_floor():
-    got = {}
-    for n, index, apex in FREE_CORNER_FLOOR_STEPS:
-        res = rivin.is_realizable(all_types(n)[index], apex=apex)
-        out = optvol.maximize_volume(res.link, start=res.witness)
-        assert any(kind == "corner" for kind, _ in out.active_constraints)
-        got[n, index, apex] = out.newton_iterations
-    assert got == FREE_CORNER_FLOOR_STEPS
-
-
-# n = 11 #190 at its default apex 2.  Over the last barrier round the slack of
-# interior_edge (1, 6) falls by 0.7223, above the pinning threshold
-# 0.2^(1/4) = 0.6687, so the edge stays free.  A barrier that stopped one
-# round earlier (mu ~ 1e-8) reads 0.5789 there and pins it; that face fails
-# its multiplier check (-5.4e-5 < -1e-9) and raises NumericalFailure.
+# n = 11 #190 at its default apex 2, the near miss of the barrier's face rule
+# until 0.2.18: over its last round the slack of interior_edge (1, 6) fell by
+# 0.7223, just above the pinning threshold 0.2^(1/4) = 0.6687, so the edge
+# stayed free; one round earlier the ratio read 0.5789, and that face failed
+# its multiplier check (-5.4e-5 < -1e-9) and raised NumericalFailure.
 NEAR_MISS_TYPE = (11, [(3, 1, 6), (1, 3, 7), (2, 1, 7), (1, 4, 8), (4, 0, 8), (1, 2, 9),
                        (2, 4, 9), (4, 1, 9), (0, 4, 10), (4, 2, 10), (1, 8, 6), (0, 10, 5),
                        (2, 5, 10), (5, 2, 0), (0, 2, 8), (6, 8, 2), (2, 7, 6), (3, 6, 7)])
 
 
-def test_zero_shear_face_settles_the_barriers_optima(monkeypatch):
-    # every inscribable type with n <= 10 at its default apex, from the witness,
-    # against the barrier forced to run: an optimum settled on the face its
-    # zero-shear point violates has the barrier's active set, its volume within
-    # 3 ulp and angles within 1e-11 (an interior one, on the empty face, within
-    # 2 ulp and 1e-12).  Every other optimum is the barrier's, bit for bit
-    counts = {"interior": 0, "face": 0, "barrier": 0}
-    for n in range(4, 11):
-        for i, t in enumerate(all_types(n)):
-            out = _witness_optimum(n, i)
-            if out is None:
-                continue
-            res = rivin.is_realizable(t)
-            with monkeypatch.context() as m:
-                barrier_only(m)
-                ref = optvol.maximize_volume(res.link, start=res.witness)
-            assert out.active_constraints == ref.active_constraints, (n, i)
-            assert out.boundary_active == ref.boundary_active, (n, i)
-            if out.barrier_volumes == ():
-                kind = "face" if out.active_constraints else "interior"
-                counts[kind] += 1
-                ulps, angles = (3, 1e-11) if kind == "face" else (2, 1e-12)
-                assert abs(out.volume - ref.volume) <= ulps * math.ulp(ref.volume), (n, i)
-                assert np.max(np.abs(out.angles - ref.angles)) <= angles, (n, i)
-                assert out.kkt_residual < 1e-12
-            else:
-                counts["barrier"] += 1
-                assert (out.volume, out.kkt_residual, out.newton_iterations) == (
-                    ref.volume, ref.kkt_residual, ref.newton_iterations)
-                assert np.array_equal(out.angles, ref.angles)
-    assert counts == {"interior": 41, "face": 191, "barrier": 63}
-
-
 def test_zero_shear_point_is_the_optimum_where_no_active_row_has_a_multiplier():
-    # an independent check of the face rule: at an optimum whose active rows
-    # all carry zero multipliers (measured |lambda| <= 3e-15; the others >=
-    # 0.057), the KKT conditions make it the zero-shear point, which lies on
+    # an independent check of the zero-shear start: at an optimum whose active
+    # rows all carry zero multipliers (measured |lambda| <= 3e-15; the others
+    # >= 0.057), the KKT conditions make it the zero-shear point, which lies on
     # P's boundary.  Where a row carries a multiplier, the zero-shear point
     # lies outside P.  Pinned corners have no zero-shear point and are left out
     free = pushed = 0
@@ -981,6 +910,7 @@ def test_zero_shear_point_is_the_optimum_where_no_active_row_has_a_multiplier():
             face = optvol._face(system, _active_indices(system, out))
             theta = out.angles.reshape(-1)
             multipliers = face.multipliers @ optvol.volume_gradient(theta[face.keep])
+            multipliers = multipliers[len(system.b_eq) - system.n_vars // 3:]  # the rows'
             point = optvol._zero_shear(system)
             slack = None if point is None else optvol._slacks(point[0], system.A_ub, system.b_ub)
             if np.max(np.abs(multipliers)) <= 1e-9:
@@ -1003,28 +933,22 @@ def test_face_rule_near_miss_keeps_the_slow_edge_free():
     assert out.active_constraints == tuple(("hull_vertex", w) for w in (0, 4, 1, 8))
 
 
-def stall_every_face_newton(monkeypatch):
-    """Make every Newton at mu = 0 raise, as a face no Newton can solve."""
-    newton_max = optvol._newton_max
+def singular_newton_systems(monkeypatch):
+    """Make every Newton system singular, as on a face no Newton can solve; the
+    zero-shear Newton then gives up, and the ascent starts at the start."""
 
-    def stalling(face, u, mu, *rest):
-        if mu == 0.0:
-            raise optvol._LineSearchStall("face Newton stalls")
-        return newton_max(face, u, mu, *rest)
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(optvol, "_newton_max", stalling)
+    monkeypatch.setattr(np.linalg, "solve", singular)
 
 
 def test_face_that_fails_its_checks_raises_numerical_failure(monkeypatch):
-    # no measured input reaches this guard.  At n = 9 #0 both the free-corner
-    # face and the face that pins the collapsing corners fail; the error names
-    # the constraints of the pinned one, which the unpatched optimum keeps
-    ref = _witness_optimum(9, 0)
-    act = _active_indices(rivin.assemble_constraints(ref.link), ref)
-    assert any(kind == "corner" for kind, _ in ref.active_constraints)
-    stall_every_face_newton(monkeypatch)
+    # no measured input reaches this guard: a Newton system that has no
+    # ascending step above the gradient's rounding floor
+    singular_newton_systems(monkeypatch)
     res = rivin.is_realizable(all_types(9)[0])
-    with pytest.raises(NumericalFailure, match=re.escape(f"constraints {act} fails")):
+    with pytest.raises(NumericalFailure, match="no ascending Newton step"):
         optvol.maximize_volume(res.link, start=res.witness)
 
 
@@ -1037,12 +961,10 @@ def test_collapsed_optima_match_smaller_types():
     assert abs(_witness_optimum(9, 0).volume - n8) <= 3 * math.ulp(n8)
 
 
-def test_collapse_does_not_depend_on_the_start():
+def test_collapse_does_not_depend_on_the_start(monkeypatch):
     # each collapsed optimum pins its triangle from every random interior
-    # start.  Except at n = 10 #81, the triangle's two corners fall more
-    # slowly than the barrier's factor over its last round, so the face solve
-    # first leaves them free; that Newton stops at its first step that does
-    # not ascend, and the face that pins them is solved instead
+    # start, the ascent started there
+    from_the_start(monkeypatch)
     rng = np.random.default_rng(0)
     for n, i in COLLAPSED_OPTIMA:
         res = rivin.is_realizable(all_types(n)[i])

@@ -415,18 +415,15 @@ def test_search_n6_hits_octahedron():
     if len(vols) == 2:
         assert vols[0] == pytest.approx(3 * 1.0149416064096537, abs=1e-6)
     # the octahedron's optimum is interior, a zero-shear point; the other
-    # type's pins one hull vertex row and is settled on the face its
-    # zero-shear point violates, so neither takes the barrier
-    assert (r.unique_types, r.conformal_types, r.barrier_types) == (2, 1, 0)
-    assert r.best_result.barrier_volumes == ()
+    # type's pins one hull vertex row
+    assert (r.unique_types, r.conformal_types) == (2, 1)
 
 
-def test_search_counts_interior_and_barrier_types_apart_from_face_hits():
-    # n = 7, seed 0: of 5 types, 2 optima are interior zero-shear points, 2
-    # take the barrier and 1 is settled on the face its zero-shear point
-    # violates, which neither count includes
+def test_search_counts_interior_types_apart_from_boundary_ones():
+    # n = 7, seed 0: of 5 types, 2 optima are interior zero-shear points and
+    # 3 pin a constraint
     r = stats.search_max_volume(7, 20, seed=0)
-    assert (r.unique_types, r.conformal_types, r.barrier_types) == (5, 2, 2)
+    assert (r.unique_types, r.conformal_types) == (5, 2)
 
 
 def test_type_hash_is_pinned_and_reported_per_trial():
