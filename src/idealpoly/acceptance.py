@@ -29,7 +29,7 @@ def _corpus_random(counts={8: 4, 9: 4, 10: 3}, seed=1234):
         trial = 0
         while len(seen) < want and trial < 500:
             cfg = geom.random_configuration(n, stats.trial_rng(seed + n, trial))
-            t, _ = geom.close_with_infinity(geom.delaunay(cfg))
+            t = geom.cone(geom.delaunay(cfg))
             key = triang.canonical_form_full(t)
             if key not in seen:
                 seen[key] = t

@@ -144,12 +144,12 @@ def euclidean_angles(pt):
     return np.array(rows)
 
 
-def close_with_infinity(pt):
-    """Cone a planar triangulation to a sphere triangulation.
+def cone(pt):
+    """The validated sphere triangulation of a planar triangulation coned
+    from a new vertex, the point at infinity, joined to every hull vertex.
 
-    The new vertex (the point at infinity) is joined to every hull vertex;
-    returns the validated triangulation together with its apex link, whose
-    bounded faces reproduce the input triangles in order.
+    The point at infinity is vertex ``len(pt.points)``, and the input
+    triangles are the first faces, in order.
     """
     m = len(pt.points)
     faces = [tuple(f) for f in pt.triangles]
@@ -159,10 +159,25 @@ def close_with_infinity(pt):
         u = hull[i]
         v = hull[(i + 1) % k]
         faces.append((v, u, m))
-    t = triang.validate(m + 1, faces)
-    link = triang.build_link(t, m)
+    return triang.validate(m + 1, faces)
+
+
+def infinity_link(t, pt):
+    """The link of the point at infinity in ``t = cone(pt)``, whose bounded
+    faces reproduce the input triangles in order."""
+    link = triang.build_link(t, len(pt.points))
     assert link.bounded_faces == pt.triangles
-    return t, link
+    return link
+
+
+def close_with_infinity(pt):
+    """Cone a planar triangulation to a sphere triangulation.
+
+    Returns the validated triangulation (``cone``) together with the link of
+    the point at infinity (``infinity_link``).
+    """
+    t = cone(pt)
+    return t, infinity_link(t, pt)
 
 
 def config_volume(config):

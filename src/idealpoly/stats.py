@@ -328,9 +328,10 @@ def search_max_volume(n, trials, seed=0):
     for trial in range(trials):
         cfg = geom.random_configuration(n, trial_rng(seed, trial))
         pt = geom.delaunay(cfg)
-        t, link = geom.close_with_infinity(pt)
+        t = geom.cone(pt)
         key = triang.canonical_form(t)
         if key not in memo:
+            link = geom.infinity_link(t, pt)
             start = geom.euclidean_angles(pt).reshape(-1)
             memo[key] = (optvol.maximize_volume(link, start=start), type_hash(key))
         result, key_hash = memo[key]

@@ -8,6 +8,8 @@ operations are pure.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     DegenerateFace,
     Disconnected,
@@ -203,17 +205,21 @@ def build_link(t, apex):
 
 
 def _codes(t):
-    """The relabeled face list seen from each candidate start dart, in dart
-    order.
+    """The relabeled face list seen from each candidate start dart, one row
+    per start in dart order, as an integer array.
 
     Dart ``3 * f + s`` runs from corner ``s`` of face ``f`` to the next
     corner.  From each start dart a breadth-first traversal along face
-    rotation and edge reversal labels vertices in discovery order, tail
-    before head.  Once every vertex has a label the labels are final, so the
-    traversal stops there.  Each code is the relabeled face list with every
-    face rotated to start at its smallest label, sorted.  A face (a, b, c)
-    is held as the integer ``a*n*n + b*n + c``, which orders as the tuple
-    does; ``_decode`` turns a code back into face tuples.
+    rotation and edge reversal labels vertices in discovery order.  Both
+    darts reached from a dart leave its head, so the start's tail takes
+    label 0 and every visited dart labels only its head.  Once n - 1 labels
+    are given the last vertex takes n - 1, so the traversal stops there.
+    Each code is the relabeled face list with every face rotated to start
+    at its smallest label, sorted.  A face (a, b, c) is held as the integer
+    ``a*n*n + b*n + c``, which orders as the tuple does; since labels are
+    distinct, the smallest encoding of a face's three rotations is the one
+    that starts at its smallest label.  ``_decode`` turns a code back into
+    face tuples.
 
     The candidates are the darts leaving a vertex of degree 3 when there is
     one, else every dart.  Every start labels its own face (0, 1, 2) and the
@@ -223,54 +229,54 @@ def _codes(t):
     comes from a degree-3 start when one exists.
     """
     n = t.n
-    nn = n * n
+    last = n - 1
     faces = t.faces
     tail = [v for f in faces for v in f]
     nxt = [d + 1 if d % 3 < 2 else d - 2 for d in range(len(tail))]
     head = [tail[d] for d in nxt]
     dart = {(u, v): d for d, (u, v) in enumerate(zip(tail, head))}
-    # per dart: its tail, its head, the next dart of its face, its reverse
-    steps = [(u, v, nxt[d], dart[v, u]) for d, (u, v) in enumerate(zip(tail, head))]
+    # per dart: its head, the next dart of its face, its reverse
+    steps = [(v, nxt[d], dart[v, u]) for d, (u, v) in enumerate(zip(tail, head))]
     degree = t.degrees()
     starts = [d for d, v in enumerate(tail) if degree[v] == 3] or range(len(tail))
+    rows = []
+    seen = [-1] * len(tail)  # the start dart whose traversal last saw each dart
     for d0 in starts:
         label = [-1] * n
-        seen = bytearray(len(tail))
-        seen[d0] = 1
+        label[tail[d0]] = 0
+        seen[d0] = d0
         order = [d0]
-        count = 0
+        count = 1
         for x in order:  # the loop also visits darts appended below
-            u, v, y, z = steps[x]
-            if label[u] < 0:
-                label[u] = count
-                count += 1
+            v, y, z = steps[x]
             if label[v] < 0:
                 label[v] = count
                 count += 1
-            if count == n:
-                break
-            if not seen[y]:
-                seen[y] = 1
+                if count == last:
+                    break
+            if seen[y] != d0:
+                seen[y] = d0
                 order.append(y)
-            if not seen[z]:
-                seen[z] = 1
+            if seen[z] != d0:
+                seen[z] = d0
                 order.append(z)
-        code = []
-        for a, b, c in faces:
-            a, b, c = label[a], label[b], label[c]
-            if a < b and a < c:
-                code.append(a * nn + b * n + c)
-            elif b < c:
-                code.append(b * nn + c * n + a)
-            else:
-                code.append(c * nn + a * n + b)
-        code.sort()
-        yield tuple(code)
+        label[label.index(-1)] = last
+        rows.append(label)
+    a, b, c = np.array(rows)[:, np.array(faces)].transpose(2, 0, 1)
+    codes = np.minimum((a * n + b) * n + c, (b * n + c) * n + a)
+    codes = np.minimum(codes, (c * n + a) * n + b)
+    codes.sort(axis=1)
+    return codes
+
+
+def _smallest(codes):
+    """The lexicographically smallest row of a code array."""
+    return codes[np.lexsort(codes.T[::-1])[0]]
 
 
 def _decode(code, n):
-    """The face tuples of one code from ``_codes``."""
-    return tuple((k // (n * n), k // n % n, k % n) for k in code)
+    """The face tuples of one code row from ``_codes``, as Python ints."""
+    return tuple((k // (n * n), k // n % n, k % n) for k in code.tolist())
 
 
 @dataclass(frozen=True)
@@ -288,12 +294,12 @@ def automorphism_counts(t):
     reversing ones exist, as many again, iff the mirror image has the same
     canonical form.
     """
-    codes = list(_codes(t))
-    best = min(codes)
-    op = codes.count(best)
+    codes = _codes(t)
+    best = _smallest(codes)
+    op = int((codes == best).all(axis=1).sum())
     return AutomorphismCounts(
         orientation_preserving=op,
-        total=2 * op if min(_codes(mirror(t))) == best else op,
+        total=2 * op if np.array_equal(_smallest(_codes(mirror(t))), best) else op,
     )
 
 
@@ -304,7 +310,7 @@ def canonical_form(t):
     ``_codes``).  Two triangulations are orientation-preserving isomorphic
     iff their canonical forms are equal.
     """
-    return _decode(min(_codes(t)), t.n)
+    return _decode(_smallest(_codes(t)), t.n)
 
 
 def mirror(t):

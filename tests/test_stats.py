@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -432,6 +433,17 @@ def test_type_hash_is_pinned_and_reported_per_trial():
     r = stats.search_max_volume(6, 3, seed=0)
     best = stats.type_hash(triang.canonical_form(r.best_result.link.parent))
     assert best in {h for _, _, h in r.per_trial}
+
+
+def test_table1_search_at_n12_is_pinned_per_trial():
+    # the per-trial type hashes of the seed-0 Table 1 search: a change to the
+    # canonical form, or to the repr of its entries, moves this digest
+    r = stats.search_max_volume(12, 100, seed=0)
+    assert r.unique_types == 68
+    hashes = " ".join(f"{h:08x}" for _, _, h in r.per_trial)
+    assert hashlib.sha256(hashes.encode()).hexdigest() == (
+        "3a89bba7c2d7b9394a368544b92a203bde2cd2c7251868b3c99ed2996e913208"
+    )
 
 
 def test_normalized_volumes_bounded_with_search_vmax():

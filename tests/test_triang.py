@@ -395,3 +395,32 @@ def test_minimum_degree_four_type_starts_at_a_higher_degree():
     start = codes.index(min(codes))
     assert degree[t.faces[start // 3][start % 3]] >= 6
     assert triang.canonical_form(t) == _frozen_canonical_form(t)
+
+
+def test_icosahedron_ties_every_start_dart():
+    # the best type of the seed-0 n = 12 search is the regular icosahedron:
+    # with every degree 5 every dart is a start, and all 60 codes tie
+    r = stats.search_max_volume(12, 100, seed=0)
+    t = r.best_result.link.parent
+    assert t.degrees() == [5] * 12
+    assert len(triang._codes(t)) == 60
+    counts = triang.automorphism_counts(t)
+    assert counts == triang.AutomorphismCounts(orientation_preserving=60, total=120)
+    key = triang.canonical_form(t)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        relabeled = _relabeled(t, rng)
+        assert triang.canonical_form(relabeled) == key
+        assert triang.automorphism_counts(relabeled) == counts
+
+
+def test_keys_and_counts_are_python_ints():
+    # a numpy int in a key would read np.int64(...) in its repr, which moves
+    # every type hash, and would not serialize in the automorphisms JSON
+    cfg = geom.random_configuration(12, stats.trial_rng(0, 0))
+    for t in (triang.octahedron(), geom.cone(geom.delaunay(cfg))):
+        for key in (triang.canonical_form(t), triang.canonical_form_full(t)):
+            assert all(type(v) is int for f in key for v in f)
+        counts = triang.automorphism_counts(t)
+        assert type(counts.orientation_preserving) is int
+        assert type(counts.total) is int
