@@ -59,10 +59,15 @@ def delaunay_triangles(xs, ys):
     to the triangle that holds it (Guibas & Stolfi 1985), so a flip finds its
     neighbour and the hull its unpaired edges without rebuilding anything.
 
+    The triangles are checked to form a disk, so coning the hull from a new
+    vertex gives a valid sphere triangulation (``geom.cone``) with no further
+    check.
+
     Raises ValueError for fewer than 3, duplicate or collinear points, and
     for degenerate geometry: a point that lies in no triangle and sees no
-    hull edge, overlapping triangles, a hull that is not a simple cycle, or
-    more than 8 m^2 + 64 flips.
+    hull edge, overlapping triangles, a hull that is not a simple cycle or
+    misses a boundary edge, a triangle count other than 2m - 2 - h for h
+    hull vertices, or more than 8 m^2 + 64 flips.
     """
     m = len(xs)
     if m < 3:
@@ -103,18 +108,22 @@ def delaunay_triangles(xs, ys):
         return (a, b, c) if a == u else (b, c, a) if b == u else (c, a, b)
 
     def hull_cycle():
-        # successor along every unpaired directed edge, read in creation order
+        # successor along every unpaired directed edge, read in creation
+        # order; returns the cycle from the smallest tail and the number of
+        # unpaired edges, which only the final check reads
         succ = {}
+        unpaired = 0
         for a, b, c in tris.values():
             for u, v in ((a, b), (b, c), (c, a)):
                 if v * m + u not in owner:
                     succ[u] = v
+                    unpaired += 1
         cyc = [min(succ)]
         while succ[cyc[-1]] != cyc[0]:
             if len(cyc) == len(succ):
                 raise ValueError("hull is not a simple cycle (degenerate geometry)")
             cyc.append(succ[cyc[-1]])
-        return cyc
+        return cyc, unpaired
 
     if orient2d(xs[0], ys[0], xs[1], ys[1], xs[first], ys[first]) > 0.0:
         add(0, 1, first)
@@ -140,7 +149,7 @@ def delaunay_triangles(xs, ys):
         stack = []
         if hit is None:
             # outside the hull: attach to every strictly visible hull edge
-            cyc = hull_cycle()
+            cyc = hull_cycle()[0]
             for u, v in zip(cyc, cyc[1:] + cyc[:1]):
                 if orient2d(xs[u], ys[u], xs[v], ys[v], px, py) < -GEOM_TOL:
                     add(v, u, p)
@@ -184,9 +193,19 @@ def delaunay_triangles(xs, ys):
                 add(d, b, c)
                 stack.extend([(a, d), (d, b), (b, c), (c, a)])
 
+    # Every point lies in a triangle, the triangles are edge-connected, and
+    # add() holds each directed edge once. The cone over the hull then passes
+    # every check of triang.validate iff the hull covers every unpaired
+    # directed edge (a second boundary or a pinched hull vertex does not) and
+    # T = 2m - 2 - h, the Euler count of a disk with h boundary vertices.
+    hull, unpaired = hull_cycle()
+    if unpaired != len(hull):
+        raise ValueError("hull misses a boundary edge (degenerate geometry)")
+    if len(tris) != 2 * m - 2 - len(hull):
+        raise ValueError("triangles do not form a disk (degenerate geometry)")
     # each triangle rotated to start at its smallest vertex
     canon = sorted(min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in tris.values())
-    return canon, hull_cycle()
+    return canon, hull
 
 
 def triangle_angles(xs, ys, tris):

@@ -99,18 +99,13 @@ def load_configuration(run, path):
     for item in data["points"]:
         if item == "inf":
             inf_seen += 1
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(c, (int, float)) for c in item)
-        ):
-            try:
-                x, y = float(item[0]), float(item[1])
-            except OverflowError:  # an int beyond the float range
-                x = y = math.inf
+        elif isinstance(item, list) and len(item) == 2:
+            if not all(_is_finite_number(c) for c in item):
+                raise InputError(f"{path}: point {item!r} is not two finite numbers")
+            x, y = float(item[0]), float(item[1])
             # the ball coordinates of the export are computed from |w|^2
             if not math.isfinite(x * x + y * y):
-                raise InputError(f"{path}: point {item!r} is not finite or is too large")
+                raise InputError(f"{path}: point {item!r} is too large")
             finite.append(complex(x, y))
         else:
             raise InputError(f'{path}: point {item!r} is neither [x, y] nor "inf"')
@@ -394,8 +389,8 @@ def _is_index(value):
 def _corner_values(path, corners, n_faces):
     """Corner angles of optimize output as an (n_faces, 3) array.
 
-    Every (face, slot) must appear exactly once, with finite radians in
-    (0, pi): layout divides by the sine of each corner.
+    Every (face, slot) must appear exactly once, with radians a JSON number
+    in (0, pi): layout divides by the sine of each corner.
     """
     if not isinstance(corners, list):
         raise InputError(f"{path}: corners {corners!r} is not a list")
@@ -403,15 +398,15 @@ def _corner_values(path, corners, n_faces):
     seen = set()
     for c in corners:
         try:
-            face, slot, radians = c["face"], c["slot"], float(c["radians"])
-        except (KeyError, TypeError, ValueError):
+            face, slot, radians = c["face"], c["slot"], c["radians"]
+        except (KeyError, TypeError):
             face = slot = None
         if not (_is_index(face) and _is_index(slot) and 0 <= face < n_faces and 0 <= slot < 3):
             raise InputError(
                 f"{path}: corner {c!r} needs a face in 0..{n_faces - 1}, "
                 "a slot in 0..2 and radians"
             )
-        if not 0.0 < radians < math.pi:  # also rejects nan and inf
+        if not (_is_finite_number(radians) and 0.0 < radians < math.pi):
             raise InputError(f"{path}: corner {c!r} needs radians in (0, pi)")
         if (face, slot) in seen:
             raise InputError(f"{path}: face {face}, slot {slot} appears twice")

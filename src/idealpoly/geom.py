@@ -120,7 +120,8 @@ def delaunay(config):
     """Delaunay triangulation of the finite points.
 
     Incremental insertion with Lawson flips; cocircular ties are resolved
-    deterministically by insertion order.
+    deterministically by insertion order.  Degenerate geometry, including
+    triangles that do not form a disk, raises DegenerateSample.
     """
     xs = [w.real for w in config.finite]
     ys = [w.imag for w in config.finite]
@@ -145,11 +146,13 @@ def euclidean_angles(pt):
 
 
 def cone(pt):
-    """The validated sphere triangulation of a planar triangulation coned
-    from a new vertex, the point at infinity, joined to every hull vertex.
+    """The sphere triangulation of a planar triangulation coned from a new
+    vertex, the point at infinity, joined to every hull vertex.
 
     The point at infinity is vertex ``len(pt.points)``, and the input
-    triangles are the first faces, in order.
+    triangles are the first faces, in order.  ``pt`` comes from ``delaunay``,
+    whose kernel checks that its triangles form a disk bounded by the hull,
+    so the cone is a sphere triangulation without ``triang.validate``.
     """
     m = len(pt.points)
     faces = [tuple(f) for f in pt.triangles]
@@ -159,7 +162,7 @@ def cone(pt):
         u = hull[i]
         v = hull[(i + 1) % k]
         faces.append((v, u, m))
-    return triang.validate(m + 1, faces)
+    return triang.SphereTriangulation(m + 1, tuple(faces))
 
 
 def infinity_link(t, pt):
@@ -173,7 +176,7 @@ def infinity_link(t, pt):
 def close_with_infinity(pt):
     """Cone a planar triangulation to a sphere triangulation.
 
-    Returns the validated triangulation (``cone``) together with the link of
+    Returns the sphere triangulation (``cone``) together with the link of
     the point at infinity (``infinity_link``).
     """
     t = cone(pt)

@@ -158,20 +158,16 @@ def _face(system, act):
     and C's multipliers (singular values < 1e-10 s_max: 0)."""
     A_eq, b_eq, A_ub, b_ub, m = system.A_eq, system.b_eq, system.A_ub, system.b_ub, system.n_vars
     F = m // 3
-    if act:
-        pinned = np.zeros(m + len(b_ub), dtype=bool)
-        pinned[list(act)] = True
-        out, rows = pinned[:m].reshape(-1, 3), pinned[m:]
-        third = (~out & (out.sum(axis=1, keepdims=True) == 2)).ravel()  # at pi
-        base = np.where(third, math.pi, 0.0)
-        keep = np.flatnonzero(~(out.ravel() | third))
-        A = np.concatenate((A_eq, A_ub[rows]))
-        A, b = A.take(keep, axis=1), np.concatenate((b_eq, b_ub[rows])) - A @ base
-        U_free, b_free = A_ub[~rows].take(keep, axis=1), (b_ub - A_ub @ base)[~rows]
-        free = m + np.flatnonzero(~rows)
-    else:  # a face that pins nothing: the system as it is, uncopied
-        base, keep, A, b, U_free, b_free = np.zeros(m), np.arange(m), A_eq, b_eq, A_ub, b_ub
-        free = m + np.arange(len(b_ub))
+    pinned = np.zeros(m + len(b_ub), dtype=bool)
+    pinned[list(act)] = True
+    out, rows = pinned[:m].reshape(-1, 3), pinned[m:]
+    third = (~out & (out.sum(axis=1, keepdims=True) == 2)).ravel()  # at pi
+    base = np.where(third, math.pi, 0.0)
+    keep = np.flatnonzero(~(out.ravel() | third))
+    A = np.concatenate((A_eq, A_ub[rows]))
+    A, b = A.take(keep, axis=1), np.concatenate((b_eq, b_ub[rows])) - A @ base
+    U_free, b_free = A_ub[~rows].take(keep, axis=1), (b_ub - A_ub @ base)[~rows]
+    free = m + np.flatnonzero(~rows)
     i = np.arange(keep.size)  # a kept triangle's three corners are consecutive in keep
     Q = np.zeros((keep.size, keep.size // 3, 2))
     Q[i, i // 3] = np.tile(_TRIANGLE_BASIS, (keep.size // 3, 1))

@@ -50,7 +50,9 @@ class SphereTriangulation:
 def validate(n, faces):
     """Check the sphere-triangulation invariants and freeze the result.
 
-    Raises EulerViolation, NonManifoldEdge, Disconnected or DegenerateFace.
+    The gate for triangulations from outside the library: vertex ids must be
+    ``int`` or ``numpy.integer`` (never ``bool``).  Raises EulerViolation,
+    NonManifoldEdge, Disconnected or DegenerateFace.
     """
     if not isinstance(n, int) or n < 4:
         raise DegenerateFace(f"vertex count must be an integer >= 4, got {n!r}")
@@ -61,11 +63,14 @@ def validate(n, faces):
     clean = []
     for f in faces:
         try:
-            t = tuple(int(v) for v in f)
-        except (TypeError, ValueError) as exc:
-            raise DegenerateFace(
-                f"face {f!r} is not a list of integer vertices"
-            ) from exc
+            t = tuple(f)
+        except TypeError:
+            t = None
+        if t is None or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in t
+        ):
+            raise DegenerateFace(f"face {f!r} is not a list of integer vertices")
+        t = tuple(int(v) for v in t)
         if len(t) != 3:
             raise DegenerateFace(f"face {f!r} is not a triangle")
         if len(set(t)) != 3:
@@ -325,7 +330,11 @@ def canonical_form_full(t):
 
 def flip_edge(t, e):
     """Diagonal flip of edge e = (u, v); returns None when the flip would
-    create a doubled edge."""
+    create a doubled edge.
+
+    The flip replaces two faces by two with the same boundary, so a valid
+    ``t`` gives a valid triangulation, built without ``validate``.
+    """
     u, v = e
     f1 = f2 = None
     for f in t.faces:
@@ -344,16 +353,17 @@ def flip_edge(t, e):
     faces = [f for f in t.faces if f not in (f1, f2)]
     faces.append((u, b, a))
     faces.append((v, a, b))
-    return validate(t.n, faces)
+    return SphereTriangulation(t.n, tuple(faces))
 
 
 def stack_on_face(t, face_index):
-    """Subdivide one face with a new degree-3 vertex."""
+    """Subdivide one face with a new degree-3 vertex; a valid ``t`` gives a
+    valid triangulation, built without ``validate``."""
     a, b, c = t.faces[face_index]
     w = t.n
     faces = [f for i, f in enumerate(t.faces) if i != face_index]
     faces.extend([(a, b, w), (b, c, w), (c, a, w)])
-    return validate(t.n + 1, faces)
+    return SphereTriangulation(t.n + 1, tuple(faces))
 
 
 TETRAHEDRON = ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))

@@ -6,6 +6,7 @@ import pytest
 
 from idealpoly import __version__, cli
 
+from test_kernels import MISSED_BOUNDARY_EDGE
 from test_optvol import singular_newton_systems
 from test_stats import diverging_mle
 
@@ -424,11 +425,44 @@ def test_export_config_large_finite_point(tmp_path, capsys):
     assert json.loads(out)["n"] == 5
 
 
+def test_export_config_degenerate_geometry_exit_code(tmp_path, capsys):
+    # a Delaunay hull that misses a boundary edge is a degenerate sample
+    # (exit 3), not a bad triangulation (exit 1)
+    points = [list(p) for p in zip(*MISSED_BOUNDARY_EDGE)] + ["inf"]
+    config = write(tmp_path, "config.json", {"points": points})
+    code, out, err = run_cli(["export", "--config", config], capsys)
+    assert code == 3
+    assert out == ""
+    assert error_line(err)["code"] == "DEGENERATE_SAMPLE"
+
+
+@pytest.mark.parametrize("point", [[True, 0], [0, False], ["1", 0]], ids=["true", "false", "str"])
+def test_export_config_non_number_coordinate(tmp_path, capsys, point):
+    config = write(tmp_path, "config.json", {"points": [[0, 0], [1, 0], [0, 1], point, "inf"]})
+    code, out, err = run_cli(["export", "--config", config], capsys)
+    assert code == 1
+    assert out == ""
+    payload = error_line(err)
+    assert payload["code"] == "INPUT_ERROR"
+    assert repr(point) in payload["message"]
+
+
 def test_check_non_integer_vertex(tmp_path, capsys):
     faces = [list(f) for f in TETRA["faces"]]
     faces[0] = [0, 1, "x"]
     path = write(tmp_path, "bad.json", {"n": 4, "faces": faces})
     code, out, err = run_cli(["check", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert error_line(err)["code"] == "DEGENERATE_FACE"
+
+
+@pytest.mark.parametrize("command", ["check", "optimize"])
+def test_non_integer_vertex_kinds(tmp_path, capsys, command):
+    # int() would read these faces as the tetrahedron
+    faces = [[0, 1.9, 2], ["0", 2, 3], [0, 3, True], [True, 3, 2]]
+    path = write(tmp_path, "bad.json", {"n": 4, "faces": faces})
+    code, out, err = run_cli([command, path], capsys)
     assert code == 1
     assert out == ""
     assert error_line(err)["code"] == "DEGENERATE_FACE"
@@ -464,9 +498,9 @@ def _broken_angles(angles, case):
     elif case == "duplicate-corner":
         angles["corners"].append(dict(angles["corners"][0]))
     elif case.startswith("radians-"):
-        angles["corners"][0]["radians"] = {"nan": "nan", "0": 0, "pi": math.pi}[
-            case.removeprefix("radians-")
-        ]
+        angles["corners"][0]["radians"] = {
+            "nan": "nan", "0": 0, "pi": math.pi, "str": "1.0", "true": True
+        }[case.removeprefix("radians-")]
     else:  # a corner without one of its keys
         del angles["corners"][0][case.removeprefix("no-")]
     return angles
@@ -477,7 +511,7 @@ def _broken_angles(angles, case):
     ["no-radians", "no-face", "no-slot", "slot-out-of-range",
      "corners-not-a-list", "apex-not-an-id", "not-an-object", "a-string",
      "no-corners", "missing-corner", "duplicate-corner",
-     "radians-nan", "radians-0", "radians-pi"],
+     "radians-nan", "radians-0", "radians-pi", "radians-str", "radians-true"],
 )
 def test_export_malformed_angles(tmp_path, capsys, case):
     tri = write(tmp_path, "tetra.json", TETRA)

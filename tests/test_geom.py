@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from idealpoly import _kernels, geom, optvol, rivin, stats, triang
 from idealpoly.errors import DegenerateSample
 
+from test_kernels import MISSED_BOUNDARY_EDGE
+
 PI = math.pi
 
 
@@ -144,6 +146,24 @@ def test_delaunay_rejects_duplicate_and_too_few_points():
         geom.delaunay(geom.make_configuration([0, 1, 1 + 1e-12j]))
     with pytest.raises(DegenerateSample, match="at least 3 points"):
         geom.delaunay(geom.make_configuration([0, 1]))
+
+
+def test_kernel_cones_pass_validate():
+    # cone() builds its triangulation without validate, on the kernel's word
+    # that its triangles form a disk: validate must accept every cone of the
+    # c07 configurations unchanged
+    for trial in range(1000):
+        cfg = geom.random_configuration(5 + trial % 8, stats.trial_rng(99, trial))
+        t = geom.cone(geom.delaunay(cfg))
+        assert triang.validate(t.n, t.faces) == t
+
+
+def test_delaunay_hull_with_missed_boundary_edge_is_degenerate_sample():
+    # degenerate geometry, not an invalid triangulation: the kernel's disk
+    # check raises before any cone is built
+    cfg = geom.make_configuration([complex(x, y) for x, y in zip(*MISSED_BOUNDARY_EDGE)])
+    with pytest.raises(DegenerateSample, match="hull misses a boundary edge"):
+        geom.delaunay(cfg)
 
 
 def test_delaunay_single_triangle():

@@ -326,6 +326,17 @@ def test_differential_corpus_reaches_every_branch():
         assert _REF_BRANCHES[branch] >= 50, (branch, dict(_REF_BRANCHES))
 
 
+# Six points within 1e-12 of the x-axis: the hull walk closes a cycle that
+# misses one unpaired edge, so the cone over that hull would not be a sphere
+# triangulation (validate raises EulerViolation on it).
+MISSED_BOUNDARY_EDGE = (
+    [-4.96685672872152, -1.392925235665138, 0.02971052362453719,
+     -0.4861381978893844, 1.2622645893278595, -4.149082971277794],
+    [4.965307404474115e-13, -2.467634702351511e-13, 3.185989786086997e-13,
+     2.5553421704233696e-13, -2.1411370280490917e-14, -7.338136041593571e-13],
+)
+
+
 def test_delaunay_degenerate_geometry_raises():
     # Points within 1e-12 of the line y = x / 2, plus one or two off it. The
     # edge-map kernel returned 5 triangles that do not tile the hull of the
@@ -347,3 +358,5 @@ def test_delaunay_degenerate_geometry_raises():
         _kernels.delaunay_triangles(*overlapping)
     with pytest.raises(ValueError, match="hull is not a simple cycle"):
         _kernels.delaunay_triangles(*pinched_hull)
+    with pytest.raises(ValueError, match=r"hull misses a boundary edge \(degenerate geometry\)"):
+        _kernels.delaunay_triangles(*MISSED_BOUNDARY_EDGE)

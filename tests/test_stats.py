@@ -241,23 +241,20 @@ def _full_ks_statistic(x, a, b):
     skew=st.floats(0.8, 1.25),
     decimals=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
-    prune_from=st.sampled_from([0, stats._KS_PRUNE_FROM]),
 )
-def test_ks_statistic_matches_full_evaluation(n, a, b, skew, decimals, seed, prune_from):
-    # prune_from = 0 takes the pruned search at every size
+def test_ks_statistic_matches_full_evaluation(n, a, b, skew, decimals, seed):
     x = np.random.default_rng(seed).beta(a * skew, b, n)
     if decimals is not None:
         x = np.round(x, decimals)  # ties, and points at 0 and 1
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_KS_PRUNE_FROM", prune_from)
-        pruned = stats._ks_statistic(x, a, b)
+    pruned = stats._ks_statistic(x, a, b)
     assert pruned.hex() == _full_ks_statistic(x, a, b).hex()
 
 
 @pytest.mark.parametrize("n", [100, 2999, 3000, 5000])
 def test_ks_statistic_prunes_from_its_crossover(n, monkeypatch):
-    # one call over every point below the crossover; the pruned search,
-    # evaluating fewer points, from it on (sample-fit fits 5000 points)
+    # the pruned search at every size: its first call evaluates the stride-64
+    # grid and the last point; from 3000 points on, where pruning pays
+    # (sample-fit fits 5000), it evaluates under a quarter of them
     x = np.random.default_rng(n).beta(13.3, 6.1, n)
     sizes = []
 
@@ -268,9 +265,8 @@ def test_ks_statistic_prunes_from_its_crossover(n, monkeypatch):
     monkeypatch.setattr(specfun, "regularized_incomplete_beta", counting)
     got = stats._ks_statistic(x, 13.3, 6.1)
     assert got.hex() == _full_ks_statistic(x, 13.3, 6.1).hex()
-    if n < stats._KS_PRUNE_FROM:
-        assert sizes == [n]
-    else:
+    assert sizes[0] == len(range(0, n - 1, stats._KS_STRIDE)) + 1
+    if n >= 3000:
         assert sum(sizes) < n / 4
 
 
@@ -292,11 +288,10 @@ def test_ks_statistic_fit_large_shape(monkeypatch):
     assert sum(points) <= 0.05 * len(x)
 
 
-def test_ks_statistic_maximum_on_a_gap_bound(monkeypatch):
+def test_ks_statistic_maximum_on_a_gap_bound():
     # Grid points 0, 64 and 127. Points 65..127 tie, so the lower deviation
     # at 65 equals the bound of the gap (64, 127) exactly, and it lies 5e-10
     # above the best grid value: only a gap within the margin finds it.
-    monkeypatch.setattr(stats, "_KS_PRUNE_FROM", 0)
     n = 128
     x = np.concatenate(
         [np.linspace(0.001, 0.3, 64), [0.9 - 1 / n - 5e-10], np.full(63, 0.9)]
@@ -327,9 +322,7 @@ def test_ks_statistic_near_constant_matches_full_evaluation(monkeypatch, values)
     # The moment start lands at alpha ~ 1e3 to 1e20, where the incomplete beta
     # fails to converge, overflows or stops being monotone. The evenly spread
     # samples fail only at points between the grid points, which the search
-    # reaches only because the evaluated CDF decreases. The search is forced
-    # on these small samples, which lie below its crossover.
-    monkeypatch.setattr(stats, "_KS_PRUNE_FROM", 0)
+    # reaches only because the evaluated CDF decreases.
     pruned = _fit_outcome(values)
     monkeypatch.setattr(stats, "_ks_statistic", _full_ks_statistic)
     assert pruned == _fit_outcome(values)

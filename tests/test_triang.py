@@ -48,6 +48,25 @@ def test_degenerate_face_rejected():
         triang.validate(4, bad)
 
 
+@pytest.mark.parametrize(
+    "vertex",
+    [1.9, 1.0, "1", True, np.True_, None],
+    ids=["float", "integral-float", "str", "bool", "numpy-bool", "none"],
+)
+def test_non_integer_vertex_rejected(vertex):
+    # int() would truncate 1.9, parse "1" and read True as 1
+    bad = [f[:] for f in TETRA_FACES]
+    bad[0][1] = vertex
+    with pytest.raises(DegenerateFace, match="not a list of integer vertices"):
+        triang.validate(4, bad)
+
+
+def test_numpy_integer_vertices_accepted():
+    t = triang.validate(4, np.array(TETRA_FACES, dtype=np.int32))
+    assert t == triang.tetrahedron()
+    assert all(type(v) is int for f in t.faces for v in f)
+
+
 def test_disconnected_rejected():
     # tetrahedron plus a 7-vertex torus: 18 faces and 27 edges match the
     # n=11 sphere counts exactly, so only the connectivity walk can object
@@ -179,7 +198,24 @@ def test_canonical_form_detects_isomorphism():
 
 
 def test_type_counts_small_n():
-    assert [len(all_types(n)) for n in (4, 5, 6, 7, 8)] == [1, 1, 2, 5, 14]
+    # OEIS A000109 (Brinkmann & McKay 2007): the flip census misses no type
+    counts = [len(all_types(n)) for n in (4, 5, 6, 7, 8, 9, 10)]
+    assert counts == [1, 1, 2, 5, 14, 50, 233]
+
+
+def test_flips_and_stacks_pass_validate():
+    # flip_edge and stack_on_face build their result without validate: it
+    # must accept every one of them unchanged
+    count = 0
+    for n in range(4, 9):
+        for t in all_types(n):
+            built = [triang.flip_edge(t, e) for e in t.edges()]
+            built += [triang.stack_on_face(t, i) for i in range(len(t.faces))]
+            for b in built:
+                if b is not None:
+                    assert triang.validate(b.n, b.faces) == b
+                    count += 1
+    assert count == 470
 
 
 def test_euler_relation_over_corpus():
