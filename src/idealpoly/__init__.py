@@ -5,4 +5,4 @@ angle structures, rational dihedral angle detection, and the statistics of
 random configuration volumes.
 """
 
-__version__ = "0.2.21"
+__version__ = "0.2.22"

@@ -164,6 +164,8 @@ def _face(system, act):
     third = (~out & (out.sum(axis=1, keepdims=True) == 2)).ravel()  # at pi
     base = np.where(third, math.pi, 0.0)
     keep = np.flatnonzero(~(out.ravel() | third))
+    if not keep.size:
+        raise NumericalFailure(f"the face pinning constraints {tuple(act)} keeps no triangle")
     A = np.concatenate((A_eq, A_ub[rows]))
     A, b = A.take(keep, axis=1), np.concatenate((b_eq, b_ub[rows])) - A @ base
     U_free, b_free = A_ub[~rows].take(keep, axis=1), (b_ub - A_ub @ base)[~rows]
@@ -393,11 +395,12 @@ def maximize_volume(link, start=None):
         s[list(act)] = math.inf
         return s
 
-    def settle(act, theta):
+    def settle(act, theta, collapse=True):
         """Pin ``act``, then what theta's projection violates: each free row at or past
         its bound, and the two smallest corners of each triangle with a free corner below
         BOUNDARY_TOL (its third corner leaves at pi), until nothing more is violated or
-        the face is inconsistent (residual > 1e-8)."""
+        the face is inconsistent (residual > 1e-8).  Without ``collapse`` it stops at the
+        first collapse, whose pins it returns with the face before them."""
         while True:
             face, u, theta = project(act, theta)
             if face.residual > 1e-8:
@@ -409,6 +412,8 @@ def maximize_volume(link, start=None):
             if not new:
                 return act, face, u, theta
             act = tuple(sorted(new.union(act)))
+            if not collapse and act[0] < m:
+                return act, face, u, theta
 
     # The ascent starts on the face of the rows the zero-shear point violates (none for an
     # interior optimum) and those its projection then violates, unless that face is
@@ -416,7 +421,7 @@ def maximize_volume(link, start=None):
     act, steps, point = (), 0, _zero_shear(system)
     if point is not None:
         act = tuple((m + np.flatnonzero(A_ub @ point[0] >= b_ub)).tolist())
-        act, face, u, theta = settle(act, point[0])
+        act, face, u, theta = settle(act, point[0], collapse=False)
         steps = point[1]
     if point is None or face.residual > 1e-8 or min(act, default=m) < m:
         act = ()

@@ -226,12 +226,21 @@ def _codes(t):
     that starts at its smallest label.  ``_decode`` turns a code back into
     face tuples.
 
-    The candidates are the darts leaving a vertex of degree 3 when there is
-    one, else every dart.  Every start labels its own face (0, 1, 2) and the
-    third vertex of the face across its dart 3, so a start at a degree-3
+    The candidates depend on the minimum degree.  Every start u -> v labels
+    u 0, v 1, the third vertex w of its face 2 and the third vertex x of the
+    face across uv 3, so its code begins (0, 1, 2).  A start at a degree-3
     vertex has (0, 2, 3) as its second face and any other start (0, 2, a)
-    with a >= 4.  The smallest code, and every code equal to it, therefore
-    comes from a degree-3 start when one exists.
+    with a >= 4, so with a vertex of degree 3 the candidates are the darts
+    leaving one.  With minimum degree 4 the traversal goes on to label p,
+    the third vertex of the face across wv, 4 and y, the third vertex of the
+    face across uw, 5 (x, p and y are distinct because v and w have degree
+    4 or more).  A start at a degree-4 vertex then has the faces (0, 1, 2),
+    (0, 2, 5), (0, 3, 1), (0, 5, 3) at 0; a start at a vertex of higher
+    degree not adjacent to p has (0, 5, z) with z >= 6 as its fourth, and
+    loses.  So the candidates are the darts leaving a vertex of degree 4
+    and those whose tail is adjacent to their p.  With minimum degree 5
+    every dart is a candidate.  Every other start loses strictly, so the
+    candidates hold every start whose code is the smallest.
     """
     n = t.n
     last = n - 1
@@ -243,7 +252,14 @@ def _codes(t):
     # per dart: its head, the next dart of its face, its reverse
     steps = [(v, nxt[d], dart[v, u]) for d, (u, v) in enumerate(zip(tail, head))]
     degree = t.degrees()
-    starts = [d for d, v in enumerate(tail) if degree[v] == 3] or range(len(tail))
+    low = min(degree)
+    if low == 3:
+        starts = [d for d, u in enumerate(tail) if degree[u] == 3]
+    elif low == 4:  # p = head[nxt[dart[w, v]]]: the reverse of v -> w is w -> v
+        starts = [d for d, u in enumerate(tail)
+                  if degree[u] == 4 or (u, head[nxt[steps[nxt[d]][2]]]) in dart]
+    else:
+        starts = range(len(tail))
     rows = []
     seen = [-1] * len(tail)  # the start dart whose traversal last saw each dart
     for d0 in starts:

@@ -7,7 +7,7 @@ import pytest
 from idealpoly import __version__, cli
 
 from test_kernels import MISSED_BOUNDARY_EDGE
-from test_optvol import singular_newton_systems
+from test_optvol import CRASH_TYPE, singular_newton_systems
 from test_stats import diverging_mle
 
 try:
@@ -535,6 +535,16 @@ def test_optimize_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     payload = error_line(err)
     assert payload["code"] == "NUMERICAL_FAILURE"
     assert "no ascending Newton step" in payload["message"]
+
+
+def test_optimize_type_whose_start_collapses_every_triangle(tmp_path, capsys):
+    n, faces = CRASH_TYPE
+    path = write(tmp_path, "n11-305.json", {"n": n, "faces": [list(f) for f in faces]})
+    code, out, err = run_cli(["optimize", path], capsys)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["volume"] == pytest.approx(7.162316232454737, abs=1e-12)
+    assert data["kkt_residual"] <= 1e-12
 
 
 def test_optimize_octahedron(tmp_path, capsys):

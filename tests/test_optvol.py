@@ -933,6 +933,33 @@ def test_face_rule_near_miss_keeps_the_slow_edge_free():
     assert out.active_constraints == tuple(("hull_vertex", w) for w in (0, 4, 1, 8))
 
 
+# n = 11 #305, whose default apex 2 crashed in 0.2.19-0.2.21: from the
+# zero-shear point the start's settle collapsed link triangles until none was
+# kept, and the face solve raised a bare ValueError.  The start stops at its
+# first collapse, which the ascent drops anyway.
+CRASH_TYPE = (11, [(2, 3, 5), (3, 1, 6), (1, 3, 7), (3, 2, 7), (2, 1, 7), (1, 2, 9),
+                   (2, 4, 9), (4, 1, 9), (2, 0, 10), (4, 2, 10), (0, 6, 8), (3, 6, 5),
+                   (0, 8, 10), (0, 2, 6), (5, 6, 2), (1, 4, 6), (4, 10, 6), (8, 6, 10)])
+
+
+def test_start_that_collapses_every_triangle_optimizes():
+    res = rivin.is_realizable(triang.validate(*CRASH_TYPE))
+    assert res.apex == 2
+    out = optvol.maximize_volume(res.link)
+    ref = float.fromhex("0x1.ca63639f8031ap+2")
+    assert abs(out.volume - ref) <= 2 * math.ulp(ref)
+    assert out.kkt_residual <= 1e-12
+    assert out.active_constraints == (("interior_edge", (6, 10)),) + tuple(
+        ("hull_vertex", w) for w in (4, 1, 3, 6))
+
+
+def test_face_that_keeps_no_triangle_raises_numerical_failure():
+    system = rivin.assemble_constraints(rivin.is_realizable(triang.tetrahedron()).link)
+    act = tuple(i for i in range(system.n_vars) if i % 3 < 2)
+    with pytest.raises(NumericalFailure, match="keeps no triangle"):
+        optvol._face(system, act)
+
+
 def singular_newton_systems(monkeypatch):
     """Make every Newton system singular, as on a face no Newton can solve; the
     zero-shear Newton then gives up, and the ascent starts at the start."""

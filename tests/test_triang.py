@@ -390,7 +390,8 @@ def _frozen_automorphism_counts(t):
 
 def test_canonical_form_matches_frozen_oracle_on_all_small_types():
     # the frozen oracle starts from every dart, _codes only from darts at a
-    # degree-3 vertex when there is one
+    # degree-3 vertex when there is one, and with minimum degree 4 from darts
+    # at a degree-4 vertex or whose tail is adjacent to their p
     for n in range(4, 11):
         for t in all_types(n):
             assert triang.canonical_form(t) == _frozen_canonical_form(t)
@@ -420,17 +421,49 @@ def test_degree_three_starts_match_all_darts_on_delaunay_types(n):
         assert triang.automorphism_counts(t) == _frozen_automorphism_counts(t)
 
 
+def _third_vertex(t, u, v):
+    """The third vertex of the face that holds the dart u -> v."""
+    for f in t.faces:
+        for i in range(3):
+            if f[i] == u and f[(i + 1) % 3] == v:
+                return f[(i + 2) % 3]
+    raise KeyError((u, v))
+
+
 def test_minimum_degree_four_type_starts_at_a_higher_degree():
-    # with no degree-3 vertex every dart is a candidate: the canonical start
-    # of this type lies at a vertex of degree 6 or more, so restricting the
-    # starts to vertices of minimum degree would change its canonical form
+    # the canonical start u -> v of this type is an exception dart: u has
+    # degree 6 or more and is adjacent to p, the third vertex of the face
+    # across wv, w the third vertex of the start's face.  Restricting the
+    # starts to degree-4 vertices would miss the all-dart minimum
     t = all_types(10)[221]
     degree = t.degrees()
     assert min(degree) == 4
     codes = list(_frozen_codes(t))
     start = codes.index(min(codes))
-    assert degree[t.faces[start // 3][start % 3]] >= 6
+    u, v, w = (t.faces[start // 3][(start + k) % 3] for k in range(3))
+    assert degree[u] >= 6
+    p = _third_vertex(t, w, v)
+    assert any(u in f and p in f for f in t.faces)
+    degree_four = [c for d, c in enumerate(codes) if degree[t.faces[d // 3][d % 3]] == 4]
+    assert min(degree_four) > min(codes)
     assert triang.canonical_form(t) == _frozen_canonical_form(t)
+    assert triang.automorphism_counts(t) == _frozen_automorphism_counts(t)
+
+
+# Start darts of _codes on cones of the seed-0 n = 12 search, by trial: one
+# with a degree-3 vertex (its three darts), the others of minimum degree 4,
+# where every dart used to be a start (60).
+SEARCH_CONE_STARTS = {0: 12, 1: 3, 2: 16, 5: 20, 19: 8}
+
+
+def test_minimum_degree_four_cones_start_from_few_darts():
+    for trial, starts in SEARCH_CONE_STARTS.items():
+        cfg = geom.random_configuration(12, stats.trial_rng(0, trial))
+        t = geom.cone(geom.delaunay(cfg))
+        assert min(t.degrees()) == (3 if starts == 3 else 4)
+        assert len(triang._codes(t)) == starts, trial
+        assert triang.canonical_form(t) == _frozen_canonical_form(t)
+        assert triang.automorphism_counts(t) == _frozen_automorphism_counts(t)
 
 
 def test_icosahedron_ties_every_start_dart():
