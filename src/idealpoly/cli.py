@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__, geom, optvol, rivin, stats, svgplot, triang
-from .errors import IdealPolyError, InputError, InputNotFound, NotRealizable
+from .errors import IdealPolyError, InfeasibleStart, InputError, InputNotFound, NotRealizable
 
 
 class Run:
@@ -201,10 +201,11 @@ def cmd_check(run):
 
 def cmd_optimize(run):
     t = load_triangulation(run, run.args.triangulation)
-    res = rivin.is_realizable(t, epsilon=run.args.eps)
-    if not res.realizable:
-        raise NotRealizable("triangulation is not realizable")
-    result = optvol.maximize_volume(res.link, start=res.witness)
+    try:
+        result = optvol.maximize_volume(triang.build_link(t, triang.choose_apex(t)),
+                                        epsilon=run.args.eps)
+    except InfeasibleStart as exc:
+        raise NotRealizable("triangulation is not realizable") from exc
     payload = optimize_payload(result, run.args.max_denominator, run.args.tol)
     run.emit_json(payload, run.args.output)
     return 0

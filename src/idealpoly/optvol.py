@@ -27,6 +27,8 @@ those few unknowns.  Projected onto the face that pins the rows of P it
 violates (none for an interior optimum), and the rows that projection violates
 in turn, it starts the ascent unless that face is inconsistent or collapses a
 triangle, as on 247 of 277 n = 12 Delaunay links; otherwise the start does.
+Without a start, only an ascent that cannot start there solves the LP to its
+centered witness; otherwise the LP settles realizability alone, if at all.
 """
 
 import math
@@ -346,19 +348,19 @@ def _release(system, act, face, theta, y):
     return best
 
 
-_RELEASE_STEP = 1e-3  # eps of a release, its a and b corners far above BOUNDARY_TOL
-
-
-def maximize_volume(link, start=None):
+def maximize_volume(link, start=None, epsilon=rivin.DEFAULT_EPSILON):
     """Unique volume maximizer for one apex link.
 
     ``start`` must be strictly interior (true slacks positive, equalities
-    within 1e-8); when omitted, the centered witness at the default epsilon
-    is used.  An ascent that starts on the face its zero-shear point violates
-    never reads the start, which is still checked, or the witness computed,
-    first.  Raises
-    InfeasibleStart when no interior start can be produced and
-    NumericalFailure when a face is inconsistent or its Newton fails.
+    within 1e-8).  Without one, the LP runs only as far as the ascent reads
+    it: not at all where the projected zero-shear point has every slack
+    >= 2 epsilon (so t* >= epsilon), for its verdict alone
+    (``rivin.check_feasible(verdict_only=True)``) where the ascent starts on
+    the zero-shear face, and else to the centered witness, the start.
+    Raises InputError for epsilon outside (0, pi), InfeasibleStart when no
+    start can be produced (without one: the link is not realizable at
+    epsilon) and NumericalFailure when a face is inconsistent or its Newton
+    fails.
     """
     system = rivin.assemble_constraints(link)
     A_eq, b_eq, A_ub, b_ub = system.A_eq, system.b_eq, system.A_ub, system.b_ub
@@ -366,13 +368,7 @@ def maximize_volume(link, start=None):
     I = len(b_eq) - m // 3  # interior link vertices: the first coupling rows of a face
 
     if start is None:
-        res = rivin.check_feasible(system)
-        if not res.realizable:
-            raise InfeasibleStart(
-                f"no strictly interior point at epsilon={rivin.DEFAULT_EPSILON:g} "
-                f"(certificate {res.certificate:g})"
-            )
-        theta0 = res.witness
+        rivin.validate_epsilon(epsilon)
     else:
         theta0 = np.asarray(start, dtype=float).reshape(-1)
         if theta0.size != m or not np.all(np.isfinite(theta0)):
@@ -423,7 +419,15 @@ def maximize_volume(link, start=None):
         act = tuple((m + np.flatnonzero(A_ub @ point[0] >= b_ub)).tolist())
         act, face, u, theta = settle(act, point[0], collapse=False)
         steps = point[1]
-    if point is None or face.residual > 1e-8 or min(act, default=m) < m:
+    zero_shear = point is not None and face.residual <= 1e-8 and min(act, default=m) >= m
+    if start is None and not (zero_shear and not act
+                              and _slacks(theta, A_ub, b_ub).min() >= 2.0 * epsilon):
+        res = rivin.check_feasible(system, epsilon, verdict_only=zero_shear)
+        if not res.realizable:
+            raise InfeasibleStart(f"no strictly interior point at epsilon={epsilon:g} "
+                                  f"(certificate {res.certificate:g})")
+        theta0 = res.witness
+    if not zero_shear:
         act = ()
         face, u, theta = project(act, theta0)
 
@@ -452,9 +456,18 @@ def maximize_volume(link, start=None):
         gain, act_r, direction = _release(system, act, face, theta, y)
         if not gain > 1e-9:
             break
-        face_r, u_r, theta_r = project(act_r, theta + _RELEASE_STEP * direction)
-        if not (free_slacks(act_r, theta_r).min() > 0.0
-                and specfun.lobachevsky_sum(theta_r) > specfun.lobachevsky_sum(theta)):
+        # the move halves from 1e-3 until V rises and the point stays in P, while the
+        # released a and b stay above BOUNDARY_TOL
+        released = [i for i in act if i < m and i not in act_r]
+        move, volume = 1e-3, specfun.lobachevsky_sum(theta)
+        while True:
+            face_r, u_r, theta_r = project(act_r, theta + move * direction)
+            free = theta_r[released].min() > BOUNDARY_TOL
+            if not free or (free_slacks(act_r, theta_r).min() > 0.0
+                            and specfun.lobachevsky_sum(theta_r) > volume):
+                break
+            move *= 0.5
+        if not free:
             break  # a gain too small to outgrow the move's second order
         act, face, u, theta = act_r, face_r, u_r, theta_r
     else:

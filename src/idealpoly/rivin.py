@@ -95,7 +95,7 @@ class RealizabilityResult:
     system: ConstraintSystem
     witness: object  # flat ndarray of corner angles when realizable, else None
     certificate: float  # epsilon - t* > 0, or the phase-1 residual when P is empty
-    min_slack: float  # t*, nan when P is empty
+    min_slack: float  # t* (a lower bound once a verdict-only LP stops), nan when P is empty
 
     @property
     def link(self):
@@ -126,12 +126,13 @@ def _eliminated(system):
 
 
 def _lp_on_p(system):
-    """The one LP over P, built once: solve(objective, t_weight) maximizes
-    objective.theta + t_weight*t over the theta in P whose corners and
-    inequality slacks are all >= t, as (z, t) >= 0 with theta = theta0 +
-    E(z + t), and returns the LPResult and, when optimal, theta.  E maps the
-    kept corners; an ``_eliminated`` c has E[c] = -E[a] - E[b], theta0_c = pi
-    and the row theta_c >= t.  P's rows become rows times E, less pi per
+    """The one LP over P, built once: solve(objective, t_weight, target)
+    maximizes objective.theta + t_weight*t (or stops once it reaches
+    ``target``) over the theta in P whose corners and inequality slacks are
+    all >= t, as (z, t) >= 0 with theta = theta0 + E(z + t), and returns the
+    LPResult and, when optimal, theta.  E maps the kept corners; an
+    ``_eliminated`` c has E[c] = -E[a] - E[b], theta0_c = pi and the row
+    theta_c >= t.  P's rows become rows times E, less pi per
     eliminated corner on the right (negated if negative; an eliminated
     triangle's 0 = 0 drops out)."""
     n, cut = system.n_vars, _eliminated(system)
@@ -154,9 +155,10 @@ def _lp_on_p(system):
                    *rows(np.vstack([-E[cuts], system.A_ub @ E]),
                          np.append(np.ones(cuts.size), ub_units), 1.0))
 
-    def solve(objective, t_weight):
+    def solve(objective, t_weight, target=np.inf):
         z_objective = E.T @ objective
-        res = simplex.solve(np.append(z_objective, z_objective.sum() + t_weight), *constraints)
+        res = simplex.solve(np.append(z_objective, z_objective.sum() + t_weight), *constraints,
+                            target=target)
         if res.status != "optimal":
             return res, None
         t, z = float(res.x[-1]), np.zeros(n)
@@ -167,17 +169,30 @@ def _lp_on_p(system):
     return solve
 
 
-def check_feasible(system, epsilon=DEFAULT_EPSILON):
+def validate_epsilon(epsilon):
+    """Raise InputError unless the tolerance epsilon lies in (0, pi)."""
+    if not 0.0 < epsilon < math.pi:
+        raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
+
+
+def check_feasible(system, epsilon=DEFAULT_EPSILON, verdict_only=False):
     """Realizability at a tolerance epsilon in (0, pi) and a slack-centered
     witness: ``_lp_on_p`` maximizes t alone.  Its optimum t* is
     ``min_slack``; the link is realizable iff t* >= epsilon, with the LP's
     theta as witness, else the certificate is epsilon - t*, or the phase-1
-    residual when P is empty."""
-    if not 0.0 < epsilon < math.pi:
-        raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
-    res, theta = _lp_on_p(system)(np.zeros(system.n_vars), 1.0)
+    residual when P is empty.
+
+    ``verdict_only`` stops the LP at its first basis with t >= 2 epsilon
+    (t <= t*, so t* >= epsilon with a margin for rounding), and that result
+    carries no witness and that t as ``min_slack``; a verdict the stop does
+    not settle is the full LP's."""
+    validate_epsilon(epsilon)
+    res, theta = _lp_on_p(system)(np.zeros(system.n_vars), 1.0,
+                                  2.0 * epsilon if verdict_only else np.inf)
     if res.status == "infeasible":
         return RealizabilityResult(False, system, None, float(res.phase1_objective), math.nan)
+    if res.status == "target":
+        return RealizabilityResult(True, system, None, 0.0, float(res.x[-1]))
     if res.status != "optimal":
         raise NumericalFailure(f"centering LP status {res.status}")
     t = float(res.x[-1])

@@ -33,7 +33,7 @@ _DEGENERATE_RUN = 50
 
 class LPResult:
     def __init__(self, status, x=None, objective=None, phase1_objective=0.0):
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.status = status  # "optimal" | "target" | "infeasible" | "unbounded"
         self.x = x
         self.objective = objective
         self.phase1_objective = phase1_objective
@@ -64,8 +64,9 @@ def _pivot(D, ids, basis, row, slot):
     basis[row], ids[slot] = int(ids[slot]), basis[row]
 
 
-def _simplex_iterate(D, ids, basis):
-    """Minimize the objective in the last dictionary row.
+def _simplex_iterate(D, ids, basis, stop=np.inf):
+    """Minimize the objective in the last dictionary row, or stop at the first
+    basis whose D[-1, -1] (c.x in phase 2) reaches ``stop``.
 
     Dantzig pricing enters the most negative reduced cost.  After
     _DEGENERATE_RUN consecutive degenerate pivots (minimum ratio <= 1e-12)
@@ -77,6 +78,8 @@ def _simplex_iterate(D, ids, basis):
     pivots = 0
     degenerate = 0
     while True:
+        if D[-1, -1] >= stop:
+            return
         reduced = D[-1, :-1]
         if degenerate < _DEGENERATE_RUN:
             least = reduced.min(initial=np.inf)
@@ -111,12 +114,15 @@ class _Unbounded(Exception):
     pass
 
 
-def solve(c, A_eq, b_eq, A_ub, b_ub):
+def solve(c, A_eq, b_eq, A_ub, b_ub, target=np.inf):
     """Solve max c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0,
     for right-hand sides b_eq, b_ub >= 0.
 
     Returns an LPResult; when infeasible, ``phase1_objective`` carries the
-    residual infeasibility (the positive phase-1 optimum).
+    residual infeasibility (the positive phase-1 optimum).  With a finite
+    ``target``, phase 2 stops at the first basis with c.x >= target, status
+    "target" (its x feasible, not necessarily optimal); an LP that never
+    reaches it pivots exactly as without one.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -171,7 +177,7 @@ def solve(c, A_eq, b_eq, A_ub, b_ub):
         if basis[r] < ncols and obj[basis[r]] != 0.0:
             D[-1] -= obj[basis[r]] * D[r]
     try:
-        _simplex_iterate(D, ids, basis)
+        _simplex_iterate(D, ids, basis, target)
     except _Unbounded:
         return LPResult("unbounded", phase1_objective=0.0)
 
@@ -180,4 +186,4 @@ def solve(c, A_eq, b_eq, A_ub, b_ub):
         if basis[r] < n:
             x[basis[r]] = D[r, -1]
     val = float(c @ x)
-    return LPResult("optimal", x=x, objective=val, phase1_objective=0.0)
+    return LPResult("target" if D[-1, -1] >= target else "optimal", x=x, objective=val)

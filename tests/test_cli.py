@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import idealpoly
 from idealpoly import __version__, cli
 
 from test_kernels import MISSED_BOUNDARY_EDGE
@@ -807,6 +810,16 @@ def test_help_and_version_exit_zero(capsys, argv):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: idealpoly") or out == f"{__version__}\n"
+
+
+def test_python_m_idealpoly_runs_the_cli():
+    # from a source checkout too, where no idealpoly script is installed
+    package_root = os.path.dirname(os.path.dirname(idealpoly.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-m", "idealpoly", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == f"{__version__}\n"
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools < 69 calls the table beta

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealpoly import cli, geom, optvol, rivin, specfun, stats, triang
+from idealpoly import cli, geom, optvol, rivin, simplex, specfun, stats, triang
 from idealpoly.errors import InfeasibleStart, NumericalFailure
 
 from catalog import all_types, flip_walk
@@ -118,6 +119,100 @@ def test_no_start_on_a_polytope_without_interior():
     assert abs(res.min_slack) < 1e-12
     with pytest.raises(InfeasibleStart, match="no strictly interior point"):
         optvol.maximize_volume(res.link)
+
+
+def lp_pivots(monkeypatch):
+    """The pivot count of every simplex.solve call from here on, in order."""
+    pivots = []
+    solve, pivot = simplex.solve, simplex._pivot
+
+    def counted_solve(*args, **kwargs):
+        pivots.append(0)
+        return solve(*args, **kwargs)
+
+    def counted_pivot(*args):
+        pivots[-1] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "solve", counted_solve)
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    return pivots
+
+
+def assert_same_optimum(out, ref):
+    assert out.angles.tobytes() == ref.angles.tobytes()
+    assert (out.volume, out.kkt_residual, out.active_constraints, out.newton_iterations) == (
+        ref.volume, ref.kkt_residual, ref.active_constraints, ref.newton_iterations)
+
+
+def test_interior_zero_shear_point_needs_no_lp(monkeypatch):
+    # every slack of the octahedron's zero-shear point is >= 2 epsilon, so
+    # that point certifies realizability and no LP runs
+    link = triang.build_link(triang.octahedron(), triang.choose_apex(triang.octahedron()))
+    pivots = lp_pivots(monkeypatch)
+    out = optvol.maximize_volume(link)
+    assert pivots == []
+    res = rivin.check_feasible(rivin.assemble_constraints(link))
+    assert_same_optimum(out, optvol.maximize_volume(link, start=res.witness))
+
+
+def test_verdict_only_lp_on_a_zero_shear_face_start(monkeypatch):
+    # CI's seeded n = 40 type starts on the face of three hull-vertex rows its
+    # zero-shear point violates: its one LP stops at t >= 2 epsilon, short of
+    # the centering optimum, and the witness is never read
+    cfg = geom.random_configuration(40, stats.trial_rng(0, 0))
+    t, _ = geom.close_with_infinity(geom.delaunay(cfg))
+    link = triang.build_link(t, triang.choose_apex(t))
+    pivots = lp_pivots(monkeypatch)
+    res = rivin.check_feasible(rivin.assemble_constraints(link))
+    out = optvol.maximize_volume(link)
+    full, verdict = pivots
+    assert verdict < full
+    assert_same_optimum(out, optvol.maximize_volume(link, start=res.witness))
+    assert len(pivots) == 2
+
+
+# n = 11 #1189, whose polytope P is empty (phase 1 ends with residual pi)
+EMPTY_TYPE = (11, [(0, 2, 5), (2, 3, 5), (3, 0, 5), (0, 3, 6), (3, 1, 6), (1, 0, 6), (1, 3, 7),
+                   (3, 2, 7), (2, 1, 7), (0, 1, 8), (1, 4, 8), (4, 0, 8), (1, 2, 9), (2, 4, 9),
+                   (4, 1, 9), (2, 0, 10), (0, 4, 10), (4, 2, 10)])
+
+
+def test_startless_verdict_is_check_feasibles(monkeypatch):
+    # without a start, maximize_volume raises InfeasibleStart exactly where
+    # check_feasible says "not realizable", whichever start path decides it:
+    # no LP, the verdict-only LP (stopped at t >= 2 epsilon unless the type
+    # is not realizable) or the full LP
+    check_feasible, calls = rivin.check_feasible, []
+
+    def recorded(system, epsilon, verdict_only=False):
+        res = check_feasible(system, epsilon, verdict_only=verdict_only)
+        calls.append(("verdict" if verdict_only else "full", res.realizable,
+                      res.witness is not None))
+        return res
+
+    monkeypatch.setattr(rivin, "check_feasible", recorded)
+    paths = collections.Counter()
+    links = [triang.build_link(t, apex) for n in range(4, 10) for t in all_types(n)
+             for apex in range(n)]
+    empty = triang.validate(*EMPTY_TYPE)
+    links.append(triang.build_link(empty, triang.choose_apex(empty)))
+    for link in links:
+        realizable = check_feasible(rivin.assemble_constraints(link)).realizable
+        try:
+            optvol.maximize_volume(link)
+        except InfeasibleStart:
+            assert not realizable
+        else:
+            assert realizable
+        (call,) = calls or [("no LP", realizable, False)]
+        paths[call] += 1
+        calls.clear()
+    # (LP, realizable, witness computed): every realizable verdict-only LP
+    # stops before its optimum, which alone would give a witness
+    assert paths == {("no LP", True, False): 150, ("verdict", True, False): 180,
+                     ("verdict", False, False): 4, ("full", True, True): 271,
+                     ("full", False, False): 14}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -951,6 +1046,37 @@ def test_start_that_collapses_every_triangle_optimizes():
     assert out.kkt_residual <= 1e-12
     assert out.active_constraints == (("interior_edge", (6, 10)),) + tuple(
         ("hull_vertex", w) for w in (4, 1, 3, 6))
+
+
+# n = 11 types whose ascent from the witness at one apex stopped below the
+# type's maximum until 0.2.22: it collapsed a link triangle whose release has a
+# positive first-order gain, but the fixed release move of 1e-3 left P or
+# lowered V.  The move now halves until V rises in P.
+RELEASE_TYPES = {
+    190: (8, NEAR_MISS_TYPE[1]),
+    862: (5, [(2, 3, 5), (3, 0, 5), (0, 3, 6), (3, 2, 7), (2, 1, 7), (1, 2, 9), (2, 4, 9),
+              (4, 1, 9), (0, 6, 8), (1, 8, 6), (0, 10, 5), (2, 5, 10), (1, 6, 7), (3, 7, 6),
+              (4, 0, 1), (8, 1, 0), (4, 2, 0), (10, 0, 2)]),
+    902: (0, [(0, 2, 5), (2, 3, 5), (3, 1, 6), (1, 3, 7), (3, 2, 7), (2, 1, 7), (1, 4, 8),
+              (1, 2, 9), (2, 4, 9), (4, 1, 9), (2, 0, 10), (0, 4, 10), (4, 2, 10), (1, 8, 6),
+              (3, 6, 5), (8, 4, 6), (0, 5, 4), (6, 4, 5)]),
+    909: (7, [(2, 3, 5), (3, 1, 6), (1, 3, 7), (3, 2, 7), (2, 1, 7), (1, 2, 9), (2, 4, 9),
+              (4, 1, 9), (0, 6, 8), (1, 8, 6), (0, 10, 5), (2, 5, 10), (0, 5, 6), (3, 6, 5),
+              (4, 0, 1), (8, 1, 0), (4, 2, 0), (10, 0, 2)]),
+}
+
+
+@pytest.mark.parametrize("index", sorted(RELEASE_TYPES))
+def test_release_move_halves_until_the_volume_rises(index):
+    apex, faces = RELEASE_TYPES[index]
+    t = triang.validate(11, faces)
+    volumes = []
+    for a in (apex, triang.choose_apex(t)):
+        res = rivin.is_realizable(t, apex=a)
+        out = optvol.maximize_volume(res.link, start=res.witness)
+        assert out.kkt_residual <= 1e-12
+        volumes.append(out.volume)
+    assert abs(volumes[0] - volumes[1]) <= 1e-12, volumes
 
 
 def test_face_that_keeps_no_triangle_raises_numerical_failure():

@@ -447,12 +447,15 @@ def _scalar_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _scalar_simplex_iterate(T, basis, ncols, degenerate_run):
-    """The pricing loop with scalar scans; returns its pivot count, which an
-    unbounded ray carries instead.  degenerate_run=0 is Bland's rule."""
+def _scalar_simplex_iterate(T, basis, ncols, degenerate_run, stop=np.inf):
+    """The pricing loop with scalar scans, stopping early once T[-1, -1]
+    reaches ``stop``; returns its pivot count, which an unbounded ray
+    carries instead.  degenerate_run=0 is Bland's rule."""
     pivots = 0
     degenerate = 0
     while True:
+        if T[-1, -1] >= stop:
+            return pivots
         col = -1
         if degenerate < degenerate_run:
             for j in range(ncols):  # Dantzig: most negative, first on ties
@@ -487,10 +490,11 @@ def _scalar_simplex_iterate(T, basis, ncols, degenerate_run):
             raise simplex.NumericalFailure("simplex pivot cap exceeded")
 
 
-def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub):
+def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub, target=np.inf):
     """Max c.x by the two-phase simplex on the full tableau, every basic
     column stored, with the module's tolerances and _DEGENERATE_RUN, for
-    right-hand sides >= 0; returns (LPResult, pivot count)."""
+    right-hand sides >= 0, stopping phase 2 once c.x >= target; returns
+    (LPResult, pivot count)."""
     run = simplex._DEGENERATE_RUN
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -532,7 +536,7 @@ def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub):
         if basis[r] < ncols and obj[basis[r]] != 0.0:
             T[-1] -= obj[basis[r]] * T[r]
     try:
-        pivots += _scalar_simplex_iterate(T, basis, ncols, run)
+        pivots += _scalar_simplex_iterate(T, basis, ncols, run, target)
     except _Unbounded as ray:
         return simplex.LPResult("unbounded", phase1_objective=0.0), pivots + ray.args[0]
 
@@ -541,7 +545,8 @@ def full_tableau_solve(c, A_eq, b_eq, A_ub, b_ub):
         if basis[r] < n:
             x[basis[r]] = T[r, -1]
     val = float(c @ x)
-    return simplex.LPResult("optimal", x=x, objective=val, phase1_objective=0.0), pivots
+    status = "target" if T[-1, -1] >= target else "optimal"
+    return simplex.LPResult(status, x=x, objective=val, phase1_objective=0.0), pivots
 
 
 def solve_counting(args, kwargs):
@@ -598,12 +603,14 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
         for n in (40, 60):
             for seed in range(3):
                 rivin.check_feasible(seeded_system(n, seed))
+                rivin.check_feasible(seeded_system(n, seed), verdict_only=True)
 
     # the small LPs minimize c.x: the solver maximizes -c.x
     lps = [((-c, *rest), {}) for c, *rest in random_lps() + degenerate_lps()]
     lps += recorded_lps(check_feasible_everywhere)
     # No LP here has 50 degenerate pivots in a row (the longest run is 11);
-    # a run of 2 sends 26 of the 129 through the Bland fallback as well.
+    # a run of 2 sends 32 of the 135 through the Bland fallback as well.  The
+    # six verdict-only LPs stop early, and the reference stops with them.
     for run in (simplex._DEGENERATE_RUN, 2):
         monkeypatch.setattr(simplex, "_DEGENERATE_RUN", run)
         statuses = set()
@@ -619,7 +626,7 @@ def test_array_simplex_matches_scalar_loops_bitwise(monkeypatch):
             else:
                 assert res.x.tobytes() == ref.x.tobytes()
             statuses.add(res.status)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert statuses == {"optimal", "target", "infeasible", "unbounded"}
 
 
 # Chvatal's cycling example (Linear Programming, 1983, ch. 3): Dantzig
