@@ -207,6 +207,7 @@ def cmd_optimize(run):
     except InfeasibleStart as exc:
         raise NotRealizable("triangulation is not realizable") from exc
     payload = optimize_payload(result, run.args.max_denominator, run.args.tol)
+    run.profile["realizability_lp"] = result.realizability_lp
     run.emit_json(payload, run.args.output)
     return 0
 

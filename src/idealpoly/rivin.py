@@ -16,7 +16,9 @@ it maximizes the minimum slack t over theta = z + t with z, t >= 0, so the
 corner lower bounds need no rows of their own.  Its phase 1 decides whether
 P is empty; its optimum t* is the largest minimum slack of any point of P,
 and its theta a strictly interior start for the downstream volume maximization
-when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.
+when t* > 0.  A tolerance epsilon in (0, pi) only thresholds t*.  ``certifies``
+settles "t* >= epsilon" without that LP where a given point, moved away from
+given others in one LP of a few columns, reaches every slack >= 2 epsilon.
 
 With other objectives the same LP gives ``random_interior_points`` vertices
 of P.  It puts theta_c = pi - theta_a - theta_b in for one corner c of most
@@ -173,6 +175,30 @@ def validate_epsilon(epsilon):
     """Raise InputError unless the tolerance epsilon lies in (0, pi)."""
     if not 0.0 < epsilon < math.pi:
         raise InputError(f"epsilon {epsilon!r} outside (0, pi)")
+
+
+def certifies(system, theta, origins, epsilon):
+    """Whether a point certifies t* >= epsilon without the LP on P: some
+    theta + sum_k w_k (theta - p_k), w >= 0, over the points p_k of
+    ``origins`` (none: theta alone) has every slack >= 2 epsilon, the margin
+    of ``check_feasible``'s verdict-only stop, and the equalities within
+    1e-8.  Each slack is affine in w, so one LP in (w, s) maximizes the
+    minimum slack s; where theta and every p_k meet the equalities, so does
+    every such point."""
+    A_ub, b_ub = system.A_ub, system.b_ub
+    if origins:
+        W = theta[:, None] - np.column_stack(origins)  # the moves theta - p_k
+        s, k = np.concatenate((theta, b_ub - A_ub @ theta)), W.shape[1]
+        # max s' over s' <= s + D w, D each slack's rate along the moves; the right-hand
+        # side is clamped at 0, as a slack pinned at 0 rounds to either sign
+        D = np.vstack((W, -(A_ub @ W)))
+        res = simplex.solve(np.eye(k + 1)[k], np.zeros((0, k + 1)), (),
+                            np.hstack((-D, np.ones((len(s), 1)))), np.maximum(s, 0.0))
+        if res.status != "optimal":
+            return False
+        theta = theta + W @ res.x[:k]
+    return bool(min(theta.min(), (b_ub - A_ub @ theta).min()) >= 2.0 * epsilon
+                and np.abs(system.A_eq @ theta - system.b_eq).max() <= 1e-8)
 
 
 def check_feasible(system, epsilon=DEFAULT_EPSILON, verdict_only=False):

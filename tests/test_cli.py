@@ -593,8 +593,13 @@ def test_schemas_follow_their_refs(tmp_path, capsys):
     _, out, _ = run_cli(["optimize", path], capsys)
     optimum = json.loads(out)
     assert "kernel_backend" not in optimum["manifest"]
-    assert "profile" not in optimum["manifest"]  # only search writes a profile
+    # the octahedron's zero-shear point certifies its realizability: no LP ran
+    assert optimum["manifest"]["profile"] == {"realizability_lp": "none"}
     assert optimum["manifest"]["version"] == __version__
+    optimum["manifest"]["profile"]["realizability_lp"] = "barrier"
+    with pytest.raises(jsonschema.ValidationError, match="'barrier' is not one of"):
+        check_schema(optimum, "optimize.schema.json")
+    optimum["manifest"]["profile"]["realizability_lp"] = "full"
     del optimum["manifest"]["version"]
     with pytest.raises(jsonschema.ValidationError, match="'version' is a required"):
         check_schema(optimum, "optimize.schema.json")

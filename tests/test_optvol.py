@@ -156,20 +156,54 @@ def test_interior_zero_shear_point_needs_no_lp(monkeypatch):
     assert_same_optimum(out, optvol.maximize_volume(link, start=res.witness))
 
 
-def test_verdict_only_lp_on_a_zero_shear_face_start(monkeypatch):
-    # CI's seeded n = 40 type starts on the face of three hull-vertex rows its
-    # zero-shear point violates: its one LP stops at t >= 2 epsilon, short of
-    # the centering optimum, and the witness is never read
+def seeded_n40_link():
+    """CI's seeded n = 40 Delaunay type at its default apex."""
     cfg = geom.random_configuration(40, stats.trial_rng(0, 0))
     t, _ = geom.close_with_infinity(geom.delaunay(cfg))
-    link = triang.build_link(t, triang.choose_apex(t))
+    return triang.build_link(t, triang.choose_apex(t))
+
+
+def recorded_certificates(monkeypatch):
+    """The verdict of every rivin.certifies call from here on, in order."""
+    verdicts, certifies = [], rivin.certifies
+
+    def recorded(*args):
+        verdicts.append(certifies(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(rivin, "certifies", recorded)
+    return verdicts
+
+
+def test_zero_shear_face_start_certifies_realizability_without_lp(monkeypatch):
+    # CI's seeded n = 40 type starts on the face of three hull-vertex rows its
+    # zero-shear point violates; moving away from the points it was projected
+    # from certifies t* >= epsilon, so the certificate's small LP is the only one
+    link = seeded_n40_link()
+    res = rivin.check_feasible(rivin.assemble_constraints(link))
+    verdicts = recorded_certificates(monkeypatch)
+    monkeypatch.setattr(rivin, "check_feasible", None)  # a call would fail
+    pivots = lp_pivots(monkeypatch)
+    out = optvol.maximize_volume(link)
+    assert verdicts == [True] and out.realizability_lp == "none"
+    assert len(pivots) == 1
+    assert_same_optimum(out, optvol.maximize_volume(link, start=res.witness))
+
+
+def test_verdict_only_lp_on_a_zero_shear_face_start(monkeypatch):
+    # n = 9 #4 at apex 1 starts on a zero-shear face that the certificate
+    # misses: its one realizability LP stops at t >= 2 epsilon, short of the
+    # centering optimum, and the witness is never read
+    link = triang.build_link(all_types(9)[4], 1)
+    verdicts = recorded_certificates(monkeypatch)
     pivots = lp_pivots(monkeypatch)
     res = rivin.check_feasible(rivin.assemble_constraints(link))
     out = optvol.maximize_volume(link)
-    full, verdict = pivots
+    full, certificate, verdict = pivots
+    assert verdicts == [False] and out.realizability_lp == "verdict"
     assert verdict < full
     assert_same_optimum(out, optvol.maximize_volume(link, start=res.witness))
-    assert len(pivots) == 2
+    assert len(pivots) == 3
 
 
 # n = 11 #1189, whose polytope P is empty (phase 1 ends with residual pi)
@@ -178,11 +212,33 @@ EMPTY_TYPE = (11, [(0, 2, 5), (2, 3, 5), (3, 0, 5), (0, 3, 6), (3, 1, 6), (1, 0,
                    (4, 1, 9), (2, 0, 10), (0, 4, 10), (4, 2, 10)])
 
 
-def test_startless_verdict_is_check_feasibles(monkeypatch):
-    # without a start, maximize_volume raises InfeasibleStart exactly where
-    # check_feasible says "not realizable", whichever start path decides it:
-    # no LP, the verdict-only LP (stopped at t >= 2 epsilon unless the type
-    # is not realizable) or the full LP
+def test_certificate_refuses_without_an_interior_point(monkeypatch):
+    # the triakis tetrahedron (t* = 0) at apex 0, and the seeded n = 40 type
+    # at an epsilon above its t* = pi/8, start on a zero-shear face that
+    # cannot certify them, and the LP refuses them
+    verdicts = recorded_certificates(monkeypatch)
+    for link, epsilon in ((triang.build_link(all_types(8)[11], 0), rivin.DEFAULT_EPSILON),
+                          (seeded_n40_link(), 0.5)):
+        with pytest.raises(InfeasibleStart, match="no strictly interior point"):
+            optvol.maximize_volume(link, epsilon=epsilon)
+    assert verdicts == [False, False]
+    # n = 11 #1189's polytope is empty: no move from its zero-shear point
+    # along random directions in the equalities' null space certifies it
+    system = rivin.assemble_constraints(triang.build_link(triang.validate(*EMPTY_TYPE), 0))
+    theta, _ = optvol._zero_shear(system)
+    _, s, Vt = np.linalg.svd(system.A_eq)
+    null = Vt[np.count_nonzero(s > 1e-10 * s[0]):]
+    rng = np.random.default_rng(0)
+    for k in range(4):
+        origins = [theta - null.T @ rng.standard_normal(len(null)) for _ in range(k)]
+        assert not rivin.certifies(system, theta, origins, rivin.DEFAULT_EPSILON)
+
+
+def startless_paths(epsilon, monkeypatch):
+    """(LP, realizable, witness computed) -> count over the start-less
+    optimizations of every type with n <= 9 at every apex and n = 11 #1189,
+    each of which raises InfeasibleStart exactly where check_feasible says
+    "not realizable" and reports the LP it ran."""
     check_feasible, calls = rivin.check_feasible, []
 
     def recorded(system, epsilon, verdict_only=False):
@@ -198,21 +254,47 @@ def test_startless_verdict_is_check_feasibles(monkeypatch):
     empty = triang.validate(*EMPTY_TYPE)
     links.append(triang.build_link(empty, triang.choose_apex(empty)))
     for link in links:
-        realizable = check_feasible(rivin.assemble_constraints(link)).realizable
+        realizable = check_feasible(rivin.assemble_constraints(link), epsilon).realizable
         try:
-            optvol.maximize_volume(link)
+            out = optvol.maximize_volume(link, epsilon=epsilon)
         except InfeasibleStart:
             assert not realizable
         else:
             assert realizable
-        (call,) = calls or [("no LP", realizable, False)]
+        (call,) = calls or [("none", realizable, False)]
+        assert not realizable or out.realizability_lp == call[0]
         paths[call] += 1
         calls.clear()
-    # (LP, realizable, witness computed): every realizable verdict-only LP
-    # stops before its optimum, which alone would give a witness
-    assert paths == {("no LP", True, False): 150, ("verdict", True, False): 180,
-                     ("verdict", False, False): 4, ("full", True, True): 271,
-                     ("full", False, False): 14}
+    return paths
+
+
+def test_startless_verdict_is_check_feasibles(monkeypatch):
+    # without a start, maximize_volume raises InfeasibleStart exactly where
+    # check_feasible says "not realizable", whichever start path decides it:
+    # no LP (the zero-shear point certifies it), the verdict-only LP (stopped
+    # at t >= 2 epsilon unless the type is not realizable) or the full LP.
+    # Every realizable verdict-only LP stops before its optimum, which alone
+    # would give a witness
+    assert startless_paths(rivin.DEFAULT_EPSILON, monkeypatch) == {
+        ("none", True, False): 249, ("verdict", True, False): 81,
+        ("verdict", False, False): 4, ("full", True, True): 271, ("full", False, False): 14}
+
+
+# The start-less paths at other epsilons: at 1e-12 those of the default; at
+# 0.5 and 1.0 few slacks reach 2 epsilon, so the certificate rarely holds and
+# a realizable verdict-only LP runs to its optimum, short of the target.
+STARTLESS_PATHS = {
+    1e-12: {("none", True, False): 249, ("verdict", True, False): 81,
+            ("verdict", False, False): 4, ("full", True, True): 271, ("full", False, False): 14},
+    0.5: {("none", True, False): 9, ("verdict", True, True): 135,
+          ("verdict", False, False): 190, ("full", False, False): 285},
+    1.0: {("verdict", True, True): 9, ("verdict", False, False): 325, ("full", False, False): 285},
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(STARTLESS_PATHS))
+def test_startless_verdict_is_check_feasibles_at_every_epsilon(epsilon, monkeypatch):
+    assert startless_paths(epsilon, monkeypatch) == STARTLESS_PATHS[epsilon]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
